@@ -45,7 +45,6 @@ from .hopf_dual import (
     dual_from_text,
     dual_mult,
     dual_to_text,
-    warm_structure_cache,
     z_monomial,
 )
 from .action import CoactionImage, act, act_fast, coaction

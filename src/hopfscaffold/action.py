@@ -20,10 +20,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .base_arith import inverse_mod_p, padic_digits
+from .base_arith import padic_digits
 from .field_tower import ExtensionParams, LElement, l_mul
 from .hopf_dual import DualElement
-from .hopf_primal import HopfParams
+from .hopf_primal import HopfParams, twist_coefficients
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,7 @@ def _alpha_x(ext: ExtensionParams, hopf: HopfParams) -> list[LElement]:
     comps[0] = LElement.x_power(1, ext)
     comps[1] = LElement.one(ext)
     pr = p**hopf.r
-    for ell in range(1, p):
-        denom = 1
-        for k in range(2, ell + 1):
-            denom = denom * k % p
-        for k in range(2, p - ell + 1):
-            denom = denom * k % p
-        coeff = hopf.f * inverse_mod_p(denom, p)
+    for ell, coeff in twist_coefficients(hopf):
         comps[pr * (p - ell)] = comps[pr * (p - ell)] + LElement.x_power(pr * ell, ext, coeff)
     return comps
 

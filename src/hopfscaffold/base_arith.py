@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Sequence, TypeVar, Union
 
 INF = math.inf
 
@@ -96,9 +96,9 @@ class LaurentPoly:
 
     __slots__ = ("p", "_terms", "_hash")
 
-    def __init__(self, p: int, terms: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
+    def __init__(self, p: int, terms: Union[dict[int, int], Iterable[tuple[int, int]]] = ()):
         _require_prime(p)
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, dict) else terms
         acc: dict[int, int] = {}
         for e, c in items:
             c = (acc.get(e, 0) + c) % p
@@ -108,7 +108,20 @@ class LaurentPoly:
                 acc.pop(e, None)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_terms", acc)
-        object.__setattr__(self, "_hash", hash((p, tuple(sorted(acc.items())))))
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _from_reduced(cls, p: int, terms: dict[int, int]) -> "LaurentPoly":
+        """Wrap terms already reduced into [1, p), taking ownership of the dict.
+
+        For results of arithmetic on valid operands only: neither p nor the
+        coefficients are checked.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "p", p)
+        object.__setattr__(out, "_terms", terms)
+        object.__setattr__(out, "_hash", None)
+        return out
 
     def __setattr__(self, *_):  # pragma: no cover
         raise AttributeError("LaurentPoly is immutable")
@@ -168,14 +181,11 @@ class LaurentPoly:
                 acc[e] = s
             else:
                 acc.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "p", self.p)
-        object.__setattr__(out, "_terms", acc)
-        object.__setattr__(out, "_hash", hash((self.p, tuple(sorted(acc.items())))))
-        return out
+        return LaurentPoly._from_reduced(self.p, acc)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.p, {e: -c for e, c in self._terms.items()})
+        p = self.p
+        return LaurentPoly._from_reduced(p, {e: p - c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -201,7 +211,7 @@ class LaurentPoly:
                     acc[e] = s
                 else:
                     acc.pop(e, None)
-        return LaurentPoly(self.p, acc)
+        return LaurentPoly._from_reduced(self.p, acc)
 
     __rmul__ = __mul__
 
@@ -219,7 +229,7 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by T^k."""
-        return LaurentPoly(self.p, {e + k: c for e, c in self._terms.items()})
+        return LaurentPoly._from_reduced(self.p, {e + k: c for e, c in self._terms.items()})
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Quotient self/other when division is exact in F_p[T, T^-1].
@@ -252,7 +262,7 @@ class LaurentPoly:
                     rem[e + shift] = s
                 else:
                     rem.pop(e + shift, None)
-        return LaurentPoly(p, out)
+        return LaurentPoly._from_reduced(p, out)
 
     # -- comparison / hashing ---------------------------------------------
 
@@ -264,6 +274,8 @@ class LaurentPoly:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.p, tuple(sorted(self._terms.items())))))
         return self._hash
 
     # -- text format -------------------------------------------------------
@@ -304,6 +316,93 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly(p={self.p}, {self.to_text()!r})"
+
+
+_V = TypeVar("_V", bound="CoeffVector")
+
+
+class CoeffVector:
+    """Immutable vector of LaurentPoly coefficients over one F_p.
+
+    The shared core of the element types: L in the powers of x, the Hopf
+    algebra in the powers of t, its dual in the z_j, and the tensor square
+    as a flat row-major matrix.  Addition and equality only combine two
+    vectors of the same class, so elements of different spaces never mix.
+    Subclasses add no per-instance dictionary.
+
+    The ``params`` argument of the constructors is any object with ``p``
+    and ``degree`` (ExtensionParams or HopfParams).
+    """
+
+    __slots__ = ("p", "coeffs")
+    _index_name = "index"
+
+    def __init__(self, coeffs: Sequence[LaurentPoly]):
+        coeffs = tuple(coeffs)
+        if not coeffs:
+            raise ValueError("empty coefficient vector")
+        p = coeffs[0].p
+        if any(c.p != p for c in coeffs):
+            raise ValueError("mixed moduli in coefficient vector")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls: type[_V], params) -> _V:
+        return cls([LaurentPoly.zero(params.p)] * params.degree)
+
+    @classmethod
+    def _basis(cls: type[_V], k: int, params, coeff: Union[LaurentPoly, int] = 1) -> _V:
+        """coeff times the k-th basis vector, 0 <= k < p^n."""
+        if not 0 <= k < params.degree:
+            raise ValueError(f"{cls._index_name} {k} out of range [0, {params.degree})")
+        coeffs = [LaurentPoly.zero(params.p)] * params.degree
+        coeffs[k] = LaurentPoly.constant(params.p, coeff) if isinstance(coeff, int) else coeff
+        return cls(coeffs)
+
+    def nonzero_items(self) -> Iterator[tuple[int, LaurentPoly]]:
+        for k, c in enumerate(self.coeffs):
+            if not c.is_zero():
+                yield k, c
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coeffs)
+
+    def _check(self, other: "CoeffVector") -> None:
+        if self.p != other.p or len(self.coeffs) != len(other.coeffs):
+            raise ValueError("incompatible elements")
+
+    def __add__(self: _V, other: _V) -> _V:
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        return type(self)([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self: _V, other: _V) -> _V:
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        return type(self)([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self: _V) -> _V:
+        return type(self)([-c for c in self.coeffs])
+
+    def scale(self: _V, c: Union[LaurentPoly, int]) -> _V:
+        """Multiply by a scalar from K (or an integer acting through F_p)."""
+        return type(self)([coeff * c for coeff in self.coeffs])
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self.p == other.p
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.coeffs))
 
 
 @dataclass(frozen=True)

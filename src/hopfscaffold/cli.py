@@ -14,14 +14,13 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .action import act
 from .base_arith import LaurentPoly
 from .field_tower import ExtensionParams, l_valuation, lelement_from_text, lelement_to_text
-from .hopf_dual import dual_from_text, warm_structure_cache
+from .hopf_dual import dual_from_text
 from .hopf_primal import HopfParams
 from .module_structure import (
     FreenessReport,
@@ -47,7 +46,6 @@ class RunConfig:
     hopf: HopfParams
     output: str
     force: bool
-    jobs: int
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -62,7 +60,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         f = LaurentPoly.monomial(args.p, args.f_val)
     ext = ExtensionParams(args.p, args.n, args.b, beta)
     hopf = HopfParams(args.p, args.n, args.r, f)
-    return RunConfig(ext, hopf, args.output, getattr(args, "force", False), args.jobs)
+    return RunConfig(ext, hopf, args.output, getattr(args, "force", False))
 
 
 def _parse_h_range(text: str) -> list[int]:
@@ -129,15 +127,7 @@ def _freeness_line_tsv(report: FreenessReport) -> str:
 
 
 def cmd_freeness(cfg: RunConfig, h_values: list[int]) -> int:
-    def compute(h: int) -> FreenessReport:
-        return is_free(h, cfg.ext)
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            reports = list(pool.map(compute, h_values))
-    else:
-        reports = [compute(h) for h in h_values]
-
+    reports = [is_free(h, cfg.ext) for h in h_values]
     if cfg.output == "json":
         for report in reports:
             _emit_json_line(report.to_json_dict(cfg.ext, cfg.hopf))
@@ -198,16 +188,8 @@ def cmd_assoc_order(cfg: RunConfig, h: int) -> int:
 
 def cmd_atlas(cfg: RunConfig) -> int:
     # one full period of ideal classes, in window order
-    h_values = list(range(cfg.ext.b - cfg.ext.degree + 1, cfg.ext.b + 1))
-
-    def compute(h: int) -> FreenessReport:
-        return is_free(h, cfg.ext)
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            reports = list(pool.map(compute, h_values))
-    else:
-        reports = [compute(h) for h in h_values]
+    h_values = range(cfg.ext.b - cfg.ext.degree + 1, cfg.ext.b + 1)
+    reports = [is_free(h, cfg.ext) for h in h_values]
     print("h\tfree\tgenerator_count\twitness_j")
     for report in reports:
         witness = "" if report.witness_j is None else str(report.witness_j)
@@ -227,8 +209,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--f", type=str, default=None, help="explicit Laurent polynomial f (overrides --f-val)")
     parser.add_argument("--beta", type=str, default=None, help="explicit beta (default T^-b)")
     parser.add_argument("--output", choices=("json", "tsv", "pretty"), default="json")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for sweeps")
-    parser.add_argument("--eager-cache", action="store_true", help="precompute comultiplication powers")
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -297,10 +277,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    if args.eager_cache:
-        log.debug("warming comultiplication cache")
-        warm_structure_cache(cfg.hopf)
 
     log.debug("dispatching %s", args.command)
     try:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Union
 
-from .base_arith import INF, LaurentPoly, is_prime
+from .base_arith import INF, CoeffVector, LaurentPoly, is_prime
 
 _X_TERM_RE = re.compile(r"^(?:\((?P<coef>[^()]*)\)(?:\*(?P<var1>x(?:\^\d+)?))?|(?P<var2>x(?:\^\d+)?))$")
 
@@ -53,27 +53,11 @@ class ExtensionParams:
         return cls(p, n, b, LaurentPoly.monomial(p, -b))
 
 
-class LElement:
+class LElement(CoeffVector):
     """Element of L as the tuple of x^0 ... x^{p^n - 1} coefficients in K."""
 
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, coeffs: Sequence[LaurentPoly]):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise ValueError("empty coefficient vector")
-        p = coeffs[0].p
-        if any(c.p != p for c in coeffs):
-            raise ValueError("mixed moduli in coefficient vector")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *_):  # pragma: no cover
-        raise AttributeError("LElement is immutable")
-
-    @classmethod
-    def zero(cls, ext: ExtensionParams) -> "LElement":
-        return cls([LaurentPoly.zero(ext.p)] * ext.degree)
+    __slots__ = ()
+    _index_name = "x-exponent"
 
     @classmethod
     def one(cls, ext: ExtensionParams) -> "LElement":
@@ -82,57 +66,12 @@ class LElement:
     @classmethod
     def x_power(cls, i: int, ext: ExtensionParams, coeff: Union[LaurentPoly, int] = 1) -> "LElement":
         """The monomial coeff * x^i with 0 <= i < p^n."""
-        if not 0 <= i < ext.degree:
-            raise ValueError(f"x-exponent {i} out of range [0, {ext.degree})")
-        c = LaurentPoly.constant(ext.p, coeff) if isinstance(coeff, int) else coeff
-        coeffs = [LaurentPoly.zero(ext.p)] * ext.degree
-        coeffs[i] = c
-        return cls(coeffs)
+        return cls._basis(i, ext, coeff)
 
     @classmethod
     def scalar(cls, c: LaurentPoly, ext: ExtensionParams) -> "LElement":
         """The element of K <= L with constant coefficient c."""
         return cls.x_power(0, ext, c)
-
-    def nonzero_items(self) -> Iterator[tuple[int, LaurentPoly]]:
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                yield i, c
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def _check(self, other: "LElement") -> None:
-        if self.p != other.p or len(self.coeffs) != len(other.coeffs):
-            raise ValueError("incompatible field elements")
-
-    def __add__(self, other: "LElement") -> "LElement":
-        if not isinstance(other, LElement):
-            return NotImplemented
-        self._check(other)
-        return LElement([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "LElement":
-        return LElement([-c for c in self.coeffs])
-
-    def __sub__(self, other: "LElement") -> "LElement":
-        if not isinstance(other, LElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c: Union[LaurentPoly, int]) -> "LElement":
-        """Multiply by a scalar from K (or an integer acting through F_p)."""
-        return LElement([coeff * c for coeff in self.coeffs])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LElement)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.coeffs))
 
     def __str__(self) -> str:
         return lelement_to_text(self)
@@ -202,14 +141,14 @@ def _split_top_level(s: str) -> list[str]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ValueError("unbalanced parentheses")
+                raise ValueError(f"unbalanced parentheses in {s!r}")
         if ch == "+" and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
     if depth != 0:
-        raise ValueError("unbalanced parentheses")
+        raise ValueError(f"unbalanced parentheses in {s!r}")
     parts.append("".join(cur))
     return parts
 

@@ -17,84 +17,30 @@ which the action tests exercise directly.
 from __future__ import annotations
 
 import re
-import threading
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
-from .base_arith import LaurentPoly, PadicDigits
+from .base_arith import CoeffVector, LaurentPoly, PadicDigits, padic_digits
+from .field_tower import _split_top_level
 from .hopf_primal import HElement, HopfParams, delta_power
 
 _Z_TERM_RE = re.compile(r"^(?:\((?P<coef>[^()]*)\)\*)?z_(?P<idx>\d+)$")
 
 
-class DualElement:
+class DualElement(CoeffVector):
     """Element of the dual algebra as the tuple of z_0 ... z_{p^n-1} coefficients."""
 
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, coeffs: Sequence[LaurentPoly]):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise ValueError("empty coefficient vector")
-        p = coeffs[0].p
-        if any(c.p != p for c in coeffs):
-            raise ValueError("mixed moduli in coefficient vector")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *_):  # pragma: no cover
-        raise AttributeError("DualElement is immutable")
-
-    @classmethod
-    def zero(cls, hopf: HopfParams) -> "DualElement":
-        return cls([LaurentPoly.zero(hopf.p)] * hopf.degree)
+    __slots__ = ()
+    _index_name = "z-index"
 
     @classmethod
     def z_basis(cls, j: int, hopf: HopfParams, coeff: Union[LaurentPoly, int] = 1) -> "DualElement":
         """The basis functional z_j, optionally scaled."""
-        if not 0 <= j < hopf.degree:
-            raise ValueError(f"z-index {j} out of range [0, {hopf.degree})")
-        c = LaurentPoly.constant(hopf.p, coeff) if isinstance(coeff, int) else coeff
-        coeffs = [LaurentPoly.zero(hopf.p)] * hopf.degree
-        coeffs[j] = c
-        return cls(coeffs)
+        return cls._basis(j, hopf, coeff)
 
     @classmethod
     def one(cls, hopf: HopfParams) -> "DualElement":
         """z_0, the identity of the dual algebra."""
         return cls.z_basis(0, hopf)
-
-    def nonzero_items(self) -> Iterator[tuple[int, LaurentPoly]]:
-        for j, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                yield j, c
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __add__(self, other: "DualElement") -> "DualElement":
-        if not isinstance(other, DualElement):
-            return NotImplemented
-        if self.p != other.p or len(self.coeffs) != len(other.coeffs):
-            raise ValueError("incompatible elements")
-        return DualElement([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "DualElement") -> "DualElement":
-        if not isinstance(other, DualElement):
-            return NotImplemented
-        return self + DualElement([-c for c in other.coeffs])
-
-    def scale(self, c: Union[LaurentPoly, int]) -> "DualElement":
-        return DualElement([coeff * c for coeff in self.coeffs])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DualElement)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.coeffs))
 
     def __str__(self) -> str:
         return dual_to_text(self)
@@ -157,16 +103,7 @@ def z_monomial(digits: Union[PadicDigits, Sequence[int]], hopf: HopfParams) -> D
     return acc
 
 
-def warm_structure_cache(hopf: HopfParams) -> None:
-    """Eagerly compute every tensor power used by dual_mult (sweep workloads)."""
-    delta_power(hopf.degree - 1, hopf)
-
-
 # -- basis rank --------------------------------------------------------------
-
-_RANK_CACHE: dict[HopfParams, int] = {}
-_RANK_LOCK = threading.Lock()
-
 
 def _fraction_free_rank(rows: list[list[LaurentPoly]], p: int) -> int:
     """Rank over K of a matrix of Laurent polynomials (Bareiss elimination).
@@ -209,19 +146,11 @@ def dual_basis_rank(hopf: HopfParams) -> int:
     Row j holds the pairings of the digit-j monomial against the t^i
     basis; full rank p^n certifies that the monomials form a K-basis.
     """
-    with _RANK_LOCK:
-        if hopf in _RANK_CACHE:
-            return _RANK_CACHE[hopf]
-    from .base_arith import padic_digits
-
     rows = []
     for j in range(hopf.degree):
         mono = z_monomial(padic_digits(j, hopf.p, hopf.n), hopf)
         rows.append(list(mono.coeffs))
-    rank = _fraction_free_rank(rows, hopf.p)
-    with _RANK_LOCK:
-        _RANK_CACHE[hopf] = rank
-    return rank
+    return _fraction_free_rank(rows, hopf.p)
 
 
 # -- text format ------------------------------------------------------------
@@ -244,20 +173,7 @@ def dual_from_text(text: str, hopf: HopfParams) -> DualElement:
     if s in ("", "0"):
         return DualElement.zero(hopf)
     coeffs = [LaurentPoly.zero(hopf.p) for _ in range(hopf.degree)]
-    depth = 0
-    parts, cur = [], []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    for term in parts:
+    for term in _split_top_level(s):
         m = _Z_TERM_RE.match(term)
         if m is None:
             raise ValueError(f"malformed dual element term: {term!r}")

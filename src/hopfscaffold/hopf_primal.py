@@ -17,11 +17,12 @@ differential oracle, not used here.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
-from .base_arith import LaurentPoly, inverse_mod_p, is_prime
+from .base_arith import CoeffVector, LaurentPoly, inverse_mod_p, is_prime
 
 
 @dataclass(frozen=True)
@@ -48,61 +49,15 @@ class HopfParams:
         return self.p**self.n
 
 
-class HElement:
+class HElement(CoeffVector):
     """Element of K[t]/(t^{p^n}) as the tuple of t^0 ... t^{p^n - 1} coefficients."""
 
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, coeffs: Sequence[LaurentPoly]):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise ValueError("empty coefficient vector")
-        p = coeffs[0].p
-        if any(c.p != p for c in coeffs):
-            raise ValueError("mixed moduli in coefficient vector")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *_):  # pragma: no cover
-        raise AttributeError("HElement is immutable")
-
-    @classmethod
-    def zero(cls, hopf: HopfParams) -> "HElement":
-        return cls([LaurentPoly.zero(hopf.p)] * hopf.degree)
+    __slots__ = ()
+    _index_name = "t-exponent"
 
     @classmethod
     def t_power(cls, i: int, hopf: HopfParams, coeff: LaurentPoly | int = 1) -> "HElement":
-        if not 0 <= i < hopf.degree:
-            raise ValueError(f"t-exponent {i} out of range [0, {hopf.degree})")
-        c = LaurentPoly.constant(hopf.p, coeff) if isinstance(coeff, int) else coeff
-        coeffs = [LaurentPoly.zero(hopf.p)] * hopf.degree
-        coeffs[i] = c
-        return cls(coeffs)
-
-    def nonzero_items(self) -> Iterator[tuple[int, LaurentPoly]]:
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                yield i, c
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __add__(self, other: "HElement") -> "HElement":
-        if not isinstance(other, HElement):
-            return NotImplemented
-        if self.p != other.p or len(self.coeffs) != len(other.coeffs):
-            raise ValueError("incompatible elements")
-        return HElement([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HElement)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.coeffs))
+        return cls._basis(i, hopf, coeff)
 
     def __repr__(self) -> str:
         body = " + ".join(f"({c})*t^{i}" for i, c in self.nonzero_items()) or "0"
@@ -137,27 +92,21 @@ def antipode(h: HElement) -> HElement:
     return HElement([c * ((-1) ** i) for i, c in enumerate(h.coeffs)])
 
 
-class TensorHH:
-    """Dense p^n x p^n matrix over K; entry (a, b) is the t^a (x) t^b coefficient."""
+class TensorHH(CoeffVector):
+    """Dense p^n x p^n matrix over K, flat and row-major; entry (a, b) is the t^a (x) t^b coefficient."""
 
-    __slots__ = ("p", "dim", "rows")
+    __slots__ = ("dim",)
 
-    def __init__(self, p: int, rows: Sequence[Sequence[LaurentPoly]]):
-        rows = tuple(tuple(row) for row in rows)
-        dim = len(rows)
-        if any(len(row) != dim for row in rows):
+    def __init__(self, coeffs: Sequence[LaurentPoly]):
+        super().__init__(coeffs)
+        dim = math.isqrt(len(self.coeffs))
+        if dim * dim != len(self.coeffs):
             raise ValueError("tensor matrix must be square")
-        object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, *_):  # pragma: no cover
-        raise AttributeError("TensorHH is immutable")
 
     @classmethod
-    def zeros(cls, p: int, dim: int) -> "TensorHH":
-        z = LaurentPoly.zero(p)
-        return cls(p, [[z] * dim for _ in range(dim)])
+    def zero(cls, hopf: HopfParams) -> "TensorHH":
+        return cls.from_entries(hopf.p, hopf.degree, {})
 
     @classmethod
     def unit(cls, p: int, dim: int) -> "TensorHH":
@@ -165,38 +114,37 @@ class TensorHH:
         return cls.from_entries(p, dim, {(0, 0): LaurentPoly.one(p)})
 
     @classmethod
-    def from_entries(cls, p: int, dim: int, entries: Mapping[tuple[int, int], LaurentPoly]) -> "TensorHH":
-        z = LaurentPoly.zero(p)
-        rows = [[z] * dim for _ in range(dim)]
+    def from_entries(cls, p: int, dim: int, entries: dict[tuple[int, int], LaurentPoly]) -> "TensorHH":
+        coeffs = [LaurentPoly.zero(p)] * (dim * dim)
         for (a, b), c in entries.items():
-            rows[a][b] = c
-        return cls(p, rows)
+            coeffs[a * dim + b] = c
+        return cls(coeffs)
 
     def entry(self, a: int, b: int) -> LaurentPoly:
-        return self.rows[a][b]
+        return self.coeffs[a * self.dim + b]
 
     def nonzero(self) -> Iterator[tuple[int, int, LaurentPoly]]:
-        for a, row in enumerate(self.rows):
-            for b, c in enumerate(row):
-                if not c.is_zero():
-                    yield a, b, c
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for row in self.rows for c in row)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TensorHH)
-            and self.p == other.p
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.rows))
+        for k, c in self.nonzero_items():
+            a, b = divmod(k, self.dim)
+            yield a, b, c
 
     def __repr__(self) -> str:
         body = ", ".join(f"({a},{b}): {c}" for a, b, c in self.nonzero()) or "0"
         return f"TensorHH[{self.dim}]({body})"
+
+
+def twist_coefficients(hopf: HopfParams) -> list[tuple[int, LaurentPoly]]:
+    """The pairs (l, f/(l!(p-l)!)) for l = 1 ... p-1: the twist term's coefficients."""
+    p = hopf.p
+    out = []
+    for ell in range(1, p):
+        denom = 1
+        for k in range(2, ell + 1):
+            denom = denom * k % p
+        for k in range(2, p - ell + 1):
+            denom = denom * k % p
+        out.append((ell, hopf.f * inverse_mod_p(denom, p)))
+    return out
 
 
 def delta_t(hopf: HopfParams) -> TensorHH:
@@ -207,13 +155,7 @@ def delta_t(hopf: HopfParams) -> TensorHH:
         (0, 1): LaurentPoly.one(p),
     }
     pr = p**hopf.r
-    for ell in range(1, p):
-        denom = 1
-        for k in range(2, ell + 1):
-            denom = denom * k % p
-        for k in range(2, p - ell + 1):
-            denom = denom * k % p
-        coeff = hopf.f * inverse_mod_p(denom, p)
+    for ell, coeff in twist_coefficients(hopf):
         entries[(pr * ell, pr * (p - ell))] = coeff
     return TensorHH.from_entries(p, hopf.degree, entries)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .base_arith import PadicDigits, padic_digits, res_mod
+from .base_arith import LaurentPoly, PadicDigits, padic_digits, res_mod
 from .field_tower import ExtensionParams
 from .hopf_dual import DualElement, z_monomial
 from .hopf_primal import HopfParams
@@ -115,16 +115,11 @@ def generator_count(h: Union[int, IdealIndex], ext: ExtensionParams) -> int:
     digit condition; the count and its witnesses are exposed so the
     interpretation can be audited.
     """
-    idx = _as_index(h, ext)
-    d_tab = [d_h(idx, j, ext) for j in range(ext.degree)]
-    w_tab = [w_h(idx, j, ext) for j in range(ext.degree)]
-    if d_tab == w_tab:
-        return 1
-    return len(_generator_witnesses(idx, ext, d_tab, w_tab))
+    return is_free(h, ext).generator_count
 
 
 def _generator_witnesses(
-    idx: IdealIndex, ext: ExtensionParams, d_tab: list[int], w_tab: list[int]
+    ext: ExtensionParams, d_tab: tuple[int, ...], w_tab: tuple[int, ...]
 ) -> list[int]:
     pn = ext.degree
     witnesses = []
@@ -199,7 +194,7 @@ def is_free(h: Union[int, IdealIndex], ext: ExtensionParams) -> FreenessReport:
     w_tab = tuple(w_h(idx, j, ext) for j in range(pn))
     free = d_tab == w_tab
     witness = next((j for j in range(pn) if d_tab[j] != w_tab[j]), None)
-    count = 1 if free else len(_generator_witnesses(idx, ext, list(d_tab), list(w_tab)))
+    count = 1 if free else len(_generator_witnesses(ext, d_tab, w_tab))
     basis = tuple(
         BasisEntry(padic_digits(j, ext.p, ext.n), -w_tab[j]) for j in range(pn)
     )
@@ -261,6 +256,4 @@ def assoc_order_basis(
 
 def materialize_basis_entry(entry: BasisEntry, hopf: HopfParams) -> DualElement:
     """The dual element T^{shift} * z_monomial(digits) for a basis record."""
-    from .base_arith import LaurentPoly
-
     return z_monomial(entry.digits, hopf).scale(LaurentPoly.monomial(hopf.p, entry.shift))

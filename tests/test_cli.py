@@ -107,11 +107,6 @@ class TestFreeness:
         assert code == 2
         assert "error" in err
 
-    def test_jobs_do_not_change_output(self, capsys):
-        _, out1, _ = run(capsys, "freeness", *BASE, "--h", "-5..5")
-        _, out4, _ = run(capsys, "freeness", *BASE, "--h", "-5..5", "--jobs", "4")
-        assert out1 == out4
-
     def test_tsv(self, capsys):
         code, out, _ = run(capsys, "freeness", *BASE, "--h", "0..1", "--output", "tsv")
         assert code == 0

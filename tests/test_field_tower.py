@@ -4,9 +4,13 @@ import pytest
 
 from hopfscaffold import (
     INF,
+    DualElement,
     ExtensionParams,
+    HElement,
+    HopfParams,
     LaurentPoly,
     LElement,
+    TensorHH,
     ideal_membership,
     l_mul,
     l_valuation,
@@ -176,3 +180,43 @@ class TestTextFormat:
     def test_rejects_garbage(self, ext221):
         with pytest.raises(ValueError):
             lelement_from_text("x^^2", ext221)
+
+
+class TestCoeffVectorDiscipline:
+    """The element types share one coefficient-vector core but never mix."""
+
+    @pytest.fixture
+    def same_coeffs(self):
+        rng = random.Random(53)
+        coeffs = [LaurentPoly(3, [(rng.randint(-2, 2), rng.randint(1, 2))]) for _ in range(9)]
+        return [LElement(coeffs), HElement(coeffs), DualElement(coeffs)]
+
+    def test_equal_coefficients_in_different_spaces_differ(self, same_coeffs):
+        for a in same_coeffs:
+            for b in same_coeffs:
+                assert (a == b) == (type(a) is type(b))
+
+    def test_cross_space_addition_raises(self, same_coeffs):
+        for a in same_coeffs:
+            for b in same_coeffs:
+                if type(a) is not type(b):
+                    with pytest.raises(TypeError):
+                        a + b
+                    with pytest.raises(TypeError):
+                        a - b
+
+    def test_equal_elements_hash_equal(self, same_coeffs):
+        for a in same_coeffs:
+            twin = type(a)(list(a.coeffs))
+            assert twin == a and hash(twin) == hash(a)
+            assert twin + a == a.scale(2)
+
+    def test_immutable_without_instance_dict(self, same_coeffs):
+        hopf = HopfParams(3, 2, 1, LaurentPoly.monomial(3, 3))
+        elements = same_coeffs + [TensorHH.unit(3, hopf.degree)]
+        for y in elements:
+            assert not hasattr(y, "__dict__")
+            with pytest.raises(AttributeError):
+                y.coeffs = ()
+            with pytest.raises(AttributeError):
+                y.extra = 1

@@ -16,7 +16,6 @@ from hopfscaffold import (
     dual_to_text,
     delta_power,
     padic_digits,
-    warm_structure_cache,
     z_monomial,
 )
 
@@ -168,7 +167,6 @@ class TestBasisRank:
 
 def test_warm_cache_then_multiply_threaded():
     params = hp(3, 2, 1, "T^5")
-    warm_structure_cache(params)
     results = [None] * 6
 
     def worker(k):
@@ -211,5 +209,6 @@ class TestTextFormat:
 
     def test_rejects_garbage(self):
         params = hp(2, 2, 1, "T^4")
-        with pytest.raises(ValueError):
-            dual_from_text("w_1", params)
+        for text in ("w_1", "(T*z_1", "(T))*z_1"):
+            with pytest.raises(ValueError):
+                dual_from_text(text, params)
