@@ -10,6 +10,16 @@ image.  Only this coaction is implemented; the family of alternatives
 obtained by rescaling the generators coincides with it after a parameter
 change, so callers realize those by substituting (beta, f).
 
+The images are computed digit by digit.  L (x) H is commutative of
+characteristic p, so Frobenius gives the image of x^{p^s} in at most p+1
+terms: x^{p^s}(x)1 + 1(x)t^{p^s} plus the twist terms with exponents
+scaled by p^s and coefficients raised to the p^s (twist terms whose
+t-exponent reaches p^n vanish).  The image of x^i is the product over the
+base-p digits i_s of those generator images to the power i_s, kept as a
+sparse map (x-exponent, t-exponent) -> coefficient.  The action prunes
+every partial product whose t-exponent exceeds the largest z-index it
+reads, so only the t-components z pairs with are ever formed.
+
 For the generators z_{p^s} with s <= r the action on x-monomials has a
 closed form (act_fast), used as an independent cross-check of the generic
 coaction path.
@@ -17,13 +27,15 @@ coaction path.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
-from .base_arith import padic_digits
-from .field_tower import ExtensionParams, LElement, l_mul
+from .base_arith import LaurentPoly, padic_digits
+from .field_tower import ExtensionParams, LElement
 from .hopf_dual import DualElement
 from .hopf_primal import HopfParams, twist_coefficients
+
+# An element of L (x) H as {(x-exponent, t-exponent): nonzero coefficient}.
+_Sparse = dict[tuple[int, int], LaurentPoly]
 
 
 @dataclass(frozen=True)
@@ -36,83 +48,114 @@ class CoactionImage:
         return self.components[k]
 
 
-def _check_compat(ext: ExtensionParams, hopf: HopfParams) -> None:
+def _check_compat(ext: ExtensionParams, hopf: HopfParams, y: LElement | None = None) -> None:
     if ext.p != hopf.p or ext.n != hopf.n:
         raise ValueError("extension and Hopf parameters must share p and n")
+    if y is not None and (y.p != ext.p or len(y.coeffs) != ext.degree):
+        raise ValueError("field element does not belong to the extension")
 
 
-def _lh_mul(a: list[LElement], b: list[LElement], ext: ExtensionParams) -> list[LElement]:
-    # product in L (x) H: t-convolution (truncated) with coefficients in L
+def _frobenius(c: LaurentPoly, q: int) -> LaurentPoly:
+    """c^q for q a power of p: F_p is fixed, so only exponents scale."""
+    return LaurentPoly._from_reduced(c.p, {e * q: a for e, a in c.items()})
+
+
+def _lh_mul(a: _Sparse, b: _Sparse, ext: ExtensionParams, kmax: int) -> _Sparse:
+    """Product in L (x) H, dropping every term above t^kmax."""
     pn = ext.degree
-    out = [LElement.zero(ext) for _ in range(pn)]
-    for k1, c1 in enumerate(a):
-        if c1.is_zero():
-            continue
-        for k2, c2 in enumerate(b):
-            if k1 + k2 >= pn:
-                break
-            if c2.is_zero():
+    out: _Sparse = {}
+    for (xa, ta), ca in a.items():
+        for (xb, tb), cb in b.items():
+            t = ta + tb
+            if t > kmax:
                 continue
-            out[k1 + k2] = out[k1 + k2] + l_mul(c1, c2, ext)
-    return out
+            x = xa + xb
+            c = ca * cb
+            if x >= pn:
+                x -= pn
+                c = c * ext.beta
+            key = (x, t)
+            out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if not c.is_zero()}
 
 
-def _alpha_x(ext: ExtensionParams, hopf: HopfParams) -> list[LElement]:
+def _digit_powers(ext: ExtensionParams, hopf: HopfParams, kmax: int) -> list[list[_Sparse]]:
+    """powers[s][d] = coaction image of x^{d p^s} for d < p, truncated above t^kmax."""
     p, pn = ext.p, ext.degree
-    comps = [LElement.zero(ext) for _ in range(pn)]
-    comps[0] = LElement.x_power(1, ext)
-    comps[1] = LElement.one(ext)
-    pr = p**hopf.r
-    for ell, coeff in twist_coefficients(hopf):
-        comps[pr * (p - ell)] = comps[pr * (p - ell)] + LElement.x_power(pr * ell, ext, coeff)
-    return comps
+    one = LaurentPoly._from_reduced(p, {0: 1})
+    twist = twist_coefficients(hopf)
+    powers = []
+    for s in range(ext.n):
+        q = p**s
+        gen: _Sparse = {(q, 0): one}
+        if q <= kmax:
+            gen[(0, q)] = one
+        prs = p ** (hopf.r + s)
+        for ell, coeff in twist:
+            if prs * (p - ell) <= kmax:
+                gen[(prs * ell, prs * (p - ell))] = _frobenius(coeff, q)
+        row = [{(0, 0): one}, gen]
+        while len(row) < p:
+            row.append(_lh_mul(row[-1], gen, ext, kmax))
+        powers.append(row)
+    return powers
 
 
-_ALPHA_CACHE: dict[tuple[ExtensionParams, HopfParams], list[list[LElement]]] = {}
-_ALPHA_LOCK = threading.Lock()
+def _x_power_image(i: int, powers: list[list[_Sparse]], ext: ExtensionParams, kmax: int) -> _Sparse:
+    """Coaction image of x^i as the product of its digit factors."""
+    image = None
+    for row in powers:
+        i, d = divmod(i, ext.p)
+        if d:
+            image = row[d] if image is None else _lh_mul(image, row[d], ext, kmax)
+    return powers[0][0] if image is None else image
 
 
-def _alpha_x_powers(ext: ExtensionParams, hopf: HopfParams) -> list[list[LElement]]:
-    """Cached powers of the coaction image of x, for exponents 0 ... p^n - 1."""
-    key = (ext, hopf)
-    with _ALPHA_LOCK:
-        powers = _ALPHA_CACHE.get(key)
-        if powers is None:
-            pn = ext.degree
-            unit = [LElement.zero(ext) for _ in range(pn)]
-            unit[0] = LElement.one(ext)
-            powers = [unit, _alpha_x(ext, hopf)]
-            while len(powers) < pn:
-                powers.append(_lh_mul(powers[-1], powers[1], ext))
-            _ALPHA_CACHE[key] = powers
-        return powers
+def _to_lelement(coeffs: dict[int, LaurentPoly], zero: LaurentPoly, pn: int) -> LElement:
+    out = [zero] * pn
+    for x, c in coeffs.items():
+        out[x] = c
+    return LElement(out)
 
 
 def coaction(y: LElement, ext: ExtensionParams, hopf: HopfParams) -> CoactionImage:
-    """Coaction image of y, extended K-linearly from the cached powers of x."""
-    _check_compat(ext, hopf)
+    """Coaction image of y: every t-component of the digit-factored images of its x-powers."""
+    _check_compat(ext, hopf, y)
     pn = ext.degree
-    powers = _alpha_x_powers(ext, hopf)
-    comps = [LElement.zero(ext) for _ in range(pn)]
+    powers = _digit_powers(ext, hopf, pn - 1)
+    comps: list[dict[int, LaurentPoly]] = [{} for _ in range(pn)]
     for i, c in y.nonzero_items():
-        for k, comp in enumerate(powers[i]):
-            if not comp.is_zero():
-                comps[k] = comps[k] + comp.scale(c)
-    return CoactionImage(tuple(comps))
+        for (x, t), coeff in _x_power_image(i, powers, ext, pn - 1).items():
+            comp = comps[t]
+            term = c * coeff
+            comp[x] = comp[x] + term if x in comp else term
+    zero = LaurentPoly._from_reduced(ext.p, {})
+    return CoactionImage(tuple(_to_lelement(comp, zero, pn) for comp in comps))
 
 
 def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> LElement:
-    """Action of a dual element: pair z against the t-components of the coaction."""
-    _check_compat(ext, hopf)
-    if len(z.coeffs) != ext.degree:
-        raise ValueError("dual element has the wrong dimension")
-    image = coaction(y, ext, hopf)
-    out = LElement.zero(ext)
-    for k, c in z.nonzero_items():
-        comp = image.components[k]
-        if not comp.is_zero():
-            out = out + comp.scale(c)
-    return out
+    """Action of a dual element: pair z against the t-components of the coaction.
+
+    Only the t-components in the support of z are formed.
+    """
+    _check_compat(ext, hopf, y)
+    if z.p != ext.p or len(z.coeffs) != ext.degree:
+        raise ValueError("dual element does not belong to the dual algebra")
+    pn = ext.degree
+    zero = LaurentPoly._from_reduced(ext.p, {})
+    zc = dict(z.nonzero_items())
+    if not zc:
+        return LElement([zero] * pn)
+    kmax = max(zc)
+    powers = _digit_powers(ext, hopf, kmax)
+    out: dict[int, LaurentPoly] = {}
+    for i, c in y.nonzero_items():
+        for (x, t), coeff in _x_power_image(i, powers, ext, kmax).items():
+            w = zc.get(t)
+            if w is not None:
+                term = c * w * coeff
+                out[x] = out[x] + term if x in out else term
+    return _to_lelement(out, zero, pn)
 
 
 def act_fast(s: int, i: int, ext: ExtensionParams, hopf: HopfParams) -> LElement:

@@ -194,7 +194,13 @@ class LaurentPoly:
 
     def __mul__(self, other: Union["LaurentPoly", int, PrimeFieldScalar]) -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly(self.p, {e: c * other for e, c in self._terms.items()})
+            p = self.p
+            acc = {}
+            for e, c in self._terms.items():
+                c = c * other % p
+                if c:
+                    acc[e] = c
+            return LaurentPoly._from_reduced(p, acc)
         if isinstance(other, PrimeFieldScalar):
             if other.p != self.p:
                 raise ValueError("modulus mismatch")
@@ -218,7 +224,7 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise ValueError("negative powers are not defined for Laurent polynomials")
-        out = LaurentPoly.one(self.p)
+        out = LaurentPoly._from_reduced(self.p, {0: 1})
         base = self
         while k:
             if k & 1:
@@ -240,7 +246,7 @@ class LaurentPoly:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
-            return LaurentPoly.zero(self.p)
+            return LaurentPoly._from_reduced(self.p, {})
         p = self.p
         rem = dict(self._terms)
         lead = max(other._terms)
@@ -352,15 +358,19 @@ class CoeffVector:
 
     @classmethod
     def zero(cls: type[_V], params) -> _V:
-        return cls([LaurentPoly.zero(params.p)] * params.degree)
+        return cls([LaurentPoly._from_reduced(params.p, {})] * params.degree)
 
     @classmethod
     def _basis(cls: type[_V], k: int, params, coeff: Union[LaurentPoly, int] = 1) -> _V:
         """coeff times the k-th basis vector, 0 <= k < p^n."""
         if not 0 <= k < params.degree:
             raise ValueError(f"{cls._index_name} {k} out of range [0, {params.degree})")
-        coeffs = [LaurentPoly.zero(params.p)] * params.degree
-        coeffs[k] = LaurentPoly.constant(params.p, coeff) if isinstance(coeff, int) else coeff
+        p = params.p
+        coeffs = [LaurentPoly._from_reduced(p, {})] * params.degree
+        if isinstance(coeff, int):
+            c = coeff % p
+            coeff = LaurentPoly._from_reduced(p, {0: c} if c else {})
+        coeffs[k] = coeff
         return cls(coeffs)
 
     def nonzero_items(self) -> Iterator[tuple[int, LaurentPoly]]:

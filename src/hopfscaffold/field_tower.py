@@ -89,7 +89,7 @@ def l_mul(a: LElement, b: LElement, ext: ExtensionParams) -> LElement:
             e = i + j
             prod = ci * cj
             conv[e] = conv[e] + prod if e in conv else prod
-    out = [LaurentPoly.zero(ext.p) for _ in range(pn)]
+    out = [LaurentPoly._from_reduced(ext.p, {})] * pn
     for e, c in conv.items():
         if e < pn:
             out[e] = out[e] + c
@@ -119,10 +119,11 @@ def ideal_membership(y: LElement, h: int, ext: ExtensionParams) -> bool:
 
 def lelement_to_text(y: LElement) -> str:
     """Render as `+`-joined terms `(<coeff>)*x^i`, coefficient 1 left bare."""
+    one = LaurentPoly._from_reduced(y.p, {0: 1})
     parts = []
     for i, c in y.nonzero_items():
         xpart = "1" if i == 0 else ("x" if i == 1 else f"x^{i}")
-        if c == LaurentPoly.one(y.p):
+        if c == one:
             parts.append(xpart)
         elif i == 0:
             parts.append(f"({c.to_text()})")
@@ -163,7 +164,8 @@ def lelement_from_text(text: str, ext: ExtensionParams) -> LElement:
     s = "".join(text.split())
     if s in ("", "0"):
         return LElement.zero(ext)
-    coeffs = [LaurentPoly.zero(ext.p) for _ in range(ext.degree)]
+    one = LaurentPoly._from_reduced(ext.p, {0: 1})
+    coeffs = [LaurentPoly._from_reduced(ext.p, {})] * ext.degree
     for term in _split_top_level(s):
         m = _X_TERM_RE.match(term)
         if m is None:
@@ -176,6 +178,6 @@ def lelement_from_text(text: str, ext: ExtensionParams) -> LElement:
         if not 0 <= exp < ext.degree:
             raise ValueError(f"x-exponent {exp} out of range [0, {ext.degree})")
         coef_text = m.group("coef")
-        poly = LaurentPoly.one(ext.p) if coef_text is None else LaurentPoly.from_text(coef_text, ext.p)
+        poly = one if coef_text is None else LaurentPoly.from_text(coef_text, ext.p)
         coeffs[exp] = coeffs[exp] + poly
     return LElement(coeffs)

@@ -53,7 +53,7 @@ def dual_eval(z: DualElement, h: HElement) -> LaurentPoly:
     """Pair a dual element against an element of K[t]/(t^{p^n})."""
     if z.p != h.p or len(z.coeffs) != len(h.coeffs):
         raise ValueError("incompatible elements")
-    total = LaurentPoly.zero(z.p)
+    total = LaurentPoly._from_reduced(z.p, {})
     for j, c in z.nonzero_items():
         hc = h.coeffs[j]
         if not hc.is_zero():
@@ -71,10 +71,11 @@ def dual_mult(a: DualElement, b: DualElement, hopf: HopfParams) -> DualElement:
     if a.p != hopf.p or b.p != hopf.p:
         raise ValueError("modulus mismatch")
     pairs = [(j1, c1, j2, c2) for j1, c1 in a.nonzero_items() for j2, c2 in b.nonzero_items()]
+    zero = LaurentPoly._from_reduced(hopf.p, {})
     out = []
     for i in range(hopf.degree):
         di = delta_power(i, hopf)
-        total = LaurentPoly.zero(hopf.p)
+        total = zero
         for j1, c1, j2, c2 in pairs:
             e = di.entry(j1, j2)
             if not e.is_zero():
@@ -88,7 +89,7 @@ def z_monomial(digits: Union[PadicDigits, Sequence[int]], hopf: HopfParams) -> D
 
     Factors are multiplied left to right in ascending generator order;
     the dual algebra is commutative so the order only fixes a canonical
-    evaluation path for caching and reports.
+    evaluation path for reports.
     """
     ds = tuple(digits)
     if len(ds) != hopf.n:
@@ -119,7 +120,8 @@ def _fraction_free_rank(rows: list[list[LaurentPoly]], p: int) -> int:
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     rank = 0
-    prev = LaurentPoly.one(p)
+    zero = LaurentPoly._from_reduced(p, {})
+    prev = LaurentPoly._from_reduced(p, {0: 1})
     row = 0
     for col in range(ncols):
         pivot = next((k for k in range(row, nrows) if not m[k][col].is_zero()), None)
@@ -131,7 +133,7 @@ def _fraction_free_rank(rows: list[list[LaurentPoly]], p: int) -> int:
             lead = m[k][col]
             for j in range(col + 1, ncols):
                 m[k][j] = (pv * m[k][j] - lead * m[row][j]).exact_div(prev)
-            m[k][col] = LaurentPoly.zero(p)
+            m[k][col] = zero
         prev = pv
         rank += 1
         row += 1
@@ -158,9 +160,10 @@ def dual_basis_rank(hopf: HopfParams) -> int:
 
 def dual_to_text(z: DualElement) -> str:
     """Render as `+`-joined terms `(<coeff>)*z_j`, coefficient 1 left bare."""
+    one = LaurentPoly._from_reduced(z.p, {0: 1})
     parts = []
     for j, c in z.nonzero_items():
-        if c == LaurentPoly.one(z.p):
+        if c == one:
             parts.append(f"z_{j}")
         else:
             parts.append(f"({c.to_text()})*z_{j}")
@@ -172,7 +175,8 @@ def dual_from_text(text: str, hopf: HopfParams) -> DualElement:
     s = "".join(text.split())
     if s in ("", "0"):
         return DualElement.zero(hopf)
-    coeffs = [LaurentPoly.zero(hopf.p) for _ in range(hopf.degree)]
+    one = LaurentPoly._from_reduced(hopf.p, {0: 1})
+    coeffs = [LaurentPoly._from_reduced(hopf.p, {})] * hopf.degree
     for term in _split_top_level(s):
         m = _Z_TERM_RE.match(term)
         if m is None:
@@ -181,6 +185,6 @@ def dual_from_text(text: str, hopf: HopfParams) -> DualElement:
         if not 0 <= j < hopf.degree:
             raise ValueError(f"z-index {j} out of range [0, {hopf.degree})")
         coef_text = m.group("coef")
-        poly = LaurentPoly.one(hopf.p) if coef_text is None else LaurentPoly.from_text(coef_text, hopf.p)
+        poly = one if coef_text is None else LaurentPoly.from_text(coef_text, hopf.p)
         coeffs[j] = coeffs[j] + poly
     return DualElement(coeffs)

@@ -69,7 +69,7 @@ def h_mul(a: HElement, b: HElement) -> HElement:
     if a.p != b.p or len(a.coeffs) != len(b.coeffs):
         raise ValueError("incompatible elements")
     dim = len(a.coeffs)
-    out = [LaurentPoly.zero(a.p) for _ in range(dim)]
+    out = [LaurentPoly._from_reduced(a.p, {})] * dim
     for i, ci in a.nonzero_items():
         for j, cj in b.nonzero_items():
             if i + j < dim:
@@ -111,11 +111,11 @@ class TensorHH(CoeffVector):
     @classmethod
     def unit(cls, p: int, dim: int) -> "TensorHH":
         """The identity 1 (x) 1 of the tensor square algebra."""
-        return cls.from_entries(p, dim, {(0, 0): LaurentPoly.one(p)})
+        return cls.from_entries(p, dim, {(0, 0): LaurentPoly._from_reduced(p, {0: 1})})
 
     @classmethod
     def from_entries(cls, p: int, dim: int, entries: dict[tuple[int, int], LaurentPoly]) -> "TensorHH":
-        coeffs = [LaurentPoly.zero(p)] * (dim * dim)
+        coeffs = [LaurentPoly._from_reduced(p, {})] * (dim * dim)
         for (a, b), c in entries.items():
             coeffs[a * dim + b] = c
         return cls(coeffs)
@@ -150,10 +150,8 @@ def twist_coefficients(hopf: HopfParams) -> list[tuple[int, LaurentPoly]]:
 def delta_t(hopf: HopfParams) -> TensorHH:
     """Comultiplication of the generator t as a tensor matrix."""
     p = hopf.p
-    entries: dict[tuple[int, int], LaurentPoly] = {
-        (1, 0): LaurentPoly.one(p),
-        (0, 1): LaurentPoly.one(p),
-    }
+    one = LaurentPoly._from_reduced(p, {0: 1})
+    entries: dict[tuple[int, int], LaurentPoly] = {(1, 0): one, (0, 1): one}
     pr = p**hopf.r
     for ell, coeff in twist_coefficients(hopf):
         entries[(pr * ell, pr * (p - ell))] = coeff

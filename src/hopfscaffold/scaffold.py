@@ -88,7 +88,7 @@ def lambda_element(j: int, ctx: ScaffoldContext) -> LElement:
     num = j + ext.b * res
     # a*b = -1 mod p^n forces integrality; a failure here is a bug
     assert num % pn == 0, (j, res, num)
-    return LElement.x_power(res, ext, LaurentPoly.monomial(ext.p, num // pn))
+    return LElement.x_power(res, ext, LaurentPoly._from_reduced(ext.p, {num // pn: 1}))
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def verify_scaffold(ctx: ScaffoldContext) -> ScaffoldReport:
             image = act(z, lambda_element(j, ctx), ext, hopf)
             threshold = j + step + tol
             if digit > 0:
-                unit: Optional[LaurentPoly] = LaurentPoly.constant(ext.p, digit)
+                unit: Optional[LaurentPoly] = LaurentPoly._from_reduced(ext.p, {0: digit})
                 diff = image - lambda_element(j + step, ctx).scale(digit)
                 passed = l_valuation(diff, ext) >= threshold
             else:

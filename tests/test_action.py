@@ -15,10 +15,12 @@ from hopfscaffold import (
     l_mul,
     l_valuation,
     padic_digits,
+    scaffold_context,
     tolerance,
+    verify_scaffold,
 )
 
-from oracles import acceptance_tuples, coaction_by_expansion, rand_lelement, standard_pair
+from oracles import acceptance_tuples, coaction_by_expansion, rand_laurent, rand_lelement, standard_pair
 
 
 @pytest.fixture
@@ -60,7 +62,11 @@ class TestCoaction:
         assert image.components[2] == LElement.one(ext)
         assert image.components[3].is_zero()
 
-    @pytest.mark.parametrize("p,n,r,b", [(2, 2, 1, 1), (3, 2, 1, 2), (2, 3, 2, 3)])
+    # (2,4,2,1) and (2,5,3,3) keep twist terms of the image of x^{p^s} for
+    # s = 1 (r + 1 < n), so they reach the Frobenius-scaled coefficients
+    @pytest.mark.parametrize(
+        "p,n,r,b", [(2, 2, 1, 1), (3, 2, 1, 2), (2, 3, 2, 3), (2, 4, 2, 1), (2, 5, 3, 3), (3, 3, 2, 2)]
+    )
     def test_matches_expansion_oracle(self, p, n, r, b):
         ext, hopf = standard_pair(p, n, r, b)
         for i in range(ext.degree):
@@ -81,6 +87,51 @@ class TestCoaction:
                 for k1 in range(k + 1):
                     total = total + l_mul(ay.components[k1], az.components[k - k1], ext)
                 assert left.components[k] == total
+
+    @pytest.mark.parametrize("p,n,r,b", [(2, 4, 2, 1), (2, 5, 3, 3), (3, 4, 2, 1)])
+    def test_frobenius_twist_terms_present(self, p, n, r, b):
+        # x^p (x) 1 + 1 (x) t^p + twist terms at t^{p^{r+1}(p-l)} with f^p
+        ext, hopf = standard_pair(p, n, r, b)
+        image = coaction(LElement.x_power(p, ext), ext, hopf)
+        assert image.components == tuple(coaction_by_expansion(p, ext, hopf))
+        q = p ** (r + 1)
+        for ell in range(1, p):
+            twist = image.components[q * (p - ell)]
+            assert twist.coeffs[q * ell].valuation() == p * hopf.f.valuation()
+
+    @pytest.mark.parametrize("p,n,r,b", [(2, 4, 2, 1), (2, 5, 3, 3), (3, 3, 2, 2)])
+    def test_act_matches_expansion_oracle(self, p, n, r, b):
+        # act(z, y) = sum_k z_k sum_i y_i [t^k] coaction(x^i)
+        rng = random.Random(73)
+        ext, hopf = standard_pair(p, n, r, b)
+        pn = ext.degree
+        oracle = {}
+        for _ in range(6):
+            z = DualElement.zero(hopf)
+            for k in rng.sample(range(pn), 3):
+                z = z + DualElement.z_basis(k, hopf, rand_laurent(rng, p))
+            y = LElement.zero(ext)
+            for i in rng.sample(range(pn), 3):
+                y = y + LElement.x_power(i, ext, rand_laurent(rng, p))
+            expected = LElement.zero(ext)
+            for k, zk in z.nonzero_items():
+                for i, yi in y.nonzero_items():
+                    if i not in oracle:
+                        oracle[i] = coaction_by_expansion(i, ext, hopf)
+                    expected = expected + oracle[i][k].scale(zk * yi)
+            assert act(z, y, ext, hopf) == expected
+
+    def test_rejects_foreign_field_element(self):
+        ext, hopf = standard_pair(2, 4, 2, 1)
+        z = DualElement.z_basis(1, hopf)
+        too_long = LElement.x_power(20, ExtensionParams.monogenic(2, 5, 1))
+        too_short = LElement.x_power(3, ExtensionParams.monogenic(2, 3, 1))
+        wrong_prime = LElement([LaurentPoly.one(3)] * 16)
+        for y in (too_long, too_short, wrong_prime):
+            with pytest.raises(ValueError):
+                act(z, y, ext, hopf)
+            with pytest.raises(ValueError):
+                coaction(y, ext, hopf)
 
 
 class TestAct:
@@ -258,6 +309,20 @@ class TestValuationBehavior:
                     assert l_valuation(image, ext) == expected
                 elif not image.is_zero():
                     assert l_valuation(image, ext) > expected
+
+
+def test_degree_81_pinned():
+    # p^n = 81: every scaffold congruence holds at the stated tolerance, and
+    # the generic action agrees with the closed form on all x-monomials
+    ext, hopf = standard_pair(3, 4, 2, 1)
+    report = verify_scaffold(scaffold_context(ext, hopf))
+    assert report.status == "ok"
+    assert len(report.checks) == 4 * 81
+    assert report.all_passed
+    for s in range(hopf.r + 1):
+        z = DualElement.z_basis(3**s, hopf)
+        for i in range(81):
+            assert act(z, LElement.x_power(i, ext), ext, hopf) == act_fast(s, i, ext, hopf)
 
 
 def test_parameter_compatibility_enforced():

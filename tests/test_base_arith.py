@@ -47,6 +47,17 @@ class TestLaurentMul:
         with pytest.raises(ValueError):
             lp("T", 2) * lp("T", 3)
 
+    def test_integer_scaling_reduces(self):
+        assert lp("2*T + T^3", 3) * 2 == lp("T + 2*T^3", 3)
+        assert lp("2*T + T^3", 3) * -1 == lp("T + 2*T^3", 3)
+        assert (lp("2*T + T^3", 3) * 6).is_zero()
+
+
+def test_public_constructors_reject_composite_modulus():
+    for make in (LaurentPoly.zero, LaurentPoly.one, lambda p: LaurentPoly.monomial(p, 1)):
+        with pytest.raises(ValueError):
+            make(4)
+
 
 class TestValuation:
     def test_min_exponent(self):
