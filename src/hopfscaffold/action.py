@@ -10,15 +10,10 @@ image.  Only this coaction is implemented; the family of alternatives
 obtained by rescaling the generators coincides with it after a parameter
 change, so callers realize those by substituting (beta, f).
 
-The images are computed digit by digit.  L (x) H is commutative of
-characteristic p, so Frobenius gives the image of x^{p^s} in at most p+1
-terms: x^{p^s}(x)1 + 1(x)t^{p^s} plus the twist terms with exponents
-scaled by p^s and coefficients raised to the p^s (twist terms whose
-t-exponent reaches p^n vanish).  The image of x^i is the product over the
-base-p digits i_s of those generator images to the power i_s, kept as a
-sparse map (x-exponent, t-exponent) -> coefficient.  The action prunes
-every partial product whose t-exponent exceeds the largest z-index it
-reads, so only the t-components z pairs with are ever formed.
+The images come from hopf_primal.DigitKernel with fold constant beta, the
+kernel that gives Delta(t^i) with beta = 0.  act prunes every partial
+product whose t-exponent exceeds the largest z-index it reads, so only the
+t-components z pairs with are ever formed.
 
 For the generators z_{p^s} with s <= r the action on x-monomials has a
 closed form (act_fast), used as an independent cross-check of the generic
@@ -32,10 +27,7 @@ from dataclasses import dataclass
 from .base_arith import LaurentPoly, padic_digits
 from .field_tower import ExtensionParams, LElement
 from .hopf_dual import DualElement
-from .hopf_primal import HopfParams, twist_coefficients
-
-# An element of L (x) H as {(x-exponent, t-exponent): nonzero coefficient}.
-_Sparse = dict[tuple[int, int], LaurentPoly]
+from .hopf_primal import DigitKernel, HopfParams
 
 
 @dataclass(frozen=True)
@@ -55,62 +47,6 @@ def _check_compat(ext: ExtensionParams, hopf: HopfParams, y: LElement | None = N
         raise ValueError("field element does not belong to the extension")
 
 
-def _frobenius(c: LaurentPoly, q: int) -> LaurentPoly:
-    """c^q for q a power of p: F_p is fixed, so only exponents scale."""
-    return LaurentPoly._from_reduced(c.p, {e * q: a for e, a in c.items()})
-
-
-def _lh_mul(a: _Sparse, b: _Sparse, ext: ExtensionParams, kmax: int) -> _Sparse:
-    """Product in L (x) H, dropping every term above t^kmax."""
-    pn = ext.degree
-    out: _Sparse = {}
-    for (xa, ta), ca in a.items():
-        for (xb, tb), cb in b.items():
-            t = ta + tb
-            if t > kmax:
-                continue
-            x = xa + xb
-            c = ca * cb
-            if x >= pn:
-                x -= pn
-                c = c * ext.beta
-            key = (x, t)
-            out[key] = out[key] + c if key in out else c
-    return {key: c for key, c in out.items() if not c.is_zero()}
-
-
-def _digit_powers(ext: ExtensionParams, hopf: HopfParams, kmax: int) -> list[list[_Sparse]]:
-    """powers[s][d] = coaction image of x^{d p^s} for d < p, truncated above t^kmax."""
-    p, pn = ext.p, ext.degree
-    one = LaurentPoly._from_reduced(p, {0: 1})
-    twist = twist_coefficients(hopf)
-    powers = []
-    for s in range(ext.n):
-        q = p**s
-        gen: _Sparse = {(q, 0): one}
-        if q <= kmax:
-            gen[(0, q)] = one
-        prs = p ** (hopf.r + s)
-        for ell, coeff in twist:
-            if prs * (p - ell) <= kmax:
-                gen[(prs * ell, prs * (p - ell))] = _frobenius(coeff, q)
-        row = [{(0, 0): one}, gen]
-        while len(row) < p:
-            row.append(_lh_mul(row[-1], gen, ext, kmax))
-        powers.append(row)
-    return powers
-
-
-def _x_power_image(i: int, powers: list[list[_Sparse]], ext: ExtensionParams, kmax: int) -> _Sparse:
-    """Coaction image of x^i as the product of its digit factors."""
-    image = None
-    for row in powers:
-        i, d = divmod(i, ext.p)
-        if d:
-            image = row[d] if image is None else _lh_mul(image, row[d], ext, kmax)
-    return powers[0][0] if image is None else image
-
-
 def _to_lelement(coeffs: dict[int, LaurentPoly], zero: LaurentPoly, pn: int) -> LElement:
     out = [zero] * pn
     for x, c in coeffs.items():
@@ -122,10 +58,10 @@ def coaction(y: LElement, ext: ExtensionParams, hopf: HopfParams) -> CoactionIma
     """Coaction image of y: every t-component of the digit-factored images of its x-powers."""
     _check_compat(ext, hopf, y)
     pn = ext.degree
-    powers = _digit_powers(ext, hopf, pn - 1)
+    kernel = DigitKernel(hopf, ext.beta, pn - 1)
     comps: list[dict[int, LaurentPoly]] = [{} for _ in range(pn)]
     for i, c in y.nonzero_items():
-        for (x, t), coeff in _x_power_image(i, powers, ext, pn - 1).items():
+        for (x, t), coeff in kernel.image(i).items():
             comp = comps[t]
             term = c * coeff
             comp[x] = comp[x] + term if x in comp else term
@@ -146,11 +82,10 @@ def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> 
     zc = dict(z.nonzero_items())
     if not zc:
         return LElement([zero] * pn)
-    kmax = max(zc)
-    powers = _digit_powers(ext, hopf, kmax)
+    kernel = DigitKernel(hopf, ext.beta, max(zc))
     out: dict[int, LaurentPoly] = {}
     for i, c in y.nonzero_items():
-        for (x, t), coeff in _x_power_image(i, powers, ext, kmax).items():
+        for (x, t), coeff in kernel.image(i).items():
             w = zc.get(t)
             if w is not None:
                 term = c * w * coeff

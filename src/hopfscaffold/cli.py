@@ -205,8 +205,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, required=True, help="extension degree exponent (degree p^n)")
     parser.add_argument("--r", type=int, required=True, help="comultiplication twist level, 0 < r < n <= 2r")
     parser.add_argument("--b", type=int, required=True, help="break number, positive and prime to p")
-    parser.add_argument("--f-val", type=int, default=None, help="f = T^{f_val}")
-    parser.add_argument("--f", type=str, default=None, help="explicit Laurent polynomial f (overrides --f-val)")
+    f_group = parser.add_mutually_exclusive_group(required=True)
+    f_group.add_argument("--f-val", type=int, help="f = T^{f_val}")
+    f_group.add_argument("--f", type=str, help="explicit Laurent polynomial f")
     parser.add_argument("--beta", type=str, default=None, help="explicit beta (default T^-b)")
     parser.add_argument("--output", choices=("json", "tsv", "pretty"), default="json")
 
@@ -266,10 +267,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(args_list)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-
-    if args.f_val is None and args.f is None:
-        print("error: one of --f-val or --f is required", file=sys.stderr)
-        return EXIT_USAGE
 
     try:
         cfg = _build_config(args)

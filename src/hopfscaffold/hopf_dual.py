@@ -1,11 +1,13 @@
 """The dual Hopf algebra H of K[t]/(t^{p^n}) in its dual basis z_0 ... z_{p^n-1}.
 
 z_j pairs with t^i as the Kronecker delta.  Multiplication is induced by
-the comultiplication upstairs: the z_i coefficient of a product is the
-pairing of the factors against the tensor expansion of t^i.  The p^n
-monomials z_1^{j_0} z_p^{j_1} ... z_{p^{n-1}}^{j_{n-1}} (digit exponents
-of j, factors in ascending order) form a K-basis; dual_basis_rank
-certifies this by fraction-free Gaussian elimination over F_p[T].
+the comultiplication upstairs: the z_i coefficient of a product pairs the
+factors against Delta(t^i), the image of u^i under hopf_primal's
+digit-factored kernel with beta = 0 (the kernel of the coaction of L).
+The p^n monomials z_1^{j_0} z_p^{j_1} ... z_{p^{n-1}}^{j_{n-1}} (digit
+exponents of j, factors in ascending order) form a K-basis;
+dual_basis_rank certifies this by fraction-free Gaussian elimination over
+F_p[T].
 
 The dual side also carries a coalgebra structure, induced by the plain
 truncated-polynomial multiplication upstairs: z_j splits as the sum of
@@ -21,7 +23,7 @@ from typing import Sequence, Union
 
 from .base_arith import CoeffVector, LaurentPoly, PadicDigits, padic_digits
 from .field_tower import _split_top_level
-from .hopf_primal import HElement, HopfParams, delta_power
+from .hopf_primal import DigitKernel, HElement, HopfParams
 
 _Z_TERM_RE = re.compile(r"^(?:\((?P<coef>[^()]*)\)\*)?z_(?P<idx>\d+)$")
 
@@ -64,22 +66,25 @@ def dual_eval(z: DualElement, h: HElement) -> LaurentPoly:
 def dual_mult(a: DualElement, b: DualElement, hopf: HopfParams) -> DualElement:
     """Product in the dual algebra.
 
-    The z_i coefficient of a*b is the sum over coefficient pairs of
-    a and b weighted by the matching entries of the tensor expansion
-    of t^i.
+    The z_i coefficient of a*b pairs a with the first and b with the
+    second tensor leg of Delta(t^i), the digit kernel's image of u^i with
+    beta = 0; terms above the largest z-index of b are never formed.
     """
-    if a.p != hopf.p or b.p != hopf.p:
-        raise ValueError("modulus mismatch")
-    pairs = [(j1, c1, j2, c2) for j1, c1 in a.nonzero_items() for j2, c2 in b.nonzero_items()]
+    for z in (a, b):
+        if z.p != hopf.p or len(z.coeffs) != hopf.degree:
+            raise ValueError("dual element does not belong to the dual algebra")
+    ac, bc = dict(a.nonzero_items()), dict(b.nonzero_items())
+    if not ac or not bc:
+        return DualElement.zero(hopf)
     zero = LaurentPoly._from_reduced(hopf.p, {})
+    kernel = DigitKernel(hopf, zero, max(bc))
     out = []
     for i in range(hopf.degree):
-        di = delta_power(i, hopf)
         total = zero
-        for j1, c1, j2, c2 in pairs:
-            e = di.entry(j1, j2)
-            if not e.is_zero():
-                total = total + c1 * c2 * e
+        for (u, v), c in kernel.image(i).items():
+            cu, cv = ac.get(u), bc.get(v)
+            if cu is not None and cv is not None:
+                total = total + cu * cv * c
         out.append(total)
     return DualElement(out)
 

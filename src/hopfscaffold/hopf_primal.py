@@ -9,20 +9,20 @@ with counit t |-> 0 and antipode t |-> -t.  The constraint n <= 2r makes
 t^{p^r} primitive (the twist terms of its comultiplication die under the
 truncation t^{p^n} = 0), which is what coassociativity rests on.
 
-Comultiplication of powers is obtained by direct tensor powering, since
-the comultiplication is an algebra map; the closed multinomial expansion
-of those powers is exercised independently by the test suite as a
-differential oracle, not used here.
+Delta(t^i) is the image of u^i under DigitKernel with beta = 0.  That
+digit-factored kernel is shared with the coaction of L (see action), which
+is the same formula with x^{p^n} = beta in place of u^{p^n} = 0.  The
+closed multinomial expansion of the powers is exercised independently by
+the test suite as a differential oracle, not used here.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .base_arith import CoeffVector, LaurentPoly, inverse_mod_p, is_prime
+from .base_arith import CoeffVector, LaurentPoly, is_prime
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def twist_coefficients(hopf: HopfParams) -> list[tuple[int, LaurentPoly]]:
             denom = denom * k % p
         for k in range(2, p - ell + 1):
             denom = denom * k % p
-        out.append((ell, hopf.f * inverse_mod_p(denom, p)))
+        out.append((ell, hopf.f * pow(denom, -1, p)))
     return out
 
 
@@ -175,22 +175,82 @@ def tensor_mul(a: TensorHH, b: TensorHH) -> TensorHH:
     return TensorHH.from_entries(a.p, dim, acc)
 
 
-_DELTA_CACHE: dict[HopfParams, list[TensorHH]] = {}
-_DELTA_LOCK = threading.Lock()
+# An element of A (x) H as {(A-exponent, t-exponent): nonzero coefficient}.
+Sparse = dict[tuple[int, int], LaurentPoly]
+
+
+def _frobenius(c: LaurentPoly, q: int) -> LaurentPoly:
+    """c^q for q a power of p: F_p is fixed, so only exponents scale."""
+    return LaurentPoly._from_reduced(c.p, {e * q: a for e, a in c.items()})
+
+
+class DigitKernel:
+    """Images of u^i in A (x) H under u |-> u(x)1 + 1(x)t + twist, by base-p digits.
+
+    A = K[u]/(u^{p^n} - beta): beta = ext.beta gives the coaction of L
+    (u = x), beta = 0 gives the comultiplication of H (A = H).  A (x) H is
+    commutative of characteristic p, so the image of u^{p^s} is
+    u^{p^s}(x)1 + 1(x)t^{p^s} plus the twist terms with exponents scaled by
+    p^s and coefficients raised to the p^s; the image of u^i is the product
+    of those generator images over the base-p digits of i.  A-exponents at
+    or above p^n fold through beta, and every term above t^kmax is dropped,
+    from the partial products too.
+    """
+
+    __slots__ = ("pn", "beta", "kmax", "powers")
+
+    def __init__(self, hopf: HopfParams, beta: LaurentPoly, kmax: int):
+        p = hopf.p
+        self.pn, self.beta, self.kmax = hopf.degree, beta, kmax
+        one = LaurentPoly._from_reduced(p, {0: 1})
+        twist = twist_coefficients(hopf)
+        # powers[s][d] = image of u^{d p^s} for d < p
+        self.powers: list[list[Sparse]] = []
+        for s in range(hopf.n):
+            q = p**s
+            gen: Sparse = {(q, 0): one}
+            if q <= kmax:
+                gen[(0, q)] = one
+            prs = p ** (hopf.r + s)
+            for ell, coeff in twist:
+                if prs * (p - ell) <= kmax:
+                    gen[(prs * ell, prs * (p - ell))] = _frobenius(coeff, q)
+            row = [{(0, 0): one}, gen]
+            while len(row) < p:
+                row.append(self.mul(row[-1], gen))
+            self.powers.append(row)
+
+    def mul(self, a: Sparse, b: Sparse) -> Sparse:
+        """Product in A (x) H, dropping every term above t^kmax."""
+        pn, beta, kmax = self.pn, self.beta, self.kmax
+        out: Sparse = {}
+        for (ua, ta), ca in a.items():
+            for (ub, tb), cb in b.items():
+                t = ta + tb
+                if t > kmax:
+                    continue
+                u = ua + ub
+                c = ca * cb
+                if u >= pn:
+                    u -= pn
+                    c = c * beta
+                key = (u, t)
+                out[key] = out[key] + c if key in out else c
+        return {key: c for key, c in out.items() if not c.is_zero()}
+
+    def image(self, i: int) -> Sparse:
+        """Image of u^i as the product of its digit factors (shared; do not mutate)."""
+        image = None
+        for row in self.powers:
+            i, d = divmod(i, len(row))
+            if d:
+                image = row[d] if image is None else self.mul(image, row[d])
+        return self.powers[0][0] if image is None else image
 
 
 def delta_power(i: int, hopf: HopfParams) -> TensorHH:
-    """Comultiplication of t^i, computed as the i-th tensor power of delta_t.
-
-    Results are memoized per parameter set; the memo table admits
-    concurrent readers and a single internally synchronized writer.
-    """
+    """Comultiplication of t^i: the digit kernel's image of u^i with beta = 0."""
     if not 0 <= i < hopf.degree:
         raise ValueError(f"power {i} out of range [0, {hopf.degree})")
-    with _DELTA_LOCK:
-        seq = _DELTA_CACHE.setdefault(hopf, [TensorHH.unit(hopf.p, hopf.degree)])
-        if len(seq) == 1 and i >= 1:
-            seq.append(delta_t(hopf))
-        while len(seq) <= i:
-            seq.append(tensor_mul(seq[-1], seq[1]))
-        return seq[i]
+    zero = LaurentPoly._from_reduced(hopf.p, {})
+    return TensorHH.from_entries(hopf.p, hopf.degree, DigitKernel(hopf, zero, hopf.degree - 1).image(i))

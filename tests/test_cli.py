@@ -230,10 +230,18 @@ class TestUsage:
         assert code == 2
         assert "error" in err
 
-    def test_explicit_f_overrides_f_val(self, capsys):
-        code, out, _ = run(
+    def test_f_and_f_val_together_exit_2(self, capsys):
+        code, out, err = run(
             capsys, "scaffold-verify", "--p", "2", "--n", "2", "--r", "1", "--b", "1",
             "--f-val", "1", "--f", "T^4 + T^6",
+        )
+        assert code == 2
+        assert out == ""
+        assert "not allowed" in err
+
+    def test_explicit_f(self, capsys):
+        code, out, _ = run(
+            capsys, "scaffold-verify", "--p", "2", "--n", "2", "--r", "1", "--b", "1", "--f", "T^4 + T^6"
         )
         assert code == 0
         assert json.loads(out)["tolerance"] == 13

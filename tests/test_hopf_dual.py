@@ -19,7 +19,7 @@ from hopfscaffold import (
     z_monomial,
 )
 
-from oracles import rand_laurent
+from oracles import rand_laurent, tensor_power_by_expansion
 
 
 def hp(p, n, r, f_text):
@@ -123,6 +123,45 @@ class TestDualMult:
         a = DualElement([rand_laurent(rng, 2, -2, 3, 2) for _ in range(8)])
         assert dual_mult(DualElement.one(params), a, params) == a
 
+    @pytest.mark.parametrize("p,n,r", [(3, 2, 1), (2, 4, 2), (3, 3, 2)])
+    def test_matches_expansion_oracle(self, p, n, r):
+        # the z_i coefficient of a*b is sum_{u,v} a_u b_v Delta(t^i)[u, v],
+        # with Delta(t^i) from the multinomial expansion
+        params = hp(p, n, r, "T^3 + T^5")
+        pn = params.degree
+        deltas = [tensor_power_by_expansion(i, params) for i in range(pn)]
+        rng = random.Random(pn)
+
+        def sparse(lo=0):
+            z = DualElement.zero(params)
+            for _ in range(rng.randint(1, 3)):
+                z = z + DualElement.z_basis(rng.randrange(lo, pn), params, rand_laurent(rng, p, -2, 3, 2))
+            return z
+
+        zero = DualElement.zero(params)
+        cases = [(sparse(), sparse()) for _ in range(6)]
+        cases += [(sparse(), sparse(pn - 3)), (sparse(pn - 3), sparse()), (zero, sparse()), (sparse(), zero)]
+        # reads the twist term of Delta(t^{p^{n-r-1}}), a Frobenius power of f when n > r + 1
+        top = p ** (n - 1)
+        cases.append((DualElement.z_basis(top, params), DualElement.z_basis(top * (p - 1), params)))
+        for a, b in cases:
+            expected = []
+            for delta in deltas:
+                total = LaurentPoly.zero(p)
+                for u, cu in a.nonzero_items():
+                    for v, cv in b.nonzero_items():
+                        total = total + cu * cv * delta.entry(u, v)
+                expected.append(total)
+            assert dual_mult(a, b, params) == DualElement(expected)
+
+    def test_rejects_operands_of_another_degree(self):
+        params8, params16 = hp(2, 3, 2, "T^5"), hp(2, 4, 2, "T^5")
+        z1, z9 = DualElement.z_basis(1, params8), DualElement.z_basis(9, params16)
+        with pytest.raises(ValueError):
+            dual_mult(z1, z9, params8)
+        with pytest.raises(ValueError):
+            dual_mult(z9, z9, params8)
+
 
 class TestZMonomial:
     def test_zero_digits_is_identity(self):
@@ -156,7 +195,7 @@ class TestZMonomial:
 class TestBasisRank:
     @pytest.mark.parametrize(
         "p,n,r,f_text,expected",
-        [(2, 2, 1, "T^4", 4), (3, 2, 1, "T^3", 9), (2, 3, 2, "T^5", 8)],
+        [(2, 2, 1, "T^4", 4), (3, 2, 1, "T^3", 9), (2, 3, 2, "T^5", 8), (2, 5, 3, "T^4", 32)],
     )
     def test_full_rank(self, p, n, r, f_text, expected):
         assert dual_basis_rank(hp(p, n, r, f_text)) == expected
@@ -165,7 +204,7 @@ class TestBasisRank:
         assert dual_basis_rank(hp(2, 2, 1, "T^3 + T^4")) == 4
 
 
-def test_warm_cache_then_multiply_threaded():
+def test_concurrent_dual_mult_agrees():
     params = hp(3, 2, 1, "T^5")
     results = [None] * 6
 

@@ -131,13 +131,15 @@ class TestDeltaPower:
         for i in range(params.degree):
             assert delta_power(i, params) == tensor_power_by_expansion(i, params)
 
-    @pytest.mark.parametrize("p,n,r,samples", [(3, 3, 2, (0, 5, 11, 26)), (2, 4, 2, (0, 7, 15))])
+    @pytest.mark.parametrize(
+        "p,n,r,samples", [(3, 3, 2, (0, 5, 11, 26)), (2, 4, 2, (0, 7, 15)), (2, 5, 3, (0, 9, 22, 31))]
+    )
     def test_matches_multinomial_expansion_sampled(self, p, n, r, samples):
         params = hp(p, n, r, "T^4")
         for i in samples:
             assert delta_power(i, params) == tensor_power_by_expansion(i, params)
 
-    def test_cache_is_thread_safe(self):
+    def test_concurrent_calls_agree(self):
         params = hp(3, 2, 1, "T^6")
         results = [None] * 8
 
