@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .action import act
 from .base_arith import LaurentPoly
@@ -34,6 +34,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
+
+# widest --h range accepted; wider ones exit 2 before any report is computed
+MAX_H_VALUES = 100_000
 
 log = logging.getLogger("hopfscaffold")
 
@@ -63,14 +66,15 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(ext, hopf, args.output, getattr(args, "force", False))
 
 
-def _parse_h_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty h range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def _parse_h_range(text: str) -> range:
+    lo_text, dots, hi_text = text.partition("..")
+    lo = int(lo_text)
+    hi = int(hi_text) if dots else lo
+    if hi < lo:
+        raise ValueError(f"empty h range {text!r}")
+    if hi - lo >= MAX_H_VALUES:
+        raise ValueError(f"h range {text!r} has more than {MAX_H_VALUES} values")
+    return range(lo, hi + 1)
 
 
 def _emit_json(obj) -> None:
@@ -126,8 +130,8 @@ def _freeness_line_tsv(report: FreenessReport) -> str:
     )
 
 
-def cmd_freeness(cfg: RunConfig, h_values: list[int]) -> int:
-    reports = [is_free(h, cfg.ext) for h in h_values]
+def cmd_freeness(cfg: RunConfig, h_values: Iterable[int]) -> int:
+    reports = (is_free(h, cfg.ext) for h in h_values)
     if cfg.output == "json":
         for report in reports:
             _emit_json_line(report.to_json_dict(cfg.ext, cfg.hopf))
@@ -188,10 +192,9 @@ def cmd_assoc_order(cfg: RunConfig, h: int) -> int:
 
 def cmd_atlas(cfg: RunConfig) -> int:
     # one full period of ideal classes, in window order
-    h_values = range(cfg.ext.b - cfg.ext.degree + 1, cfg.ext.b + 1)
-    reports = [is_free(h, cfg.ext) for h in h_values]
     print("h\tfree\tgenerator_count\twitness_j")
-    for report in reports:
+    for h in range(cfg.ext.b - cfg.ext.degree + 1, cfg.ext.b + 1):
+        report = is_free(h, cfg.ext)
         witness = "" if report.witness_j is None else str(report.witness_j)
         print(f"{report.h.h_norm}\t{int(report.free)}\t{report.generator_count}\t{witness}")
     return EXIT_OK
@@ -280,11 +283,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "scaffold-verify":
             return cmd_scaffold_verify(cfg)
         if args.command == "freeness":
-            return cmd_freeness(cfg, h_values or [])
+            return cmd_freeness(cfg, h_values)
         if args.command == "act":
             return cmd_act(cfg, args.z, args.y)
         if args.command == "assoc-order":
-            if not h_values or len(h_values) != 1:
+            if len(h_values) != 1:
                 print("error: assoc-order takes a single --h value", file=sys.stderr)
                 return EXIT_USAGE
             return cmd_assoc_order(cfg, h_values[0])

@@ -68,7 +68,8 @@ def dual_mult(a: DualElement, b: DualElement, hopf: HopfParams) -> DualElement:
 
     The z_i coefficient of a*b pairs a with the first and b with the
     second tensor leg of Delta(t^i), the digit kernel's image of u^i with
-    beta = 0; terms above the largest z-index of b are never formed.
+    beta = 0; terms above the largest z-index of b are never formed, nor is
+    any i above max(a) + max(b), since every term u (x) t^v has u + v >= i.
     """
     for z in (a, b):
         if z.p != hopf.p or len(z.coeffs) != hopf.degree:
@@ -78,14 +79,14 @@ def dual_mult(a: DualElement, b: DualElement, hopf: HopfParams) -> DualElement:
         return DualElement.zero(hopf)
     zero = LaurentPoly._from_reduced(hopf.p, {})
     kernel = DigitKernel(hopf, zero, max(bc))
-    out = []
-    for i in range(hopf.degree):
+    out = [zero] * hopf.degree
+    for i in range(min(hopf.degree, max(ac) + max(bc) + 1)):
         total = zero
         for (u, v), c in kernel.image(i).items():
             cu, cv = ac.get(u), bc.get(v)
             if cu is not None and cv is not None:
                 total = total + cu * cv * c
-        out.append(total)
+        out[i] = total
     return DualElement(out)
 
 

@@ -7,13 +7,18 @@ the break number and p^n the degree, define
     w_h(j) = min { d_h(i + j) - d_h(i) : digits of i and j sum below p per slot }
 
 computed after normalizing h into the window 0 <= b - h <= p^n - 1 (the
-tables are wrong outside it; d_h(0) can go negative).  The ideal of
-exponent h is free over its associated order iff w_h = d_h pointwise, and
-the order itself has the basis T^{-w_h(j)} times the digit-j generator
-monomial of the dual algebra.  Those basis statements are licensed only
-when the action has a scaffold of tolerance at least 2*p^n - 1, so
-assoc_order_basis refuses below that unless forced (and then marks the
-output untrusted).
+tables are wrong outside it; d_h(0) can go negative).  Only the
+prod_s (p - j_s) digit-compatible i enter the minimum; _compatible lists
+them digit by digit as integers, and i + j never carries.  The submasks
+of i (the j with j_s <= i_s for every s), over which the generator count
+runs, are the i compatible with p^n - 1 - i.
+
+The ideal of exponent h is free over its associated order iff w_h = d_h
+pointwise, and the order itself has the basis T^{-w_h(j)} times the
+digit-j generator monomial of the dual algebra.  Those basis statements
+are licensed only when the action has a scaffold of tolerance at least
+2*p^n - 1, so assoc_order_basis refuses below that unless forced (and
+then marks the output untrusted).
 
 All results are invariant under h -> h + p^n (the ideals differ by the
 unit T).
@@ -67,22 +72,22 @@ def d_h(h: Union[int, IdealIndex], j: int, ext: ExtensionParams) -> int:
     return (ext.b * j + ext.b - idx.h_norm) // ext.degree
 
 
+def _compatible(j: int, ext: ExtensionParams) -> list[int]:
+    """The i in [0, p^n) with base-p digits i_s + j_s <= p - 1 for every s."""
+    out, q = [0], 1
+    for _ in range(ext.n):
+        j, d = divmod(j, ext.p)
+        out = [i + c * q for c in range(ext.p - d) for i in out]
+        q *= ext.p
+    return out
+
+
 def w_h(h: Union[int, IdealIndex], j: int, ext: ExtensionParams) -> int:
     """Minimum of d_h(i+j) - d_h(i) over i with digitwise i_s + j_s <= p-1."""
     idx = _as_index(h, ext)
     if not 0 <= j < ext.degree:
         raise ValueError(f"j = {j} out of range [0, {ext.degree})")
-    jd = padic_digits(j, ext.p, ext.n)
-    best: Optional[int] = None
-    for i in range(ext.degree):
-        idd = padic_digits(i, ext.p, ext.n)
-        if any(a + b_ > ext.p - 1 for a, b_ in zip(idd, jd)):
-            continue
-        delta = d_h(idx, i + j, ext) - d_h(idx, i, ext)
-        if best is None or delta < best:
-            best = delta
-    assert best is not None  # i = 0 always qualifies
-    return best
+    return min(d_h(idx, i + j, ext) - d_h(idx, i, ext) for i in _compatible(j, ext))
 
 
 def noether_criterion(ext: ExtensionParams) -> Optional[int]:
@@ -121,21 +126,12 @@ def generator_count(h: Union[int, IdealIndex], ext: ExtensionParams) -> int:
 def _generator_witnesses(
     ext: ExtensionParams, d_tab: tuple[int, ...], w_tab: tuple[int, ...]
 ) -> list[int]:
-    pn = ext.degree
-    witnesses = []
-    for i in range(pn):
-        idd = padic_digits(i, ext.p, ext.n)
-        ok = True
-        for j in range(1, pn):
-            jd = padic_digits(j, ext.p, ext.n)
-            if any(js > is_ for js, is_ in zip(jd, idd)):
-                continue
-            if not d_tab[i] > d_tab[i - j] + w_tab[j]:
-                ok = False
-                break
-        if ok:
-            witnesses.append(i)
-    return witnesses
+    top = ext.degree - 1
+    return [
+        i
+        for i in range(ext.degree)
+        if all(d_tab[i] > d_tab[i - j] + w_tab[j] for j in _compatible(top - i, ext) if j)
+    ]
 
 
 @dataclass(frozen=True)
@@ -191,7 +187,7 @@ def is_free(h: Union[int, IdealIndex], ext: ExtensionParams) -> FreenessReport:
     idx = _as_index(h, ext)
     pn = ext.degree
     d_tab = tuple(d_h(idx, j, ext) for j in range(pn))
-    w_tab = tuple(w_h(idx, j, ext) for j in range(pn))
+    w_tab = tuple(min(d_tab[i + j] - d_tab[i] for i in _compatible(j, ext)) for j in range(pn))
     free = d_tab == w_tab
     witness = next((j for j in range(pn) if d_tab[j] != w_tab[j]), None)
     count = 1 if free else len(_generator_witnesses(ext, d_tab, w_tab))
@@ -247,11 +243,7 @@ def assoc_order_basis(
             f"tolerance {tol} below 2*p^n - 1 = {2 * ext.degree - 1}; "
             "pass force=True to emit an untrusted listing"
         )
-    entries = tuple(
-        BasisEntry(padic_digits(j, ext.p, ext.n), -w_h(idx, j, ext))
-        for j in range(ext.degree)
-    )
-    return AssocOrderBasis(idx, entries, tol, licensed)
+    return AssocOrderBasis(idx, is_free(idx, ext).basis, tol, licensed)
 
 
 def materialize_basis_entry(entry: BasisEntry, hopf: HopfParams) -> DualElement:

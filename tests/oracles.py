@@ -17,9 +17,11 @@ from hopfscaffold import (
     LElement,
     TensorHH,
     antipode,
+    d_h,
     delta_power,
     delta_t,
     h_mul,
+    padic_digits,
 )
 
 
@@ -130,6 +132,39 @@ def antipode_convolution_defect(hopf: HopfParams) -> HElement:
         term = h_mul(antipode(HElement.t_power(a, hopf)), HElement.t_power(b, hopf))
         acc = acc + HElement([coeff * c for coeff in term.coeffs])
     return acc
+
+
+def brute_w(h, j: int, ext: ExtensionParams) -> int:
+    """w_h(j) as an exhaustive minimum over all i, directly off the definition."""
+    jd = padic_digits(j, ext.p, ext.n)
+    best = None
+    for i in range(ext.degree):
+        idig = padic_digits(i, ext.p, ext.n)
+        if any(a + b > ext.p - 1 for a, b in zip(idig, jd)):
+            continue
+        val = d_h(h, i + j, ext) - d_h(h, i, ext)
+        best = val if best is None or val < best else best
+    return best
+
+
+def brute_generator_witnesses(h, w_tab, ext: ExtensionParams) -> list[int]:
+    """The i in [0, p^n) with d_h(i) > d_h(i-j) + w_h(j) for every j > 0 with
+    digitwise j_s <= i_s: a plain double loop over all (i, j), reading w_h
+    from w_tab (the brute_w table of h)."""
+    pn = ext.degree
+    witnesses = []
+    for i in range(pn):
+        idig = padic_digits(i, ext.p, ext.n)
+        good = True
+        for j in range(1, pn):
+            jd = padic_digits(j, ext.p, ext.n)
+            if any(a > b for a, b in zip(jd, idig)):
+                continue
+            if not d_h(h, i, ext) > d_h(h, i - j, ext) + w_tab[j]:
+                good = False
+        if good:
+            witnesses.append(i)
+    return witnesses
 
 
 def rand_laurent(rng, p: int, lo: int = -3, hi: int = 5, terms: int = 3) -> LaurentPoly:

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import time
+
+import pytest
 
 from hopfscaffold import cli
 from hopfscaffold.scaffold import ScaffoldReport
@@ -114,6 +118,19 @@ class TestFreeness:
         assert lines[0].startswith("h_raw\th_norm")
         assert len(lines) == 3
 
+    def test_range_wider_than_cap_exits_2(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "freeness", *BASE, "--h", "0..1000000000000")
+        assert code == 2
+        assert out == ""
+        assert f"more than {cli.MAX_H_VALUES} values" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_range_cap_boundary(self):
+        assert cli._parse_h_range(f"1..{cli.MAX_H_VALUES}") == range(1, cli.MAX_H_VALUES + 1)
+        with pytest.raises(ValueError):
+            cli._parse_h_range(f"0..{cli.MAX_H_VALUES}")
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "freeness", *BASE, "--h", "-2..1")
         _, out2, _ = run(capsys, "freeness", *BASE, "--h", "-2..1")
@@ -212,6 +229,16 @@ class TestAtlas:
         rows = [line.split("\t") for line in lines[1:]]
         assert len(rows) == 4
         assert [row[1] for row in rows] == ["0", "1", "1", "1"]
+
+    def test_degree_81_pinned(self, capsys):
+        # the atlas/R81 digest of perfbench/reference.json
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "atlas", "--p", "3", "--n", "4", "--r", "2", "--b", "1", "--f-val", "3")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "6b7157922be7fb2658a798ac00ce14c768a248d0643ca4007128c9b5e9e06763"
+        assert elapsed < 1.0
 
 
 class TestUsage:

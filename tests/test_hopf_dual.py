@@ -18,6 +18,7 @@ from hopfscaffold import (
     padic_digits,
     z_monomial,
 )
+from hopfscaffold.hopf_primal import DigitKernel
 
 from oracles import rand_laurent, tensor_power_by_expansion
 
@@ -153,6 +154,17 @@ class TestDualMult:
                         total = total + cu * cv * delta.entry(u, v)
                 expected.append(total)
             assert dual_mult(a, b, params) == DualElement(expected)
+
+    @pytest.mark.parametrize("p,n,r", [(2, 4, 2), (3, 3, 2)])
+    def test_delta_terms_reach_their_index(self, p, n, r):
+        # dual_mult skips every i above max(a) + max(b): no term u (x) t^v of
+        # Delta(t^i) has u + v < i
+        params = hp(p, n, r, "T^3 + T^5")
+        kernel = DigitKernel(params, LaurentPoly.zero(p), params.degree - 1)
+        for i in range(params.degree):
+            image = kernel.image(i)
+            assert image
+            assert all(u + v >= i for u, v in image)
 
     def test_rejects_operands_of_another_degree(self):
         params8, params16 = hp(2, 3, 2, "T^5"), hp(2, 4, 2, "T^5")

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfscaffold import (
     ExtensionParams,
@@ -16,26 +18,14 @@ from hopfscaffold import (
     padic_digits,
     w_h,
 )
+from hopfscaffold.module_structure import _generator_witnesses
 
-from oracles import standard_pair
+from oracles import brute_generator_witnesses, brute_w, standard_pair
 
 
 @pytest.fixture
 def ext221():
     return ExtensionParams.monogenic(2, 2, 1)
-
-
-def brute_w(h, j, ext):
-    # independent exhaustive minimum, directly off the definition
-    jd = padic_digits(j, ext.p, ext.n)
-    best = None
-    for i in range(ext.degree):
-        idig = padic_digits(i, ext.p, ext.n)
-        if any(a + b > ext.p - 1 for a, b in zip(idig, jd)):
-            continue
-        val = d_h(h, i + j, ext) - d_h(h, i, ext)
-        best = val if best is None or val < best else best
-    return best
 
 
 class TestNormalization:
@@ -100,6 +90,53 @@ class TestWTable:
             for h in range(b - p**n + 1, b + 1):
                 for j in range(p**n):
                     assert w_h(h, j, ext) <= d_h(h, j, ext)
+
+
+@st.composite
+def _w_case(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(2, 3))  # ExtensionParams needs n >= 2
+    b = draw(st.integers(1, 2 * p**n).filter(lambda v: v % p))
+    h = draw(st.integers(-3 * p**n, 3 * p**n))
+    j = draw(st.integers(0, p**n - 1))
+    return ExtensionParams.monogenic(p, n, b), h, j
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_w_case())
+def test_w_property(case):
+    ext, h, j = case
+    w = w_h(h, j, ext)
+    assert w == brute_w(h, j, ext)
+    assert w <= d_h(h, j, ext)
+    assert w_h(h, 0, ext) == 0
+
+
+class TestAgainstOracles:
+    # every table of the report against the exhaustive oracles
+    @staticmethod
+    def check(h, ext):
+        report = is_free(h, ext)
+        d_tab = tuple(d_h(h, j, ext) for j in range(ext.degree))
+        w_tab = tuple(brute_w(h, j, ext) for j in range(ext.degree))
+        assert report.d_table == d_tab
+        assert report.w_table == w_tab
+        assert report.free == (d_tab == w_tab)
+        assert report.witness_j == next((j for j in range(ext.degree) if d_tab[j] != w_tab[j]), None)
+        witnesses = brute_generator_witnesses(h, w_tab, ext)
+        assert _generator_witnesses(ext, report.d_table, report.w_table) == witnesses
+        assert report.generator_count == (1 if report.free else len(witnesses))
+
+    @pytest.mark.parametrize("p,n,b", [(3, 3, 1), (3, 3, 2), (2, 4, 3), (2, 5, 3)])
+    def test_full_period(self, p, n, b):
+        ext = ExtensionParams.monogenic(p, n, b)
+        for h in range(b - p**n + 1, b + 1):
+            self.check(h, ext)
+
+    def test_degree_81_sample(self):
+        ext = ExtensionParams.monogenic(3, 4, 1)
+        for h in (-79, -40, -13, 1):
+            self.check(h, ext)
 
 
 class TestIsFree:
