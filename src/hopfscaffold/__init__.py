@@ -46,8 +46,9 @@ from .hopf_dual import (
     dual_mult,
     dual_to_text,
     z_monomial,
+    z_monomials,
 )
-from .action import CoactionImage, act, act_fast, coaction
+from .action import CoactionImage, act, act_fast, coaction, monomial_images
 from .scaffold import (
     CertificateReport,
     ScaffoldCheck,

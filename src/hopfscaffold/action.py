@@ -13,7 +13,9 @@ change, so callers realize those by substituting (beta, f).
 The images come from hopf_primal.DigitKernel with fold constant beta, the
 kernel that gives Delta(t^i) with beta = 0.  act prunes every partial
 product whose t-exponent exceeds the largest z-index it reads, so only the
-t-components z pairs with are ever formed.
+t-components z pairs with are ever formed.  monomial_images applies every
+z-monomial to one element along the digit trie of hopf_dual.trie_step,
+one generator per monomial.
 
 For the generators z_{p^s} with s <= r the action on x-monomials has a
 closed form (act_fast), used as an independent cross-check of the generic
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 from .base_arith import LaurentPoly, padic_digits
 from .field_tower import ExtensionParams, LElement
-from .hopf_dual import DualElement
+from .hopf_dual import DualElement, trie_step
 from .hopf_primal import DigitKernel, HopfParams
 
 
@@ -91,6 +93,22 @@ def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> 
                 term = c * w * coeff
                 out[x] = out[x] + term if x in out else term
     return _to_lelement(out, zero, pn)
+
+
+def monomial_images(y: LElement, ext: ExtensionParams, hopf: HopfParams) -> list[LElement]:
+    """The image of y under every z-monomial, the digit-j one at index j.
+
+    Formed along the digit trie: with (j - p^s, s) = trie_step(j), the
+    digit-j image is z_{p^s} applied to the stored digit-(j - p^s) image,
+    since (ab)y = a(by) and the dual algebra is commutative.  That is
+    p^n - 1 single-generator act calls.
+    """
+    gens = [DualElement.z_basis(ext.p**s, hopf) for s in range(ext.n)]
+    images = [y]
+    for j in range(1, ext.degree):
+        parent, s = trie_step(j, ext.p)
+        images.append(act(gens[s], images[parent], ext, hopf))
+    return images
 
 
 def act_fast(s: int, i: int, ext: ExtensionParams, hopf: HopfParams) -> LElement:

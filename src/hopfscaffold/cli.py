@@ -37,6 +37,9 @@ EXIT_HYPOTHESIS = 3
 
 # widest --h range accepted; wider ones exit 2 before any report is computed
 MAX_H_VALUES = 100_000
+# largest degree p^n accepted; larger ones exit 2 before p is tested for
+# primality or anything of length p^n is allocated
+MAX_DEGREE = 10_000
 
 log = logging.getLogger("hopfscaffold")
 
@@ -51,7 +54,21 @@ class RunConfig:
     force: bool
 
 
+def _check_degree(p: int, n: int) -> None:
+    """Refuse n < 2 or p^n > MAX_DEGREE, multiplying p^n out only until it passes the cap."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if p < 2:
+        return  # never grows; refused as not prime with the other parameters
+    degree = 1
+    for _ in range(n):
+        degree *= p
+        if degree > MAX_DEGREE:
+            raise ValueError(f"p^n = {p}^{n} exceeds {MAX_DEGREE}")
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    _check_degree(args.p, args.n)
     beta = (
         LaurentPoly.from_text(args.beta, args.p)
         if args.beta is not None

@@ -5,9 +5,12 @@ the comultiplication upstairs: the z_i coefficient of a product pairs the
 factors against Delta(t^i), the image of u^i under hopf_primal's
 digit-factored kernel with beta = 0 (the kernel of the coaction of L).
 The p^n monomials z_1^{j_0} z_p^{j_1} ... z_{p^{n-1}}^{j_{n-1}} (digit
-exponents of j, factors in ascending order) form a K-basis;
-dual_basis_rank certifies this by fraction-free Gaussian elimination over
-F_p[T].
+exponents of j) form a K-basis.  z_monomials builds them all along the
+digit trie: the digit-j monomial is the digit-(j - p^s) one times z_{p^s},
+s the lowest nonzero digit of j (trie_step), so each costs one product.
+dual_basis_rank certifies the basis by the rank of their evaluation matrix
+reduced mod T, falling back to fraction-free Gaussian elimination over
+F_p[T] when that rank is short.
 
 The dual side also carries a coalgebra structure, induced by the plain
 truncated-polynomial multiplication upstairs: z_j splits as the sum of
@@ -21,7 +24,7 @@ from __future__ import annotations
 import re
 from typing import Sequence, Union
 
-from .base_arith import CoeffVector, LaurentPoly, PadicDigits, padic_digits
+from .base_arith import CoeffVector, LaurentPoly, PadicDigits
 from .field_tower import _split_top_level
 from .hopf_primal import DigitKernel, HElement, HopfParams
 
@@ -110,6 +113,32 @@ def z_monomial(digits: Union[PadicDigits, Sequence[int]], hopf: HopfParams) -> D
     return acc
 
 
+def trie_step(j: int, p: int) -> tuple[int, int]:
+    """(j - p^s, s) for s the lowest nonzero base-p digit of j >= 1.
+
+    The digit-j z-monomial is the digit-(j - p^s) one times z_{p^s} (the
+    dual algebra is commutative), and j - p^s < j, so a walk over
+    j = 1, 2, ... reaches every monomial from an earlier one by one
+    generator.
+    """
+    if j < 1:
+        raise ValueError(f"trie step needs j >= 1, got {j}")
+    s, q = 0, 1
+    while j // q % p == 0:
+        s, q = s + 1, q * p
+    return j - q, s
+
+
+def z_monomials(hopf: HopfParams) -> list[DualElement]:
+    """Every z-monomial, the digit-j one at index j, each one dual_mult from its trie parent."""
+    gens = [DualElement.z_basis(hopf.p**s, hopf) for s in range(hopf.n)]
+    monos = [DualElement.one(hopf)]
+    for j in range(1, hopf.degree):
+        parent, s = trie_step(j, hopf.p)
+        monos.append(dual_mult(monos[parent], gens[s], hopf))
+    return monos
+
+
 # -- basis rank --------------------------------------------------------------
 
 def _fraction_free_rank(rows: list[list[LaurentPoly]], p: int) -> int:
@@ -148,17 +177,54 @@ def _fraction_free_rank(rows: list[list[LaurentPoly]], p: int) -> int:
     return rank
 
 
+def _rank_mod_t(rows: list[list[LaurentPoly]], p: int) -> int:
+    """Rank over F_p of the matrix mod T, each row first shifted by its least valuation.
+
+    The shift is a unit of K and puts the row in F_p[T], not all of it
+    divisible by T; reduction mod T is a ring map F_p[T] -> F_p, so a
+    nonzero minor mod T lifts to a nonzero minor over K.  The result is
+    therefore a lower bound for the rank over K.
+    """
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> row with 1 there, 0 left of it
+    for row in rows:
+        low = min((c.valuation() for c in row if not c.is_zero()), default=None)
+        red = {k: c.terms[low] for k, c in enumerate(row) if c.valuation() == low}
+        while red:
+            col = min(red)
+            piv = pivots.get(col)
+            if piv is None:
+                inv = pow(red[col], -1, p)
+                pivots[col] = {k: v * inv % p for k, v in red.items()}
+                break
+            m = red[col]
+            for k, v in piv.items():
+                x = (red.get(k, 0) - m * v) % p
+                if x:
+                    red[k] = x
+                else:
+                    red.pop(k, None)
+    return len(pivots)
+
+
+def _certified_rank(rows: list[list[LaurentPoly]], p: int) -> int:
+    """Rank over K: the mod-T rank when it is already full, else Bareiss."""
+    full = min(len(rows), len(rows[0]) if rows else 0)
+    rank = _rank_mod_t(rows, p)
+    return rank if rank == full else _fraction_free_rank(rows, p)
+
+
 def dual_basis_rank(hopf: HopfParams) -> int:
     """Rank over K of the p^n x p^n evaluation matrix of the z-monomials.
 
     Row j holds the pairings of the digit-j monomial against the t^i
-    basis; full rank p^n certifies that the monomials form a K-basis.
+    basis; full rank p^n certifies that the monomials form a K-basis.  The
+    rows come from z_monomials, one product each.  Each row is shifted
+    into F_p[T] by its least valuation and the matrix is reduced mod T;
+    a full rank over F_p there is a full rank over K.  When it falls short
+    (at (p, n, r, f) = (2, 4, 2, T^-3) the rank mod T is 14 of 16), the
+    rank comes from _fraction_free_rank on the unreduced rows.
     """
-    rows = []
-    for j in range(hopf.degree):
-        mono = z_monomial(padic_digits(j, hopf.p, hopf.n), hopf)
-        rows.append(list(mono.coeffs))
-    return _fraction_free_rank(rows, hopf.p)
+    return _certified_rank([list(mono.coeffs) for mono in z_monomials(hopf)], hopf.p)
 
 
 # -- text format ------------------------------------------------------------

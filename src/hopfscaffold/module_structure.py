@@ -155,7 +155,13 @@ class FreenessReport:
     free: bool
     witness_j: Optional[int]
     generator_count: int
-    basis: tuple[BasisEntry, ...]
+    ext: ExtensionParams
+
+    @property
+    def basis(self) -> tuple[BasisEntry, ...]:
+        """The records (digits of j, -w_h(j)), derived from the w table when read."""
+        p, n = self.ext.p, self.ext.n
+        return tuple(BasisEntry(padic_digits(j, p, n), -w) for j, w in enumerate(self.w_table))
 
     def to_json_dict(self, ext: ExtensionParams, hopf: Optional[HopfParams] = None) -> dict:
         out = {
@@ -191,10 +197,7 @@ def is_free(h: Union[int, IdealIndex], ext: ExtensionParams) -> FreenessReport:
     free = d_tab == w_tab
     witness = next((j for j in range(pn) if d_tab[j] != w_tab[j]), None)
     count = 1 if free else len(_generator_witnesses(ext, d_tab, w_tab))
-    basis = tuple(
-        BasisEntry(padic_digits(j, ext.p, ext.n), -w_tab[j]) for j in range(pn)
-    )
-    return FreenessReport(idx, d_tab, w_tab, free, witness, count, basis)
+    return FreenessReport(idx, d_tab, w_tab, free, witness, count, ext)
 
 
 @dataclass(frozen=True)

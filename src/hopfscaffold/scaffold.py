@@ -24,10 +24,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .action import act
+from .action import act, monomial_images
 from .base_arith import LaurentPoly, PadicDigits, padic_digits, res_mod
 from .field_tower import ExtensionParams, LElement, l_valuation
-from .hopf_dual import DualElement, z_monomial
+from .hopf_dual import DualElement
 from .hopf_primal import HopfParams
 
 STATUS_OK = "ok"
@@ -216,16 +216,17 @@ def integer_certificate_check(rho: LElement, ctx: ScaffoldContext) -> Certificat
 
     Applies every monomial z_1^{j_0} ... z_{p^{n-1}}^{j_{n-1}} to rho,
     asserting v_L = b*(1 + j) and that the p^n valuations exhaust the
-    residues mod p^n.
+    residues mod p^n.  The images come from action.monomial_images, which
+    forms them along the digit trie: each is one generator z_{p^s} applied
+    to an earlier image, p^n - 1 single-generator act calls in all.
     """
     ext, hopf = ctx.ext, ctx.hopf
     if l_valuation(rho, ext) != ext.b:
         raise ValueError(f"v_L(rho) = {l_valuation(rho, ext)} but the certificate needs {ext.b}")
     pn = ext.degree
     records = []
-    for j in range(pn):
+    for j, image in enumerate(monomial_images(rho, ext, hopf)):
         digits = padic_digits(j, ext.p, ext.n)
-        image = act(z_monomial(digits, hopf), rho, ext, hopf)
         val = l_valuation(image, ext)
         expected = ext.b * (1 + j)
         records.append(CertificateRecord(digits, j, val, expected, val == expected))

@@ -14,13 +14,29 @@ from hopfscaffold import (
     dual_mult,
     l_mul,
     l_valuation,
+    lambda_element,
+    monomial_images,
     padic_digits,
     scaffold_context,
     tolerance,
     verify_scaffold,
+    z_monomial,
 )
+from hopfscaffold.hopf_dual import trie_step
 
 from oracles import acceptance_tuples, coaction_by_expansion, rand_laurent, rand_lelement, standard_pair
+
+
+def _certificate_rung(p, n, r, b, v):
+    # the perfbench certificate rungs: beta = T^-b, f = T^v
+    return ExtensionParams.monogenic(p, n, b), HopfParams(p, n, r, LaurentPoly.monomial(p, v))
+
+
+CERTIFICATE_RUNGS = {
+    "R16": _certificate_rung(2, 4, 2, 1, 3),
+    "R27": _certificate_rung(3, 3, 2, 2, 4),
+    "R32": _certificate_rung(2, 5, 3, 3, 4),
+}
 
 
 @pytest.fixture
@@ -172,13 +188,44 @@ class TestAct:
         assert act(z, y, ext, hopf) == expected
 
     def test_composition_matches_dual_product(self):
+        # (ab)y = a(by) for dense random a and b, at (3,2,1,1) and the certificate rungs
         rng = random.Random(61)
-        ext, hopf = standard_pair(3, 2, 1, 1)
-        for _ in range(8):
-            a = DualElement([LaurentPoly(3, [(rng.randint(-1, 3), rng.randint(0, 2))]) for _ in range(9)])
-            b = DualElement([LaurentPoly(3, [(rng.randint(-1, 3), rng.randint(0, 2))]) for _ in range(9)])
-            y = rand_lelement(rng, ext)
-            assert act(dual_mult(a, b, hopf), y, ext, hopf) == act(a, act(b, y, ext, hopf), ext, hopf)
+        for ext, hopf in [standard_pair(3, 2, 1, 1), *CERTIFICATE_RUNGS.values()]:
+            p, pn = ext.p, ext.degree
+            for _ in range(8):
+                a, b = (
+                    DualElement([LaurentPoly(p, [(rng.randint(-1, 3), rng.randint(0, p - 1))]) for _ in range(pn)])
+                    for _ in range(2)
+                )
+                y = rand_lelement(rng, ext)
+                assert act(dual_mult(a, b, hopf), y, ext, hopf) == act(a, act(b, y, ext, hopf), ext, hopf)
+
+    @pytest.mark.parametrize("rung", sorted(CERTIFICATE_RUNGS))
+    def test_composition_on_trie_pairs(self, rung):
+        # the pairs monomial_images relies on: a = z_{p^s}, b = the digit-(j - p^s)
+        # z-monomial, with a b = b a the digit-j monomial (built here by z_monomial)
+        rng = random.Random(71)
+        ext, hopf = CERTIFICATE_RUNGS[rung]
+        p, n = ext.p, ext.n
+        y = rand_lelement(rng, ext)
+        for j in range(1, ext.degree):
+            parent, s = trie_step(j, p)
+            a = DualElement.z_basis(p**s, hopf)
+            b = z_monomial(padic_digits(parent, p, n), hopf)
+            ab = dual_mult(a, b, hopf)
+            assert ab == dual_mult(b, a, hopf) == z_monomial(padic_digits(j, p, n), hopf)
+            assert act(ab, y, ext, hopf) == act(a, act(b, y, ext, hopf), ext, hopf)
+
+    @pytest.mark.parametrize("rung", ["R16", "R27"])
+    def test_monomial_images_match_direct_action(self, rung):
+        ext, hopf = CERTIFICATE_RUNGS[rung]
+        rng = random.Random(73)
+        ctx = scaffold_context(ext, hopf)
+        for y in (lambda_element(ext.b, ctx), rand_lelement(rng, ext)):
+            images = monomial_images(y, ext, hopf)
+            assert len(images) == ext.degree
+            for j, image in enumerate(images):
+                assert image == act(z_monomial(padic_digits(j, ext.p, ext.n), hopf), y, ext, hopf)
 
     def test_measuring_property(self):
         # z_j(y y') = sum_{i <= j} z_{j-i}(y) z_i(y')
@@ -297,8 +344,6 @@ class TestValuationBehavior:
     def test_iterated_monomial_valuations(self):
         # composite applications add b * sum j_s p^s along surviving digit
         # chains (digitwise j <= i); otherwise the image is zero or deeper
-        from hopfscaffold import z_monomial
-
         ext, hopf = standard_pair(2, 2, 1, 1)
         for j in range(4):
             digits = padic_digits(j, 2, 2)

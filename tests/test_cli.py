@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from hopfscaffold import cli
+from hopfscaffold import base_arith, cli, field_tower, hopf_primal
 from hopfscaffold.scaffold import ScaffoldReport
 
 
@@ -282,3 +282,56 @@ class TestUsage:
         code, _, err = run(capsys, "scaffold-verify", *BASE, "--beta", "T^-2")
         assert code == 2
         assert "beta" in err or "error" in err
+
+
+# a 31-digit p: trial division of it would never finish
+P31 = "1000000000000000000000000000057"
+DEGREE_CAP_COMMANDS = {
+    "scaffold-verify": ("scaffold-verify", []),
+    "freeness": ("freeness", ["--h", "0"]),
+    "act": ("act", ["z_1", "x^1"]),
+    "assoc-order": ("assoc-order", ["--h", "0"]),
+    "atlas": ("atlas", []),
+}
+
+
+class TestDegreeCap:
+    @pytest.mark.parametrize("command", sorted(DEGREE_CAP_COMMANDS))
+    @pytest.mark.parametrize("p,n", [("1000003", "2"), ("2", "40"), (P31, "2")])
+    def test_oversized_degree_exits_2(self, capsys, monkeypatch, command, p, n):
+        def refuse(m):
+            raise AssertionError(f"is_prime({m}) called")
+
+        for module in (base_arith, field_tower, hopf_primal):
+            monkeypatch.setattr(module, "is_prime", refuse)
+        name, rest = DEGREE_CAP_COMMANDS[command]
+        start = time.perf_counter()
+        code, out, err = run(capsys, name, "--p", p, "--n", n, "--r", "1", "--b", "1", "--f-val", "3", *rest)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert f"error: p^n = {p}^{n} exceeds {cli.MAX_DEGREE}" in err
+
+    def test_cap_boundary(self, capsys):
+        # 100^2 is exactly the cap: it passes the cap and is then refused as not prime
+        code, out, err = run(capsys, "atlas", "--p", "100", "--n", "2", "--r", "1", "--b", "1", "--f-val", "3")
+        assert (code, out) == (2, "")
+        assert "exceeds" not in err and "not prime" in err
+        # b = p is invalid too, so a cap that let 101^2 through would fail fast on b
+        code, out, err = run(capsys, "atlas", "--p", "101", "--n", "2", "--r", "1", "--b", "101", "--f-val", "3")
+        assert (code, out) == (2, "")
+        assert "p^n = 101^2 exceeds" in err
+        # the largest accepted powers of 2 and 97 still run
+        code, out, _ = run(capsys, "act", "--p", "2", "--n", "13", "--r", "7", "--b", "1", "--f-val", "3", "z_1", "x^1")
+        assert code == 0
+        assert json.loads(out) == {"result": "1", "v_L": 0}
+        code, out, _ = run(capsys, "act", "--p", "97", "--n", "2", "--r", "1", "--b", "1", "--f-val", "3", "z_1", "x^1")
+        assert code == 0
+        code, _, err = run(capsys, "act", "--p", "2", "--n", "14", "--r", "7", "--b", "2", "--f-val", "3", "z_1", "x^1")
+        assert code == 2
+        assert f"p^n = 2^14 exceeds {cli.MAX_DEGREE}" in err
+
+    def test_small_n_refused_before_the_prime_test(self, capsys):
+        code, out, err = run(capsys, "atlas", "--p", P31, "--n", "0", "--r", "1", "--b", "1", "--f-val", "3")
+        assert (code, out) == (2, "")
+        assert "n must be at least 2" in err

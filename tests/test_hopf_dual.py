@@ -17,7 +17,10 @@ from hopfscaffold import (
     delta_power,
     padic_digits,
     z_monomial,
+    z_monomials,
 )
+from hopfscaffold import hopf_dual
+from hopfscaffold.hopf_dual import _certified_rank, _fraction_free_rank, _rank_mod_t, trie_step
 from hopfscaffold.hopf_primal import DigitKernel
 
 from oracles import rand_laurent, tensor_power_by_expansion
@@ -25,6 +28,10 @@ from oracles import rand_laurent, tensor_power_by_expansion
 
 def hp(p, n, r, f_text):
     return HopfParams(p, n, r, LaurentPoly.from_text(f_text, p))
+
+
+def poly(p, text):
+    return LaurentPoly.from_text(text, p)
 
 
 def z_power(j, m, params):
@@ -203,6 +210,23 @@ class TestZMonomial:
         with pytest.raises(ValueError):
             z_monomial((1,), params)
 
+    def test_trie_step(self):
+        assert trie_step(1, 2) == (0, 0)
+        assert trie_step(6, 2) == (4, 1)
+        assert trie_step(5, 3) == (4, 0)
+        assert trie_step(18, 3) == (9, 2)
+        assert trie_step(9, 3) == (0, 2)
+        with pytest.raises(ValueError):
+            trie_step(0, 3)
+
+    @pytest.mark.parametrize("p,n,r,f_text", [(2, 4, 2, "T^3"), (3, 3, 2, "T^4")])
+    def test_trie_rows_match_z_monomial(self, p, n, r, f_text):
+        params = hp(p, n, r, f_text)
+        monos = z_monomials(params)
+        assert len(monos) == p**n
+        for j, mono in enumerate(monos):
+            assert mono == z_monomial(padic_digits(j, p, n), params)
+
 
 class TestBasisRank:
     @pytest.mark.parametrize(
@@ -214,6 +238,52 @@ class TestBasisRank:
 
     def test_full_rank_nonmonomial_f(self):
         assert dual_basis_rank(hp(2, 2, 1, "T^3 + T^4")) == 4
+
+    @pytest.mark.parametrize(
+        "p,n,r,f_text",
+        [(2, 2, 1, "T^4"), (3, 2, 1, "T^3"), (2, 3, 2, "T^5"), (2, 5, 3, "T^4"), (2, 2, 1, "T^3 + T^4")],
+    )
+    def test_rank_mod_t_agrees_with_bareiss(self, p, n, r, f_text):
+        params = hp(p, n, r, f_text)
+        rows = [list(z_monomial(padic_digits(j, p, n), params).coeffs) for j in range(p**n)]
+        assert _rank_mod_t(rows, p) == _fraction_free_rank(rows, p) == p**n
+
+    @pytest.mark.parametrize("f_text,rank_mod_t,bareiss_calls", [("T^-3", 14, 1), ("T^3", 16, 0)])
+    def test_bareiss_runs_exactly_when_rank_mod_t_falls_short(
+        self, monkeypatch, f_text, rank_mod_t, bareiss_calls
+    ):
+        params = hp(2, 4, 2, f_text)
+        rows = [list(mono.coeffs) for mono in z_monomials(params)]
+        assert _rank_mod_t(rows, 2) == rank_mod_t
+        calls = []
+
+        def counted(rows, p):
+            calls.append(len(rows))
+            return _fraction_free_rank(rows, p)
+
+        monkeypatch.setattr(hopf_dual, "_fraction_free_rank", counted)
+        assert dual_basis_rank(params) == 16
+        assert len(calls) == bareiss_calls
+
+    def test_rows_shift_by_least_valuation(self):
+        # either sign of shift: row 1 reads [1, 0] mod T, row 2 reads [0, 1]
+        rows = [[poly(2, "T^2"), poly(2, "T^3")], [poly(2, "T^-1"), poly(2, "T^-2 + 1")]]
+        assert _rank_mod_t(rows, 2) == 2
+
+    def test_singular_mod_t_but_full_rank(self):
+        rows = [[poly(2, "1"), poly(2, "T")], [poly(2, "1"), poly(2, "T + T^2")]]
+        assert _rank_mod_t(rows, 2) == 1
+        assert _certified_rank(rows, 2) == _fraction_free_rank(rows, 2) == 2
+
+    def test_rank_deficient_matrices(self):
+        rows = [
+            [poly(3, "1"), poly(3, "T"), poly(3, "T^2")],
+            [poly(3, "T"), poly(3, "T^2"), poly(3, "T^3")],
+            [poly(3, "1"), poly(3, "0"), poly(3, "2")],
+        ]
+        assert _certified_rank(rows, 3) == 2
+        rows = [[poly(3, "0"), poly(3, "0")], [poly(3, "T^-1"), poly(3, "1 + T")]]
+        assert _rank_mod_t(rows, 3) == _certified_rank(rows, 3) == 1
 
 
 def test_concurrent_dual_mult_agrees():

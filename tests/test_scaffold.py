@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -8,6 +9,8 @@ from hopfscaffold import (
     HopfParams,
     LaurentPoly,
     LElement,
+    act,
+    dual_basis_rank,
     l_mul,
     l_valuation,
     integer_certificate_check,
@@ -19,6 +22,7 @@ from hopfscaffold import (
     solve_a,
     tolerance,
     verify_scaffold,
+    z_monomial,
 )
 from hopfscaffold.scaffold import STATUS_NO_SCAFFOLD, STATUS_OK
 
@@ -254,6 +258,29 @@ class TestIntegerCertificate:
         ctx = ctx_for(2, 2, 1, 1, 4)
         with pytest.raises(ValueError):
             integer_certificate_check(LElement.one(ctx.ext), ctx)
+
+    @pytest.mark.parametrize("p,n,r,b,f_val", [(2, 4, 2, 1, 3), (3, 3, 2, 2, 4)])
+    def test_valuations_match_direct_action(self, p, n, r, b, f_val):
+        # oracle side: each monomial built by z_monomial and applied to rho in one act call
+        ctx = ctx_for(p, n, r, b, f_val)
+        rho = lambda_element(b, ctx)
+        report = integer_certificate_check(rho, ctx)
+        for rec in report.records:
+            assert tuple(rec.digits) == tuple(padic_digits(rec.j, p, n))
+            image = act(z_monomial(rec.digits, ctx.hopf), rho, ctx.ext, ctx.hopf)
+            assert rec.valuation == l_valuation(image, ctx.ext)
+
+    def test_degree_81_pinned(self):
+        # SHA-256 of the perfbench worker's certificate-plus-rank stdout at
+        # (p, n, r, b, v_K(f)) = (3, 4, 2, 1, 3), recorded before the digit-trie
+        # certificate and the mod-T rank replaced per-monomial products and Bareiss
+        ctx = ctx_for(3, 4, 2, 1, 3)
+        report = integer_certificate_check(lambda_element(1, ctx), ctx)
+        rank = dual_basis_rank(ctx.hopf)
+        assert rank == 81
+        out = json.dumps({"certificate": report.to_json_dict(), "rank": rank}, sort_keys=True) + "\n"
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "06af1c9b604c5919b3a7181640c43568e7307008a35ab8f3118caba3a80d73c7"
 
     def test_monomial_image_valuations_pairwise_incongruent(self):
         ctx = ctx_for(3, 2, 1, 1, 3)
