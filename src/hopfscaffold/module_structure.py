@@ -8,10 +8,27 @@ the break number and p^n the degree, define
 
 computed after normalizing h into the window 0 <= b - h <= p^n - 1 (the
 tables are wrong outside it; d_h(0) can go negative).  Only the
-prod_s (p - j_s) digit-compatible i enter the minimum; _compatible lists
-them digit by digit as integers, and i + j never carries.  The submasks
-of i (the j with j_s <= i_s for every s), over which the generator count
-runs, are the i compatible with p^n - 1 - i.
+prod_s (p - j_s) digit-compatible i enter the minimum, and i + j never
+carries; w_h lists them digit by digit (_compatible) as the definitional
+reference.  The submasks of i are the j with j_s <= i_s for every s.
+
+is_free instead uses closed forms.  Put c = b - h in [0, p^n) and write
+
+    b*k + c = A_k*p^n + alpha(k),    b*j = Q_j*p^n + beta_j,
+
+with alpha, beta in [0, p^n), so d_h(k) = A_k.  For i compatible with j,
+d_h(i + j) - d_h(i) = Q_j + [alpha(i) + beta_j >= p^n].  The i
+compatible with j are the submasks of p^n - 1 - j, so with m(k) the
+minimum of alpha over the submasks of k,
+
+    w_h(j) = Q_j + [m(p^n - 1 - j) + beta_j >= p^n].
+
+For a submask j of i, alpha(i - j) + beta_j reaches p^n exactly when
+beta_j > alpha(i) (alpha(i) is their sum reduced mod p^n).  So i is a
+generator witness iff every nonzero submask j of i has w_h(j) = Q_j and
+beta_j > alpha(i): one more minimum over submasks.  Each minimum over
+submasks is one pass per digit over the p^n-entry table (_submask_min),
+so a report costs O(n*p^n).
 
 The ideal of exponent h is free over its associated order iff w_h = d_h
 pointwise, and the order itself has the basis T^{-w_h(j)} times the
@@ -27,9 +44,10 @@ unit T).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Union
 
-from .base_arith import LaurentPoly, PadicDigits, padic_digits, res_mod
+from .base_arith import LaurentPoly, PadicDigits, res_mod
 from .field_tower import ExtensionParams
 from .hopf_dual import DualElement, z_monomial
 from .hopf_primal import HopfParams
@@ -118,20 +136,47 @@ def generator_count(h: Union[int, IdealIndex], ext: ExtensionParams) -> int:
     such that d_h(i) > d_h(i-j) + w_h(j) for every j > 0 with digitwise
     j_s <= i_s.  The j-range is interpreted as (0, p^n - 1] with the
     digit condition; the count and its witnesses are exposed so the
-    interpretation can be audited.
+    interpretation can be audited.  With alpha, beta and Q as in the
+    module docstring, i counts iff w_h(j) = Q_j and beta_j > alpha(i)
+    for each such j; i = 0 always counts.
     """
     return is_free(h, ext).generator_count
 
 
-def _generator_witnesses(
-    ext: ExtensionParams, d_tab: tuple[int, ...], w_tab: tuple[int, ...]
-) -> list[int]:
-    top = ext.degree - 1
-    return [
-        i
-        for i in range(ext.degree)
-        if all(d_tab[i] > d_tab[i - j] + w_tab[j] for j in _compatible(top - i, ext) if j)
-    ]
+def _submask_min(values: list[int], ext: ExtensionParams) -> list[int]:
+    """values[k] replaced by the minimum of values over the digit-submasks of k.
+
+    One pass per digit: split by the top digit into p rows, take the
+    running minimum down the rows, and write the rows back interleaved,
+    which rotates the top digit to the bottom.  After n passes every digit
+    has been the top one once and the order is restored.
+    """
+    p, size = ext.p, ext.degree // ext.p
+    out = list(values)
+    for _ in range(ext.n):
+        rows = [out[t * size : (t + 1) * size] for t in range(p)]
+        for t in range(1, p):
+            rows[t] = [x if x < y else y for x, y in zip(rows[t], rows[t - 1])]
+        for t, row in enumerate(rows):
+            out[t::p] = row
+    return out
+
+
+def _generator_witnesses(idx: IdealIndex, ext: ExtensionParams, w_tab: tuple[int, ...]) -> list[int]:
+    """The i with d_h(i) > d_h(i-j) + w_h(j) for every nonzero digit-submask j of i.
+
+    With b*i + c = A_i*p^n + alpha(i) and b*j = Q_j*p^n + beta_j, the pair
+    (i, j) passes iff w_h(j) = Q_j and beta_j > alpha(i) (see the module
+    docstring).  So i is a witness iff the minimum over its nonzero
+    submasks j of [beta_j if w_h(j) = Q_j else -1] exceeds alpha(i); the
+    empty minimum is p^n, so i = 0 always is one.
+    """
+    pn, b = ext.degree, ext.b
+    c = b - idx.h_norm
+    low = _submask_min(
+        [pn] + [b * j % pn if w == b * j // pn else -1 for j, w in enumerate(w_tab) if j], ext
+    )
+    return [i for i in range(pn) if low[i] > (b * i + c) % pn]
 
 
 @dataclass(frozen=True)
@@ -161,7 +206,9 @@ class FreenessReport:
     def basis(self) -> tuple[BasisEntry, ...]:
         """The records (digits of j, -w_h(j)), derived from the w table when read."""
         p, n = self.ext.p, self.ext.n
-        return tuple(BasisEntry(padic_digits(j, p, n), -w) for j, w in enumerate(self.w_table))
+        # product() runs the most significant digit slowest, so reversed tuples count up in j
+        digits = product(range(p), repeat=n)
+        return tuple(BasisEntry(PadicDigits(ds[::-1], p), -w) for ds, w in zip(digits, self.w_table))
 
     def to_json_dict(self, ext: ExtensionParams, hopf: Optional[HopfParams] = None) -> dict:
         out = {
@@ -191,12 +238,15 @@ def is_free(h: Union[int, IdealIndex], ext: ExtensionParams) -> FreenessReport:
     the job; when not, witness_j records the first disagreeing index.
     """
     idx = _as_index(h, ext)
-    pn = ext.degree
-    d_tab = tuple(d_h(idx, j, ext) for j in range(pn))
-    w_tab = tuple(min(d_tab[i + j] - d_tab[i] for i in _compatible(j, ext)) for j in range(pn))
+    pn, b = ext.degree, ext.b
+    c = b - idx.h_norm
+    numer = range(c, b * pn + c, b)  # b*k + c = A_k*p^n + alpha(k)
+    d_tab = tuple([v // pn for v in numer])
+    m = _submask_min([v % pn for v in numer], ext)
+    w_tab = tuple([(b * j + m[pn - 1 - j]) // pn for j in range(pn)])
     free = d_tab == w_tab
     witness = next((j for j in range(pn) if d_tab[j] != w_tab[j]), None)
-    count = 1 if free else len(_generator_witnesses(ext, d_tab, w_tab))
+    count = 1 if free else len(_generator_witnesses(idx, ext, w_tab))
     return FreenessReport(idx, d_tab, w_tab, free, witness, count, ext)
 
 

@@ -240,6 +240,18 @@ class TestAtlas:
         assert digest == "6b7157922be7fb2658a798ac00ce14c768a248d0643ca4007128c9b5e9e06763"
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("p,n,r", [(3, 5, 3), (3, 6, 3), (5, 4, 2)])
+    def test_larger_period_pinned(self, capsys, p, n, r):
+        # full-period tables at p^n = 243, 729 and 625 (b = 1)
+        digests = {
+            243: "3e09a6c13321fa5f6a3e12cf6e64430c6dd2b3380c66ba62dddcce3b9b1cc29f",
+            729: "6195fb780d7f02367976d60a9b01b58403803473467af8cd2f5e84346c6b9fad",
+            625: "c6d25e1d19070b7c13aa87a65f2b2cbb7e63fe6547f16b8035c2be8c42fc0a6e",
+        }
+        code, out, _ = run(capsys, "atlas", "--p", str(p), "--n", str(n), "--r", str(r), "--b", "1", "--f-val", "3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[p**n]
+
 
 class TestUsage:
     def test_missing_f_specification(self, capsys):

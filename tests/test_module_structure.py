@@ -18,6 +18,7 @@ from hopfscaffold import (
     padic_digits,
     w_h,
 )
+from hopfscaffold import module_structure
 from hopfscaffold.module_structure import _generator_witnesses
 
 from oracles import brute_generator_witnesses, brute_w, standard_pair
@@ -112,6 +113,17 @@ def test_w_property(case):
     assert w_h(h, 0, ext) == 0
 
 
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2), (7, 2)])
+def test_submask_min_matches_definition(p, n):
+    ext = ExtensionParams.monogenic(p, n, 1)
+    values = [(37 * k + 11) % 101 for k in range(p**n)]
+    expected = [
+        min(values[j] for j in range(p**n) if all(a <= c for a, c in zip(padic_digits(j, p, n), padic_digits(k, p, n))))
+        for k in range(p**n)
+    ]
+    assert module_structure._submask_min(values, ext) == expected
+
+
 class TestAgainstOracles:
     # every table of the report against the exhaustive oracles
     @staticmethod
@@ -124,7 +136,7 @@ class TestAgainstOracles:
         assert report.free == (d_tab == w_tab)
         assert report.witness_j == next((j for j in range(ext.degree) if d_tab[j] != w_tab[j]), None)
         witnesses = brute_generator_witnesses(h, w_tab, ext)
-        assert _generator_witnesses(ext, report.d_table, report.w_table) == witnesses
+        assert _generator_witnesses(report.h, ext, report.w_table) == witnesses
         assert report.generator_count == (1 if report.free else len(witnesses))
 
     @pytest.mark.parametrize("p,n,b", [(3, 3, 1), (3, 3, 2), (2, 4, 3), (2, 5, 3)])
@@ -139,7 +151,43 @@ class TestAgainstOracles:
             self.check(h, ext)
 
 
+# ExtensionParams needs n >= 2; keep p^n <= 125 so the oracles stay quick
+_MAX_N = {2: 6, 3: 4, 5: 3, 7: 2}
+
+
+@st.composite
+def _report_case(draw):
+    p = draw(st.sampled_from(tuple(_MAX_N)))
+    n = draw(st.integers(2, _MAX_N[p]))
+    b = draw(st.integers(1, 2 * p**n).filter(lambda v: v % p))
+    h = draw(st.integers(-3 * p**n, 3 * p**n))
+    j = draw(st.integers(0, p**n - 1))
+    return ExtensionParams.monogenic(p, n, b), h, j
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_report_case())
+def test_report_property(case):
+    # the whole report against the exhaustive oracles, and is_free's w
+    # table against the definitional w_h
+    ext, h, j = case
+    TestAgainstOracles.check(h, ext)
+    assert is_free(h, ext).w_table[j] == w_h(h, j, ext)
+
+
 class TestIsFree:
+    @pytest.mark.parametrize("p,n,b", [(3, 4, 1), (2, 5, 3)])
+    def test_tables_enumerate_no_compatible_sets(self, monkeypatch, p, n, b):
+        # the w table and the witnesses come from submask transforms over
+        # the whole digit lattice, never from a per-j list of compatible i
+        def forbidden(j, ext):
+            raise AssertionError(f"is_free listed the i compatible with j = {j}")
+
+        monkeypatch.setattr(module_structure, "_compatible", forbidden)
+        ext = ExtensionParams.monogenic(p, n, b)
+        reports = [is_free(h, ext) for h in range(b - p**n + 1, b + 1)]
+        assert any(not report.free for report in reports)
+
     def test_b1_small_classification(self, ext221):
         assert [is_free(h, ext221).free for h in (-2, -1, 0, 1)] == [False, True, True, True]
 
