@@ -11,10 +11,6 @@ associated orders.
 from .base_arith import (
     INF,
     LaurentPoly,
-    PadicDigits,
-    PrimeFieldScalar,
-    binomial_mod_p,
-    inverse_mod_p,
     padic_digits,
     res_mod,
 )
@@ -30,13 +26,10 @@ from .field_tower import (
 from .hopf_primal import (
     HElement,
     HopfParams,
-    TensorHH,
     antipode,
     counit,
     delta_power,
-    delta_t,
     h_mul,
-    tensor_mul,
 )
 from .hopf_dual import (
     DualElement,
@@ -48,7 +41,7 @@ from .hopf_dual import (
     z_monomial,
     z_monomials,
 )
-from .action import CoactionImage, act, act_fast, coaction, monomial_images
+from .action import act, act_fast, monomial_images
 from .scaffold import (
     CertificateReport,
     ScaffoldCheck,

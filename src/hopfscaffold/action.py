@@ -6,9 +6,12 @@ The coaction sends the field generator x to
 
 and extends multiplicatively (it is a K-algebra map).  A dual element
 then acts on y by pairing it against the t-components of the coaction
-image.  Only this coaction is implemented; the family of alternatives
-obtained by rescaling the generators coincides with it after a parameter
-change, so callers realize those by substituting (beta, f).
+image.  Since z_k pairs with t^k as the Kronecker delta, the t^k
+component of the coaction image of y is act(z_k, y); act is the one path
+to the coaction, and no coaction image is materialized.  Only this
+coaction is implemented; the family of alternatives obtained by
+rescaling the generators coincides with it after a parameter change, so
+callers realize those by substituting (beta, f).
 
 The images come from hopf_primal.DigitKernel with fold constant beta, the
 kernel that gives Delta(t^i) with beta = 0.  act prunes every partial
@@ -18,28 +21,15 @@ z-monomial to one element along the digit trie of hopf_dual.trie_step,
 one generator per monomial.
 
 For the generators z_{p^s} with s <= r the action on x-monomials has a
-closed form (act_fast), used as an independent cross-check of the generic
-coaction path.
+closed form (act_fast), used as an independent cross-check of act.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .base_arith import LaurentPoly, padic_digits
+from .base_arith import LaurentPoly
 from .field_tower import ExtensionParams, LElement
 from .hopf_dual import DualElement, trie_step
 from .hopf_primal import DigitKernel, HopfParams
-
-
-@dataclass(frozen=True)
-class CoactionImage:
-    """Image of an element of L in L (x) H: one LElement per t-power."""
-
-    components: tuple[LElement, ...]
-
-    def component(self, k: int) -> LElement:
-        return self.components[k]
 
 
 def _check_compat(ext: ExtensionParams, hopf: HopfParams, y: LElement | None = None) -> None:
@@ -47,28 +37,6 @@ def _check_compat(ext: ExtensionParams, hopf: HopfParams, y: LElement | None = N
         raise ValueError("extension and Hopf parameters must share p and n")
     if y is not None and (y.p != ext.p or len(y.coeffs) != ext.degree):
         raise ValueError("field element does not belong to the extension")
-
-
-def _to_lelement(coeffs: dict[int, LaurentPoly], zero: LaurentPoly, pn: int) -> LElement:
-    out = [zero] * pn
-    for x, c in coeffs.items():
-        out[x] = c
-    return LElement(out)
-
-
-def coaction(y: LElement, ext: ExtensionParams, hopf: HopfParams) -> CoactionImage:
-    """Coaction image of y: every t-component of the digit-factored images of its x-powers."""
-    _check_compat(ext, hopf, y)
-    pn = ext.degree
-    kernel = DigitKernel(hopf, ext.beta, pn - 1)
-    comps: list[dict[int, LaurentPoly]] = [{} for _ in range(pn)]
-    for i, c in y.nonzero_items():
-        for (x, t), coeff in kernel.image(i).items():
-            comp = comps[t]
-            term = c * coeff
-            comp[x] = comp[x] + term if x in comp else term
-    zero = LaurentPoly._from_reduced(ext.p, {})
-    return CoactionImage(tuple(_to_lelement(comp, zero, pn) for comp in comps))
 
 
 def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> LElement:
@@ -92,7 +60,10 @@ def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> 
             if w is not None:
                 term = c * w * coeff
                 out[x] = out[x] + term if x in out else term
-    return _to_lelement(out, zero, pn)
+    coeffs = [zero] * pn
+    for x, c in out.items():
+        coeffs[x] = c
+    return LElement(coeffs)
 
 
 def monomial_images(y: LElement, ext: ExtensionParams, hopf: HopfParams) -> list[LElement]:
@@ -120,7 +91,7 @@ def act_fast(s: int, i: int, ext: ExtensionParams, hopf: HopfParams) -> LElement
     use act for the generic path.
     """
     _check_compat(ext, hopf)
-    p, n, r = ext.p, ext.n, hopf.r
+    p, r = ext.p, hopf.r
     pn = ext.degree
     if not 0 <= s <= r:
         raise ValueError(f"no closed form for s = {s}; need 0 <= s <= r = {r}")
@@ -128,7 +99,7 @@ def act_fast(s: int, i: int, ext: ExtensionParams, hopf: HopfParams) -> LElement
         raise ValueError(f"x-exponent {i} out of range [0, {pn})")
     if i == 0:
         return LElement.zero(ext)
-    digit = padic_digits(i, p, n)[s]
+    digit = i // p**s % p
     out = LElement.zero(ext)
     if digit:
         out = out + LElement.x_power(i - p**s, ext, digit)

@@ -1,10 +1,13 @@
-"""Exact arithmetic over the prime field F_p and its Laurent polynomial ring.
+"""Exact Laurent polynomial arithmetic over F_p, and the coefficient-vector core.
 
-Base coefficient field is F_p (p prime).  Elements of the local field
-K = F_p((T)) that the rest of the package touches are always finitely
-supported, so they are represented exactly as Laurent polynomials in the
-uniformizer T.  The T-adic valuation of the zero element is the explicit
-sentinel ``INF`` (math.inf), never an encoded integer.
+Base coefficient field is F_p (p prime); its elements are plain ints
+reduced into [0, p).  Elements of the local field K = F_p((T)) that the
+rest of the package touches are always finitely supported, so they are
+represented exactly as Laurent polynomials in the uniformizer T.  The
+T-adic valuation of the zero element is the explicit sentinel ``INF``
+(math.inf), never an encoded integer.  CoeffVector is the base of the
+element types of L, H and the dual of H; padic_digits and res_mod are
+the integer helpers.
 
 All values are immutable and all operations are pure; instances may be
 shared freely between threads.
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TypeVar, Union
 
 INF = math.inf
@@ -36,49 +38,6 @@ def is_prime(m: int) -> bool:
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-
-
-@dataclass(frozen=True)
-class PrimeFieldScalar:
-    """An element of F_p, stored as its least nonnegative residue."""
-
-    value: int
-    p: int
-
-    def __post_init__(self) -> None:
-        _require_prime(self.p)
-        if not 0 <= self.value < self.p:
-            raise ValueError(f"scalar {self.value} not reduced mod {self.p}")
-
-    def _coerce(self, other: "PrimeFieldScalar") -> None:
-        if not isinstance(other, PrimeFieldScalar) or other.p != self.p:
-            raise ValueError("prime field modulus mismatch")
-
-    def __add__(self, other: "PrimeFieldScalar") -> "PrimeFieldScalar":
-        self._coerce(other)
-        return PrimeFieldScalar((self.value + other.value) % self.p, self.p)
-
-    def __sub__(self, other: "PrimeFieldScalar") -> "PrimeFieldScalar":
-        self._coerce(other)
-        return PrimeFieldScalar((self.value - other.value) % self.p, self.p)
-
-    def __mul__(self, other: "PrimeFieldScalar") -> "PrimeFieldScalar":
-        self._coerce(other)
-        return PrimeFieldScalar((self.value * other.value) % self.p, self.p)
-
-    def __neg__(self) -> "PrimeFieldScalar":
-        return PrimeFieldScalar((-self.value) % self.p, self.p)
-
-    def inverse(self) -> "PrimeFieldScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse in F_p")
-        return PrimeFieldScalar(pow(self.value, -1, self.p), self.p)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __repr__(self) -> str:
-        return f"F{self.p}({self.value})"
 
 
 class LaurentPoly:
@@ -154,9 +113,6 @@ class LaurentPoly:
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(self._terms.items())
 
-    def coefficient(self, exp: int) -> PrimeFieldScalar:
-        return PrimeFieldScalar(self._terms.get(exp, 0), self.p)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -192,7 +148,7 @@ class LaurentPoly:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: Union["LaurentPoly", int, PrimeFieldScalar]) -> "LaurentPoly":
+    def __mul__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         if isinstance(other, int):
             p = self.p
             acc = {}
@@ -201,10 +157,6 @@ class LaurentPoly:
                 if c:
                     acc[e] = c
             return LaurentPoly._from_reduced(p, acc)
-        if isinstance(other, PrimeFieldScalar):
-            if other.p != self.p:
-                raise ValueError("modulus mismatch")
-            return self * other.value
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
@@ -331,10 +283,9 @@ class CoeffVector:
     """Immutable vector of LaurentPoly coefficients over one F_p.
 
     The shared core of the element types: L in the powers of x, the Hopf
-    algebra in the powers of t, its dual in the z_j, and the tensor square
-    as a flat row-major matrix.  Addition and equality only combine two
-    vectors of the same class, so elements of different spaces never mix.
-    Subclasses add no per-instance dictionary.
+    algebra in the powers of t, and its dual in the z_j.  Addition and
+    equality only combine two vectors of the same class, so elements of
+    different spaces never mix.  Subclasses add no per-instance dictionary.
 
     The ``params`` argument of the constructors is any object with ``p``
     and ``degree`` (ExtensionParams or HopfParams).
@@ -415,34 +366,7 @@ class CoeffVector:
         return hash((self.p, self.coeffs))
 
 
-@dataclass(frozen=True)
-class PadicDigits:
-    """Base-p digit vector (d_0, ..., d_{n-1}) of an integer in [0, p^n)."""
-
-    digits: tuple[int, ...]
-    p: int
-
-    def __post_init__(self) -> None:
-        if any(not 0 <= d < self.p for d in self.digits):
-            raise ValueError("digit out of range")
-
-    def value(self) -> int:
-        total = 0
-        for d in reversed(self.digits):
-            total = total * self.p + d
-        return total
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __getitem__(self, s: int) -> int:
-        return self.digits[s]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.digits)
-
-
-def padic_digits(i: int, p: int, n: int) -> PadicDigits:
+def padic_digits(i: int, p: int, n: int) -> tuple[int, ...]:
     """Digits of i in base p, least significant first, padded to length n."""
     _require_prime(p)
     if not 0 <= i < p**n:
@@ -452,7 +376,7 @@ def padic_digits(i: int, p: int, n: int) -> PadicDigits:
     for _ in range(n):
         v, d = divmod(v, p)
         digits.append(d)
-    return PadicDigits(tuple(digits), p)
+    return tuple(digits)
 
 
 def res_mod(v: int, modulus: int) -> int:
@@ -460,26 +384,3 @@ def res_mod(v: int, modulus: int) -> int:
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     return v % modulus
-
-
-def inverse_mod_p(m: int, p: int) -> PrimeFieldScalar:
-    """Inverse of m in F_p; m must be prime to p."""
-    _require_prime(p)
-    if m % p == 0:
-        raise ValueError(f"{m} is divisible by {p}, no inverse")
-    return PrimeFieldScalar(pow(m % p, -1, p), p)
-
-
-def binomial_mod_p(i: int, k: int, p: int) -> PrimeFieldScalar:
-    """C(i, k) mod p via the digitwise product of base-p digit binomials."""
-    _require_prime(p)
-    if not 0 <= k <= i:
-        raise ValueError(f"binomial index k={k} out of range [0, {i}]")
-    total = 1
-    while i or k:
-        i, di = divmod(i, p)
-        k, dk = divmod(k, p)
-        total = total * math.comb(di, dk) % p
-        if total == 0:
-            break
-    return PrimeFieldScalar(total, p)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from typing import Sequence, Union
 
-from .base_arith import CoeffVector, LaurentPoly, PadicDigits
+from .base_arith import CoeffVector, LaurentPoly
 from .field_tower import _split_top_level
 from .hopf_primal import DigitKernel, HElement, HopfParams
 
@@ -93,7 +93,7 @@ def dual_mult(a: DualElement, b: DualElement, hopf: HopfParams) -> DualElement:
     return DualElement(out)
 
 
-def z_monomial(digits: Union[PadicDigits, Sequence[int]], hopf: HopfParams) -> DualElement:
+def z_monomial(digits: Sequence[int], hopf: HopfParams) -> DualElement:
     """The product z_1^{j_0} z_p^{j_1} ... z_{p^{n-1}}^{j_{n-1}}.
 
     Factors are multiplied left to right in ascending generator order;

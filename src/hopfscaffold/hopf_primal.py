@@ -9,18 +9,18 @@ with counit t |-> 0 and antipode t |-> -t.  The constraint n <= 2r makes
 t^{p^r} primitive (the twist terms of its comultiplication die under the
 truncation t^{p^n} = 0), which is what coassociativity rests on.
 
-Delta(t^i) is the image of u^i under DigitKernel with beta = 0.  That
-digit-factored kernel is shared with the coaction of L (see action), which
-is the same formula with x^{p^n} = beta in place of u^{p^n} = 0.  The
-closed multinomial expansion of the powers is exercised independently by
-the test suite as a differential oracle, not used here.
+Elements of H (x) H are sparse maps {(a, b): coefficient of t^a (x) t^b}
+holding nonzero terms only.  Delta(t^i) is the image of u^i under
+DigitKernel with beta = 0, and Delta(t) is delta_power(1).  That
+digit-factored kernel is shared with the coaction of L (see action),
+which is the same formula with x^{p^n} = beta in place of u^{p^n} = 0.
+The closed multinomial expansion of the powers is exercised
+independently by the test suite as a differential oracle, not used here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from .base_arith import CoeffVector, LaurentPoly, is_prime
 
@@ -92,47 +92,6 @@ def antipode(h: HElement) -> HElement:
     return HElement([c * ((-1) ** i) for i, c in enumerate(h.coeffs)])
 
 
-class TensorHH(CoeffVector):
-    """Dense p^n x p^n matrix over K, flat and row-major; entry (a, b) is the t^a (x) t^b coefficient."""
-
-    __slots__ = ("dim",)
-
-    def __init__(self, coeffs: Sequence[LaurentPoly]):
-        super().__init__(coeffs)
-        dim = math.isqrt(len(self.coeffs))
-        if dim * dim != len(self.coeffs):
-            raise ValueError("tensor matrix must be square")
-        object.__setattr__(self, "dim", dim)
-
-    @classmethod
-    def zero(cls, hopf: HopfParams) -> "TensorHH":
-        return cls.from_entries(hopf.p, hopf.degree, {})
-
-    @classmethod
-    def unit(cls, p: int, dim: int) -> "TensorHH":
-        """The identity 1 (x) 1 of the tensor square algebra."""
-        return cls.from_entries(p, dim, {(0, 0): LaurentPoly._from_reduced(p, {0: 1})})
-
-    @classmethod
-    def from_entries(cls, p: int, dim: int, entries: dict[tuple[int, int], LaurentPoly]) -> "TensorHH":
-        coeffs = [LaurentPoly._from_reduced(p, {})] * (dim * dim)
-        for (a, b), c in entries.items():
-            coeffs[a * dim + b] = c
-        return cls(coeffs)
-
-    def entry(self, a: int, b: int) -> LaurentPoly:
-        return self.coeffs[a * self.dim + b]
-
-    def nonzero(self) -> Iterator[tuple[int, int, LaurentPoly]]:
-        for k, c in self.nonzero_items():
-            a, b = divmod(k, self.dim)
-            yield a, b, c
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"({a},{b}): {c}" for a, b, c in self.nonzero()) or "0"
-        return f"TensorHH[{self.dim}]({body})"
-
-
 def twist_coefficients(hopf: HopfParams) -> list[tuple[int, LaurentPoly]]:
     """The pairs (l, f/(l!(p-l)!)) for l = 1 ... p-1: the twist term's coefficients."""
     p = hopf.p
@@ -145,34 +104,6 @@ def twist_coefficients(hopf: HopfParams) -> list[tuple[int, LaurentPoly]]:
             denom = denom * k % p
         out.append((ell, hopf.f * pow(denom, -1, p)))
     return out
-
-
-def delta_t(hopf: HopfParams) -> TensorHH:
-    """Comultiplication of the generator t as a tensor matrix."""
-    p = hopf.p
-    one = LaurentPoly._from_reduced(p, {0: 1})
-    entries: dict[tuple[int, int], LaurentPoly] = {(1, 0): one, (0, 1): one}
-    pr = p**hopf.r
-    for ell, coeff in twist_coefficients(hopf):
-        entries[(pr * ell, pr * (p - ell))] = coeff
-    return TensorHH.from_entries(p, hopf.degree, entries)
-
-
-def tensor_mul(a: TensorHH, b: TensorHH) -> TensorHH:
-    """Componentwise product in H(x)H; exponents at or above p^n are dropped."""
-    if a.p != b.p or a.dim != b.dim:
-        raise ValueError("incompatible tensors")
-    dim = a.dim
-    acc: dict[tuple[int, int], LaurentPoly] = {}
-    for a1, b1, c1 in a.nonzero():
-        for a2, b2, c2 in b.nonzero():
-            ta, tb = a1 + a2, b1 + b2
-            if ta >= dim or tb >= dim:
-                continue
-            prod = c1 * c2
-            key = (ta, tb)
-            acc[key] = acc[key] + prod if key in acc else prod
-    return TensorHH.from_entries(a.p, dim, acc)
 
 
 # An element of A (x) H as {(A-exponent, t-exponent): nonzero coefficient}.
@@ -248,9 +179,13 @@ class DigitKernel:
         return self.powers[0][0] if image is None else image
 
 
-def delta_power(i: int, hopf: HopfParams) -> TensorHH:
-    """Comultiplication of t^i: the digit kernel's image of u^i with beta = 0."""
+def delta_power(i: int, hopf: HopfParams) -> Sparse:
+    """Comultiplication of t^i as {(a, b): coefficient of t^a (x) t^b}, nonzero terms only.
+
+    The digit kernel's image of u^i with beta = 0: exponents at or above
+    p^n on either leg vanish in H.  The map is built afresh on each call.
+    """
     if not 0 <= i < hopf.degree:
         raise ValueError(f"power {i} out of range [0, {hopf.degree})")
     zero = LaurentPoly._from_reduced(hopf.p, {})
-    return TensorHH.from_entries(hopf.p, hopf.degree, DigitKernel(hopf, zero, hopf.degree - 1).image(i))
+    return DigitKernel(hopf, zero, hopf.degree - 1).image(i)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Union
 
-from .base_arith import LaurentPoly, PadicDigits, res_mod
+from .base_arith import LaurentPoly, res_mod
 from .field_tower import ExtensionParams
 from .hopf_dual import DualElement, z_monomial
 from .hopf_primal import HopfParams
@@ -183,7 +183,7 @@ def _generator_witnesses(idx: IdealIndex, ext: ExtensionParams, w_tab: tuple[int
 class BasisEntry:
     """One associated-order basis record: generator digits and T-shift."""
 
-    digits: PadicDigits
+    digits: tuple[int, ...]
     shift: int
 
     def to_json_dict(self) -> dict:
@@ -208,7 +208,7 @@ class FreenessReport:
         p, n = self.ext.p, self.ext.n
         # product() runs the most significant digit slowest, so reversed tuples count up in j
         digits = product(range(p), repeat=n)
-        return tuple(BasisEntry(PadicDigits(ds[::-1], p), -w) for ds, w in zip(digits, self.w_table))
+        return tuple(BasisEntry(ds[::-1], -w) for ds, w in zip(digits, self.w_table))
 
     def to_json_dict(self, ext: ExtensionParams, hopf: Optional[HopfParams] = None) -> dict:
         out = {

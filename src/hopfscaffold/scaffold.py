@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .action import act, monomial_images
-from .base_arith import LaurentPoly, PadicDigits, padic_digits, res_mod
+from .base_arith import LaurentPoly, padic_digits, res_mod
 from .field_tower import ExtensionParams, LElement, l_valuation
 from .hopf_dual import DualElement
 from .hopf_primal import HopfParams
@@ -160,7 +160,7 @@ def verify_scaffold(ctx: ScaffoldContext) -> ScaffoldReport:
         z = DualElement.z_basis(ext.p**s, hopf)
         step = ext.p**s * ext.b
         for j in range(pn):
-            digit = padic_digits(res_mod(ctx.a * j, pn), ext.p, ext.n)[s]
+            digit = res_mod(ctx.a * j, pn) // ext.p**s % ext.p
             image = act(z, lambda_element(j, ctx), ext, hopf)
             threshold = j + step + tol
             if digit > 0:
@@ -171,7 +171,6 @@ def verify_scaffold(ctx: ScaffoldContext) -> ScaffoldReport:
                 unit = None
                 passed = l_valuation(image, ext) >= threshold
             checks.append(ScaffoldCheck(s, j, digit, unit, passed))
-    checks.sort(key=lambda c: (c.s, c.j))
     return ScaffoldReport(
         ext, hopf, ctx.a, tol, STATUS_OK, tuple(checks), all(c.passed for c in checks)
     )
@@ -179,7 +178,7 @@ def verify_scaffold(ctx: ScaffoldContext) -> ScaffoldReport:
 
 @dataclass(frozen=True)
 class CertificateRecord:
-    digits: PadicDigits
+    digits: tuple[int, ...]
     j: int
     valuation: Union[int, float]
     expected: int

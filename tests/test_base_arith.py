@@ -6,9 +6,6 @@ import pytest
 from hopfscaffold import (
     INF,
     LaurentPoly,
-    PrimeFieldScalar,
-    binomial_mod_p,
-    inverse_mod_p,
     padic_digits,
     res_mod,
 )
@@ -114,55 +111,6 @@ def test_exact_div_rejects_series_quotients():
         lp("T", 2).exact_div(LaurentPoly.zero(2))
 
 
-class TestInverseModP:
-    def test_small(self):
-        assert inverse_mod_p(2, 5) == PrimeFieldScalar(3, 5)
-
-    def test_wilson(self):
-        # (p-1)! is its own inverse companion: inverse equals p-1
-        for p in (2, 3, 5, 7, 11):
-            fact = 1
-            for k in range(2, p):
-                fact = fact * k % p
-            assert inverse_mod_p(fact, p) == PrimeFieldScalar(p - 1, p)
-
-    def test_identity(self):
-        assert inverse_mod_p(1, 7) == PrimeFieldScalar(1, 7)
-
-    def test_exhaustive_small_primes(self):
-        for p in (2, 3, 5, 7):
-            for m in range(1, p):
-                assert inverse_mod_p(m, p).value * m % p == 1
-
-    def test_rejects_multiple_of_p(self):
-        with pytest.raises(ValueError):
-            inverse_mod_p(10, 5)
-
-
-class TestBinomialModP:
-    def test_small(self):
-        assert binomial_mod_p(3, 1, 2) == PrimeFieldScalar(1, 2)
-
-    def test_against_exact_integer_binomial(self):
-        # frozen spec value first: C(6,3) = 20 = 2 mod 3
-        assert binomial_mod_p(6, 3, 3) == PrimeFieldScalar(2, 3)
-        for p, bound in ((2, 2**4), (3, 3**4), (5, 5**3)):
-            for i in range(bound):
-                for k in range(i + 1):
-                    assert binomial_mod_p(i, k, p).value == math.comb(i, k) % p
-
-    def test_prime_power_diagonal(self):
-        for p in (2, 3, 5):
-            for s in range(4):
-                assert binomial_mod_p(p**s, p**s, p).value == 1
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            binomial_mod_p(3, 4, 2)
-        with pytest.raises(ValueError):
-            binomial_mod_p(3, -1, 2)
-
-
 def test_lucas_digit_identity():
     # C(i, p^s) mod p equals the s-th base-p digit of i
     for p in (2, 3, 5):
@@ -171,7 +119,7 @@ def test_lucas_digit_identity():
             digits = padic_digits(i, p, n)
             for s in range(n):
                 if p**s <= i:
-                    assert binomial_mod_p(i, p**s, p).value == digits[s]
+                    assert math.comb(i, p**s) % p == digits[s]
                 else:
                     assert digits[s] == 0
 
@@ -193,13 +141,18 @@ class TestPadicDigits:
             p = rng.choice((2, 3, 5))
             n = rng.randint(1, 4)
             i = rng.randrange(p**n)
-            assert padic_digits(i, p, n).value() == i
+            assert sum(d * p**s for s, d in enumerate(padic_digits(i, p, n))) == i
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             padic_digits(4, 2, 2)
         with pytest.raises(ValueError):
             padic_digits(-1, 2, 2)
+
+    def test_plain_tuple_with_checked_base(self):
+        assert type(padic_digits(5, 3, 2)) is tuple
+        with pytest.raises(ValueError):
+            padic_digits(1, 4, 2)
 
 
 class TestResMod:
@@ -215,25 +168,6 @@ class TestResMod:
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
             res_mod(3, 0)
-
-
-class TestScalar:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PrimeFieldScalar(5, 5)
-        with pytest.raises(ValueError):
-            PrimeFieldScalar(0, 4)
-
-    def test_arithmetic(self):
-        a, b = PrimeFieldScalar(3, 5), PrimeFieldScalar(4, 5)
-        assert a + b == PrimeFieldScalar(2, 5)
-        assert a * b == PrimeFieldScalar(2, 5)
-        assert -a == PrimeFieldScalar(2, 5)
-        assert a.inverse() * a == PrimeFieldScalar(1, 5)
-
-    def test_zero_has_no_inverse(self):
-        with pytest.raises(ZeroDivisionError):
-            PrimeFieldScalar(0, 3).inverse()
 
 
 class TestTextFormat:

@@ -1,3 +1,4 @@
+import math
 import random
 import threading
 
@@ -7,19 +8,18 @@ from hopfscaffold import (
     HElement,
     HopfParams,
     LaurentPoly,
-    TensorHH,
     antipode,
     counit,
     delta_power,
-    delta_t,
     h_mul,
-    tensor_mul,
 )
+from hopfscaffold.hopf_primal import DigitKernel
 
 from oracles import (
     antipode_convolution_defect,
     coassociativity_sides,
     tensor_power_by_expansion,
+    tensor_product,
 )
 
 AXIOM_RANGE = [(2, 2, 1), (2, 3, 2), (3, 2, 1), (3, 3, 2)]
@@ -27,6 +27,16 @@ AXIOM_RANGE = [(2, 2, 1), (2, 3, 2), (3, 2, 1), (3, 3, 2)]
 
 def hp(p, n, r, f_text="T^3"):
     return HopfParams(p, n, r, LaurentPoly.from_text(f_text, p))
+
+
+def unit(p):
+    """1 (x) 1 as a sparse map."""
+    return {(0, 0): LaurentPoly.one(p)}
+
+
+def entry(d, a, b, p):
+    """The t^a (x) t^b coefficient of a sparse map."""
+    return d.get((a, b), LaurentPoly.zero(p))
 
 
 class TestParams:
@@ -43,71 +53,88 @@ class TestParams:
 class TestDeltaT:
     def test_p2_entries(self):
         params = hp(2, 2, 1, "T^4")
-        d = delta_t(params)
+        d = delta_power(1, params)
         one = LaurentPoly.one(2)
-        assert d.entry(1, 0) == one and d.entry(0, 1) == one
-        assert d.entry(2, 2) == params.f
-        assert sum(1 for _ in d.nonzero()) == 3
+        assert entry(d, 1, 0, params.p) == one and entry(d, 0, 1, params.p) == one
+        assert entry(d, 2, 2, params.p) == params.f
+        assert len(d) == 3
 
     def test_p3_twist_coefficients(self):
         # 1/(1!*2!) = 1/2 = 2 in F_3, at both symmetric slots
         params = hp(3, 2, 1)
-        d = delta_t(params)
+        d = delta_power(1, params)
         expected = params.f * 2
-        assert d.entry(3, 6) == expected
-        assert d.entry(6, 3) == expected
+        assert entry(d, 3, 6, params.p) == expected
+        assert entry(d, 6, 3, params.p) == expected
 
     def test_counit_compatibility(self):
         # contracting either leg with the counit returns the generator
         params = hp(3, 2, 1)
-        d = delta_t(params)
+        d = delta_power(1, params)
         pn = params.degree
-        left = [d.entry(0, b) for b in range(pn)]
-        right = [d.entry(a, 0) for a in range(pn)]
+        left = [entry(d, 0, b, params.p) for b in range(pn)]
+        right = [entry(d, a, 0, params.p) for a in range(pn)]
         t = HElement.t_power(1, params)
         assert HElement(left) == t
         assert HElement(right) == t
 
 
 class TestTensorMul:
+    # the product of H (x) H is DigitKernel.mul with beta = 0 and kmax = p^n - 1
+    @staticmethod
+    def kernel(params):
+        return DigitKernel(params, LaurentPoly.zero(params.p), params.degree - 1)
+
     def test_unit(self):
         params = hp(2, 2, 1)
-        d = delta_t(params)
-        assert tensor_mul(TensorHH.unit(2, params.degree), d) == d
+        d = delta_power(1, params)
+        assert self.kernel(params).mul(unit(2), d) == d == tensor_product(unit(2), d, params.degree)
 
     def test_simple_tensor_product(self):
-        p, dim = 2, 4
-        t_left = TensorHH.from_entries(p, dim, {(1, 0): LaurentPoly.one(p)})
-        t_right = TensorHH.from_entries(p, dim, {(0, 1): LaurentPoly.one(p)})
-        assert tensor_mul(t_left, t_right) == TensorHH.from_entries(
-            p, dim, {(1, 1): LaurentPoly.one(p)}
-        )
+        params = hp(2, 2, 1)
+        one = LaurentPoly.one(2)
+        t_left, t_right = {(1, 0): one}, {(0, 1): one}
+        assert self.kernel(params).mul(t_left, t_right) == {(1, 1): one}
+        assert tensor_product(t_left, t_right, params.degree) == {(1, 1): one}
+
+    def test_kernel_product_drops_exponents_at_or_above_degree(self):
+        params = hp(2, 2, 1)
+        one = LaurentPoly.one(2)
+        for a, b in (({(3, 0): one}, {(1, 0): one}), ({(0, 2): one}, {(1, 2): one})):
+            assert self.kernel(params).mul(a, b) == {} == tensor_product(a, b, params.degree)
 
     @pytest.mark.parametrize("p,n,r", AXIOM_RANGE)
     def test_nilpotency(self, p, n, r):
         # delta is an algebra map and t^{p^n} = 0, so delta(t)^{p^n} = 0
         params = hp(p, n, r)
         power = delta_power(p**n - 1, params)
-        assert tensor_mul(power, delta_t(params)).is_zero()
+        assert tensor_product(power, delta_power(1, params), params.degree) == {}
 
     def test_algebra_map_property(self):
         params = hp(3, 2, 1)
         for i in range(4):
             for j in range(4):
                 if i + j < params.degree:
-                    assert tensor_mul(delta_power(i, params), delta_power(j, params)) == delta_power(
-                        i + j, params
-                    )
+                    assert tensor_product(
+                        delta_power(i, params), delta_power(j, params), params.degree
+                    ) == delta_power(i + j, params)
 
 
 class TestDeltaPower:
     def test_zeroth_power_is_unit(self):
         params = hp(2, 2, 1)
-        assert delta_power(0, params) == TensorHH.unit(2, 4)
+        assert delta_power(0, params) == unit(2)
 
     def test_first_power(self):
-        params = hp(2, 2, 1)
-        assert delta_power(1, params) == delta_t(params)
+        # t(x)1 + 1(x)t + f * sum_l t^{p^r l} (x) t^{p^r (p-l)} / (l!(p-l)!), written out
+        for p, n, r in AXIOM_RANGE:
+            params = hp(p, n, r)
+            one = LaurentPoly.one(p)
+            expected = {(1, 0): one, (0, 1): one}
+            for ell in range(1, p):
+                inv = pow(math.factorial(ell) * math.factorial(p - ell), -1, p)
+                expected[(p**r * ell, p**r * (p - ell))] = params.f * inv
+            assert delta_power(1, params) == expected
 
     @pytest.mark.parametrize("p,n,r", AXIOM_RANGE)
     def test_high_prime_powers_are_primitive(self, p, n, r):
@@ -115,10 +142,15 @@ class TestDeltaPower:
         params = hp(p, n, r)
         one = LaurentPoly.one(p)
         for s in range(max(0, n - r), n):
-            expected = TensorHH.from_entries(
-                p, params.degree, {(p**s, 0): one, (0, p**s): one}
-            )
-            assert delta_power(p**s, params) == expected
+            assert delta_power(p**s, params) == {(p**s, 0): one, (0, p**s): one}
+
+    def test_images_hold_nonzero_terms_only_and_are_fresh(self):
+        params = hp(3, 2, 1, "T^6")
+        for i in range(params.degree):
+            d = delta_power(i, params)
+            assert all(not c.is_zero() for c in d.values())
+            d.clear()
+            assert delta_power(i, params) == tensor_power_by_expansion(i, params)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -203,8 +235,8 @@ class TestHopfAxioms:
         params = hp(p, n, r)
         for i in range(params.degree):
             d = delta_power(i, params)
-            left = HElement([d.entry(0, b) for b in range(params.degree)])
-            right = HElement([d.entry(a, 0) for a in range(params.degree)])
+            left = HElement([entry(d, 0, b, params.p) for b in range(params.degree)])
+            right = HElement([entry(d, a, 0, params.p) for a in range(params.degree)])
             assert left == HElement.t_power(i, params)
             assert right == HElement.t_power(i, params)
 
