@@ -35,8 +35,8 @@ from .hopf_primal import DigitKernel, HopfParams
 def _check_compat(ext: ExtensionParams, hopf: HopfParams, y: LElement | None = None) -> None:
     if ext.p != hopf.p or ext.n != hopf.n:
         raise ValueError("extension and Hopf parameters must share p and n")
-    if y is not None and (y.p != ext.p or len(y.coeffs) != ext.degree):
-        raise ValueError("field element does not belong to the extension")
+    if y is not None:
+        y._check(ext, "field element does not belong to the extension")
 
 
 def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> LElement:
@@ -45,13 +45,10 @@ def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> 
     Only the t-components in the support of z are formed.
     """
     _check_compat(ext, hopf, y)
-    if z.p != ext.p or len(z.coeffs) != ext.degree:
-        raise ValueError("dual element does not belong to the dual algebra")
-    pn = ext.degree
-    zero = LaurentPoly._from_reduced(ext.p, {})
+    z._check(ext, "dual element does not belong to the dual algebra")
     zc = dict(z.nonzero_items())
     if not zc:
-        return LElement([zero] * pn)
+        return LElement.zero(ext)
     kernel = DigitKernel(hopf, ext.beta, max(zc))
     out: dict[int, LaurentPoly] = {}
     for i, c in y.nonzero_items():
@@ -60,10 +57,7 @@ def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> 
             if w is not None:
                 term = c * w * coeff
                 out[x] = out[x] + term if x in out else term
-    coeffs = [zero] * pn
-    for x, c in out.items():
-        coeffs[x] = c
-    return LElement(coeffs)
+    return LElement._from_terms(ext.p, ext.degree, out)
 
 
 def monomial_images(y: LElement, ext: ExtensionParams, hopf: HopfParams) -> list[LElement]:

@@ -5,8 +5,9 @@ reduced into [0, p).  Elements of the local field K = F_p((T)) that the
 rest of the package touches are always finitely supported, so they are
 represented exactly as Laurent polynomials in the uniformizer T.  The
 T-adic valuation of the zero element is the explicit sentinel ``INF``
-(math.inf), never an encoded integer.  CoeffVector is the base of the
-element types of L, H and the dual of H; padic_digits and res_mod are
+(math.inf), never an encoded integer.  CoeffVector is the sparse base
+of the element types of L, H and the dual of H: it stores only the
+nonzero coefficients and the length p^n.  padic_digits and res_mod are
 the integer helpers.
 
 All values are immutable and all operations are pure; instances may be
@@ -280,18 +281,19 @@ _V = TypeVar("_V", bound="CoeffVector")
 
 
 class CoeffVector:
-    """Immutable vector of LaurentPoly coefficients over one F_p.
+    """Immutable sparse vector of LaurentPoly coefficients over one F_p.
 
     The shared core of the element types: L in the powers of x, the Hopf
-    algebra in the powers of t, and its dual in the z_j.  Addition and
-    equality only combine two vectors of the same class, so elements of
-    different spaces never mix.  Subclasses add no per-instance dictionary.
-
-    The ``params`` argument of the constructors is any object with ``p``
-    and ``degree`` (ExtensionParams or HopfParams).
+    algebra in the powers of t, and its dual in the z_j.  Only the nonzero
+    coefficients are stored, in ascending index, with the length
+    ``degree`` = p^n; ``coeffs`` is a dense view built on each read.
+    Addition and equality only combine two vectors of the same class, so
+    elements of different spaces never mix.  Subclasses add no
+    per-instance dictionary.  The ``params`` argument of the constructors
+    is any object with ``p`` and ``degree`` (ExtensionParams or HopfParams).
     """
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "degree", "_terms")
     _index_name = "index"
 
     def __init__(self, coeffs: Sequence[LaurentPoly]):
@@ -302,14 +304,24 @@ class CoeffVector:
         if any(c.p != p for c in coeffs):
             raise ValueError("mixed moduli in coefficient vector")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "degree", len(coeffs))
+        object.__setattr__(self, "_terms", {k: c for k, c in enumerate(coeffs) if not c.is_zero()})
+
+    @classmethod
+    def _from_terms(cls: type[_V], p: int, degree: int, terms: dict[int, LaurentPoly]) -> _V:
+        """Wrap an index -> coefficient map, dropping zeros; unchecked, for results of arithmetic."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "p", p)
+        object.__setattr__(out, "degree", degree)
+        object.__setattr__(out, "_terms", {k: terms[k] for k in sorted(terms) if not terms[k].is_zero()})
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls: type[_V], params) -> _V:
-        return cls([LaurentPoly._from_reduced(params.p, {})] * params.degree)
+        return cls._from_terms(params.p, params.degree, {})
 
     @classmethod
     def _basis(cls: type[_V], k: int, params, coeff: Union[LaurentPoly, int] = 1) -> _V:
@@ -317,53 +329,58 @@ class CoeffVector:
         if not 0 <= k < params.degree:
             raise ValueError(f"{cls._index_name} {k} out of range [0, {params.degree})")
         p = params.p
-        coeffs = [LaurentPoly._from_reduced(p, {})] * params.degree
         if isinstance(coeff, int):
             c = coeff % p
             coeff = LaurentPoly._from_reduced(p, {0: c} if c else {})
-        coeffs[k] = coeff
-        return cls(coeffs)
+        elif coeff.p != p:
+            raise ValueError("mixed moduli in coefficient vector")
+        return cls._from_terms(p, params.degree, {k: coeff})
+
+    @property
+    def coeffs(self) -> tuple[LaurentPoly, ...]:
+        """Dense view: all ``degree`` coefficients, zeros included."""
+        zero = LaurentPoly._from_reduced(self.p, {})
+        return tuple(self._terms.get(k, zero) for k in range(self.degree))
 
     def nonzero_items(self) -> Iterator[tuple[int, LaurentPoly]]:
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                yield k, c
+        """The (index, coefficient) pairs with nonzero coefficient, in ascending index."""
+        return iter(self._terms.items())
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self._terms
 
-    def _check(self, other: "CoeffVector") -> None:
-        if self.p != other.p or len(self.coeffs) != len(other.coeffs):
-            raise ValueError("incompatible elements")
+    def _check(self, other, message: str = "incompatible elements") -> None:
+        """Raise ValueError(message) unless other, a vector or params, has this p and degree."""
+        if self.p != other.p or self.degree != other.degree:
+            raise ValueError(message)
 
     def __add__(self: _V, other: _V) -> _V:
         if type(other) is not type(self):
             return NotImplemented
         self._check(other)
-        return type(self)([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        terms = dict(self._terms)
+        for k, c in other._terms.items():
+            terms[k] = terms[k] + c if k in terms else c
+        return self._from_terms(self.p, self.degree, terms)
 
     def __sub__(self: _V, other: _V) -> _V:
         if type(other) is not type(self):
             return NotImplemented
-        self._check(other)
-        return type(self)([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __neg__(self: _V) -> _V:
-        return type(self)([-c for c in self.coeffs])
+        return self._from_terms(self.p, self.degree, {k: -c for k, c in self._terms.items()})
 
     def scale(self: _V, c: Union[LaurentPoly, int]) -> _V:
         """Multiply by a scalar from K (or an integer acting through F_p)."""
-        return type(self)([coeff * c for coeff in self.coeffs])
+        return self._from_terms(self.p, self.degree, {k: coeff * c for k, coeff in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is type(self)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
+        same = type(other) is type(self)
+        return same and (self.p, self.degree, self._terms) == (other.p, other.degree, other._terms)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.coeffs))
+        return hash((self.p, self.degree, tuple(self._terms.items())))
 
 
 def padic_digits(i: int, p: int, n: int) -> tuple[int, ...]:

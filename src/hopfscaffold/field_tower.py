@@ -3,7 +3,7 @@
 beta is a finitely supported element of K with v_K(beta) = -b < 0 and
 p not dividing b, so L/K is totally ramified of degree p^n and the
 extension valuation satisfies v_L(x) = -b, v_L|_K = p^n * v_K.  Elements
-of L are length-p^n coefficient vectors over K in the powers of x.
+of L are sparse coefficient vectors over K in the powers of x.
 
 Exactness of l_valuation rests on the p^n candidate values
 p^n*v_K(c_i) - b*i being pairwise incongruent mod p^n (as p does not
@@ -89,13 +89,12 @@ def l_mul(a: LElement, b: LElement, ext: ExtensionParams) -> LElement:
             e = i + j
             prod = ci * cj
             conv[e] = conv[e] + prod if e in conv else prod
-    out = [LaurentPoly._from_reduced(ext.p, {})] * pn
+    out: dict[int, LaurentPoly] = {}
     for e, c in conv.items():
-        if e < pn:
-            out[e] = out[e] + c
-        else:
-            out[e - pn] = out[e - pn] + c * ext.beta
-    return LElement(out)
+        if e >= pn:
+            e, c = e - pn, c * ext.beta
+        out[e] = out[e] + c if e in out else c
+    return LElement._from_terms(ext.p, pn, out)
 
 
 def l_valuation(y: LElement, ext: ExtensionParams) -> Union[int, float]:
@@ -162,22 +161,19 @@ def lelement_from_text(text: str, ext: ExtensionParams) -> LElement:
     and bare Laurent terms such as `T^2` or `3`.
     """
     s = "".join(text.split())
-    if s in ("", "0"):
-        return LElement.zero(ext)
     one = LaurentPoly._from_reduced(ext.p, {0: 1})
-    coeffs = [LaurentPoly._from_reduced(ext.p, {})] * ext.degree
+    terms: dict[int, LaurentPoly] = {}
     for term in _split_top_level(s):
         m = _X_TERM_RE.match(term)
         if m is None:
             # bare Laurent term contributes to the x^0 coefficient
-            poly = LaurentPoly.from_text(term, ext.p)
-            coeffs[0] = coeffs[0] + poly
-            continue
-        var = m.group("var1") or m.group("var2")
-        exp = 0 if var is None else (1 if var == "x" else int(var[2:]))
-        if not 0 <= exp < ext.degree:
-            raise ValueError(f"x-exponent {exp} out of range [0, {ext.degree})")
-        coef_text = m.group("coef")
-        poly = one if coef_text is None else LaurentPoly.from_text(coef_text, ext.p)
-        coeffs[exp] = coeffs[exp] + poly
-    return LElement(coeffs)
+            exp, poly = 0, LaurentPoly.from_text(term, ext.p)
+        else:
+            var = m.group("var1") or m.group("var2")
+            exp = 0 if var is None else (1 if var == "x" else int(var[2:]))
+            if not 0 <= exp < ext.degree:
+                raise ValueError(f"x-exponent {exp} out of range [0, {ext.degree})")
+            coef_text = m.group("coef")
+            poly = one if coef_text is None else LaurentPoly.from_text(coef_text, ext.p)
+        terms[exp] = terms[exp] + poly if exp in terms else poly
+    return LElement._from_terms(ext.p, ext.degree, terms)

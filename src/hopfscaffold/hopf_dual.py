@@ -32,7 +32,7 @@ _Z_TERM_RE = re.compile(r"^(?:\((?P<coef>[^()]*)\)\*)?z_(?P<idx>\d+)$")
 
 
 class DualElement(CoeffVector):
-    """Element of the dual algebra as the tuple of z_0 ... z_{p^n-1} coefficients."""
+    """Element of the dual algebra by its nonzero coefficients of z_0 ... z_{p^n-1}."""
 
     __slots__ = ()
     _index_name = "z-index"
@@ -56,14 +56,9 @@ class DualElement(CoeffVector):
 
 def dual_eval(z: DualElement, h: HElement) -> LaurentPoly:
     """Pair a dual element against an element of K[t]/(t^{p^n})."""
-    if z.p != h.p or len(z.coeffs) != len(h.coeffs):
-        raise ValueError("incompatible elements")
-    total = LaurentPoly._from_reduced(z.p, {})
-    for j, c in z.nonzero_items():
-        hc = h.coeffs[j]
-        if not hc.is_zero():
-            total = total + c * hc
-    return total
+    z._check(h)
+    hc = dict(h.nonzero_items())
+    return sum((c * hc[j] for j, c in z.nonzero_items() if j in hc), LaurentPoly._from_reduced(z.p, {}))
 
 
 def dual_mult(a: DualElement, b: DualElement, hopf: HopfParams) -> DualElement:
@@ -75,22 +70,17 @@ def dual_mult(a: DualElement, b: DualElement, hopf: HopfParams) -> DualElement:
     any i above max(a) + max(b), since every term u (x) t^v has u + v >= i.
     """
     for z in (a, b):
-        if z.p != hopf.p or len(z.coeffs) != hopf.degree:
-            raise ValueError("dual element does not belong to the dual algebra")
+        z._check(hopf, "dual element does not belong to the dual algebra")
     ac, bc = dict(a.nonzero_items()), dict(b.nonzero_items())
     if not ac or not bc:
         return DualElement.zero(hopf)
     zero = LaurentPoly._from_reduced(hopf.p, {})
     kernel = DigitKernel(hopf, zero, max(bc))
-    out = [zero] * hopf.degree
+    out: dict[int, LaurentPoly] = {}
     for i in range(min(hopf.degree, max(ac) + max(bc) + 1)):
-        total = zero
-        for (u, v), c in kernel.image(i).items():
-            cu, cv = ac.get(u), bc.get(v)
-            if cu is not None and cv is not None:
-                total = total + cu * cv * c
-        out[i] = total
-    return DualElement(out)
+        pairs = kernel.image(i).items()
+        out[i] = sum((ac[u] * bc[v] * c for (u, v), c in pairs if u in ac and v in bc), zero)
+    return DualElement._from_terms(hopf.p, hopf.degree, out)
 
 
 def z_monomial(digits: Sequence[int], hopf: HopfParams) -> DualElement:
@@ -248,7 +238,7 @@ def dual_from_text(text: str, hopf: HopfParams) -> DualElement:
     if s in ("", "0"):
         return DualElement.zero(hopf)
     one = LaurentPoly._from_reduced(hopf.p, {0: 1})
-    coeffs = [LaurentPoly._from_reduced(hopf.p, {})] * hopf.degree
+    terms: dict[int, LaurentPoly] = {}
     for term in _split_top_level(s):
         m = _Z_TERM_RE.match(term)
         if m is None:
@@ -258,5 +248,5 @@ def dual_from_text(text: str, hopf: HopfParams) -> DualElement:
             raise ValueError(f"z-index {j} out of range [0, {hopf.degree})")
         coef_text = m.group("coef")
         poly = one if coef_text is None else LaurentPoly.from_text(coef_text, hopf.p)
-        coeffs[j] = coeffs[j] + poly
-    return DualElement(coeffs)
+        terms[j] = terms[j] + poly if j in terms else poly
+    return DualElement._from_terms(hopf.p, hopf.degree, terms)

@@ -50,7 +50,7 @@ class HopfParams:
 
 
 class HElement(CoeffVector):
-    """Element of K[t]/(t^{p^n}) as the tuple of t^0 ... t^{p^n - 1} coefficients."""
+    """Element of K[t]/(t^{p^n}) by its nonzero coefficients of t^0 ... t^{p^n - 1}."""
 
     __slots__ = ()
     _index_name = "t-exponent"
@@ -66,20 +66,20 @@ class HElement(CoeffVector):
 
 def h_mul(a: HElement, b: HElement) -> HElement:
     """Product in K[t]/(t^{p^n}): convolution truncated by the nilpotent t."""
-    if a.p != b.p or len(a.coeffs) != len(b.coeffs):
-        raise ValueError("incompatible elements")
-    dim = len(a.coeffs)
-    out = [LaurentPoly._from_reduced(a.p, {})] * dim
+    a._check(b)
+    out: dict[int, LaurentPoly] = {}
     for i, ci in a.nonzero_items():
         for j, cj in b.nonzero_items():
-            if i + j < dim:
-                out[i + j] = out[i + j] + ci * cj
-    return HElement(out)
+            if i + j >= a.degree:
+                break
+            prod = ci * cj
+            out[i + j] = out[i + j] + prod if i + j in out else prod
+    return HElement._from_terms(a.p, a.degree, out)
 
 
 def counit(h: HElement) -> LaurentPoly:
     """The counit, i.e. evaluation t -> 0: the constant coefficient."""
-    return h.coeffs[0]
+    return dict(h.nonzero_items()).get(0, LaurentPoly._from_reduced(h.p, {}))
 
 
 def antipode(h: HElement) -> HElement:
@@ -89,7 +89,7 @@ def antipode(h: HElement) -> HElement:
     axiom; see the test suite, which records the defect f * t^{2^{r+1}}
     rather than adjusting the map.
     """
-    return HElement([c * ((-1) ** i) for i, c in enumerate(h.coeffs)])
+    return HElement._from_terms(h.p, h.degree, {i: -c if i % 2 else c for i, c in h.nonzero_items()})
 
 
 def twist_coefficients(hopf: HopfParams) -> list[tuple[int, LaurentPoly]]:

@@ -75,8 +75,6 @@ class ScaffoldContext:
 
 
 def scaffold_context(ext: ExtensionParams, hopf: HopfParams) -> ScaffoldContext:
-    if ext.p != hopf.p or ext.n != hopf.n:
-        raise ValueError("extension and Hopf parameters must share p and n")
     return ScaffoldContext(ext, hopf, solve_a(ext.b, ext.degree), tolerance(ext, hopf))
 
 

@@ -104,14 +104,27 @@ def coaction_by_expansion(i: int, ext: ExtensionParams, hopf: HopfParams) -> lis
 def schoolbook_l_mul(a: LElement, b: LElement, ext: ExtensionParams) -> LElement:
     """Dense polynomial product followed by explicit beta folding."""
     pn = ext.degree
+    ac, bc = a.coeffs, b.coeffs
     wide = [LaurentPoly.zero(ext.p) for _ in range(2 * pn)]
     for i in range(pn):
         for j in range(pn):
-            wide[i + j] = wide[i + j] + a.coeffs[i] * b.coeffs[j]
+            wide[i + j] = wide[i + j] + ac[i] * bc[j]
     out = list(wide[:pn])
     for e in range(pn, 2 * pn):
         out[e - pn] = out[e - pn] + wide[e] * ext.beta
     return LElement(out)
+
+
+def schoolbook_h_mul(a: HElement, b: HElement) -> HElement:
+    """Dense convolution of the t-coefficient lists, truncated at t^{p^n}: every pair (i, j), zeros too."""
+    ac, bc = a.coeffs, b.coeffs
+    dim = len(ac)
+    out = [LaurentPoly.zero(a.p) for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            if i + j < dim:
+                out[i + j] = out[i + j] + ac[i] * bc[j]
+    return HElement(out)
 
 
 def coassociativity_sides(hopf: HopfParams):

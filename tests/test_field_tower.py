@@ -7,6 +7,7 @@ from hopfscaffold import (
     DualElement,
     ExtensionParams,
     HElement,
+    HopfParams,
     LaurentPoly,
     LElement,
     ideal_membership,
@@ -216,3 +217,58 @@ class TestCoeffVectorDiscipline:
                 y.coeffs = ()
             with pytest.raises(AttributeError):
                 y.extra = 1
+
+    def test_basis_constructors_reject_a_coefficient_of_another_prime(self):
+        ext = ExtensionParams.monogenic(3, 2, 1)
+        hopf = HopfParams(3, 2, 1, LaurentPoly.monomial(3, 3))
+        for coeff in (LaurentPoly.one(2), LaurentPoly.zero(2)):
+            calls = [
+                lambda: LElement.x_power(1, ext, coeff),
+                lambda: LElement.scalar(coeff, ext),
+                lambda: HElement.t_power(1, hopf, coeff),
+                lambda: DualElement.z_basis(1, hopf, coeff),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match="mixed moduli"):
+                    call()
+
+    def test_dense_parsed_and_computed_forms_are_one_value(self):
+        ext = ExtensionParams.monogenic(3, 2, 1)
+        zero, t2, t_inv = LaurentPoly.zero(3), LaurentPoly.monomial(3, 2), LaurentPoly.monomial(3, -1, 2)
+        dense = LElement([zero, t2, zero, zero, zero, t_inv, zero, zero, zero])
+        parsed = lelement_from_text("(T^2)*x + (0)*x^3 + (2*T^-1)*x^5 + (0)", ext)
+        computed = (
+            LElement.x_power(5, ext, LaurentPoly.monomial(3, -1)).scale(2)
+            + LElement.x_power(3, ext, t2)
+            + LElement.x_power(1, ext, t2)
+            - LElement.x_power(3, ext, t2)
+        )
+        for y in (parsed, computed):
+            assert y == dense and hash(y) == hash(dense)
+            assert list(y.nonzero_items()) == [(1, t2), (5, t_inv)]
+            assert y.coeffs == dense.coeffs
+
+    def test_negation_cancels_to_zero(self):
+        rng = random.Random(59)
+        ext = ExtensionParams.monogenic(3, 2, 1)
+        for _ in range(10):
+            y = rand_lelement(rng, ext)
+            for total in (y + (-y), y - y, y.scale(3)):
+                assert total.is_zero() and total == LElement.zero(ext)
+                assert list(total.nonzero_items()) == []
+                assert hash(total) == hash(LElement.zero(ext))
+
+    def test_nonzero_items_ascend_after_a_beta_fold(self):
+        # x^8 * x^3 folds to beta * x^2, which is formed after x^8 * x^0
+        ext = ExtensionParams.monogenic(3, 2, 1)
+        a = lelement_from_text("x^8 + x", ext)
+        b = lelement_from_text("x^3 + 1", ext)
+        y = l_mul(a, b, ext)
+        assert [k for k, _ in y.nonzero_items()] == [1, 2, 4, 8]
+        assert lelement_to_text(y) == "x + (T^-1)*x^2 + x^4 + x^8"
+
+    def test_zero_vectors_of_different_degree_differ(self):
+        small, large = ExtensionParams.monogenic(2, 2, 1), ExtensionParams.monogenic(2, 3, 1)
+        assert LElement.zero(small) != LElement.zero(large)
+        assert LElement.one(small) != LElement.one(large)
+        assert DualElement([LaurentPoly.zero(3)] * 9) != DualElement([LaurentPoly.zero(3)] * 27)

@@ -1,4 +1,4 @@
-"""Property tests: text round-trips and the ring law of L against its schoolbook oracle."""
+"""Property tests: text round-trips, and the products of L, H and the dual against their oracles."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,17 +6,20 @@ from hypothesis import strategies as st
 from hopfscaffold import (
     DualElement,
     ExtensionParams,
+    HElement,
     HopfParams,
     LaurentPoly,
     LElement,
     dual_from_text,
+    dual_mult,
     dual_to_text,
+    h_mul,
     l_mul,
     lelement_from_text,
     lelement_to_text,
 )
 
-from oracles import schoolbook_l_mul
+from oracles import schoolbook_h_mul, schoolbook_l_mul, tensor_power_by_expansion
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -51,12 +54,32 @@ def _l_pair(draw):
     return ext, draw(_lelement(ext)), draw(_lelement(ext))
 
 
+def _vector(cls, hopf: HopfParams):
+    """An element of H or its dual: every coefficient drawn, or at most three nonzero."""
+    pn, zero = hopf.degree, LaurentPoly.zero(hopf.p)
+    dense = st.lists(_laurent(hopf.p, 3), min_size=pn, max_size=pn)
+    sparse = st.dictionaries(st.integers(0, pn - 1), _laurent(hopf.p, 3), max_size=3).map(
+        lambda terms: [terms.get(k, zero) for k in range(pn)]
+    )
+    return st.one_of(dense, sparse).map(cls)
+
+
+@st.composite
+def _hopf(draw):
+    p, n, r = draw(st.sampled_from(((2, 2, 1), (2, 3, 2), (3, 2, 1))))
+    return HopfParams(p, n, r, LaurentPoly.monomial(p, draw(st.integers(-3, 6))))
+
+
 @st.composite
 def _dual_case(draw):
-    p, n, r = draw(st.sampled_from(((2, 2, 1), (2, 3, 2), (3, 2, 1))))
-    hopf = HopfParams(p, n, r, LaurentPoly.monomial(p, draw(st.integers(-3, 6))))
-    coeffs = draw(st.lists(_laurent(p, 3), min_size=hopf.degree, max_size=hopf.degree))
-    return hopf, DualElement(coeffs)
+    hopf = draw(_hopf())
+    return hopf, draw(_vector(DualElement, hopf))
+
+
+@st.composite
+def _pair_case(draw, cls):
+    hopf = draw(_hopf())
+    return hopf, draw(_vector(cls, hopf)), draw(_vector(cls, hopf))
 
 
 @PROPERTY
@@ -87,3 +110,25 @@ def test_dual_text_roundtrip(case):
 def test_l_mul_matches_schoolbook(case):
     ext, y, z = case
     assert l_mul(y, z, ext) == schoolbook_l_mul(y, z, ext)
+
+
+@PROPERTY
+@given(_pair_case(HElement))
+def test_h_mul_matches_schoolbook(case):
+    _, a, b = case
+    assert h_mul(a, b) == schoolbook_h_mul(a, b)
+
+
+@PROPERTY
+@given(_pair_case(DualElement))
+def test_dual_mult_matches_expansion_pairing(case):
+    # the z_i coefficient of a*b pairs a (x) b with Delta(t^i) from the multinomial expansion
+    hopf, a, b = case
+    ac, bc = a.coeffs, b.coeffs
+    expected = []
+    for i in range(hopf.degree):
+        total = LaurentPoly.zero(hopf.p)
+        for (u, v), c in tensor_power_by_expansion(i, hopf).items():
+            total = total + ac[u] * bc[v] * c
+        expected.append(total)
+    assert dual_mult(a, b, hopf) == DualElement(expected)

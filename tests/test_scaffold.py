@@ -5,11 +5,13 @@ import random
 import pytest
 
 from hopfscaffold import (
+    DualElement,
     ExtensionParams,
     HopfParams,
     LaurentPoly,
     LElement,
     act,
+    act_fast,
     dual_basis_rank,
     l_mul,
     l_valuation,
@@ -147,6 +149,20 @@ class TestTolerance:
         ext = ExtensionParams.monogenic(2, 2, 1)
         f = LaurentPoly.from_text("T^4 + T^9", 2)
         assert tolerance(ext, HopfParams(2, 2, 1, f)) == 13
+
+    def test_mismatched_n_rejected_by_every_entry_point(self):
+        # every entry point that takes both parameter sets rejects a mismatch
+        ext = ExtensionParams.monogenic(2, 2, 1)
+        hopf = HopfParams(2, 3, 2, LaurentPoly.monomial(2, 4))
+        calls = [
+            lambda: scaffold_context(ext, hopf),
+            lambda: tolerance(ext, hopf),
+            lambda: act(DualElement.z_basis(1, hopf), LElement.one(ext), ext, hopf),
+            lambda: act_fast(0, 1, ext, hopf),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="must share p and n"):
+                call()
 
 
 class TestMinFValuation:
