@@ -14,17 +14,21 @@ rescaling the generators coincides with it after a parameter change, so
 callers realize those by substituting (beta, f).
 
 The images come from hopf_primal.DigitKernel with fold constant beta, the
-kernel that gives Delta(t^i) with beta = 0.  act prunes every partial
-product whose t-exponent exceeds the largest z-index it reads, so only the
-t-components z pairs with are ever formed.  monomial_images applies every
-z-monomial to one element along the digit trie of hopf_dual.trie_step,
-one generator per monomial.
+kernel that gives Delta(t^i) with beta = 0.  act reads the t-exponents in
+the support of z, and the kernel prunes every partial product by its
+t-residue against them, so only the t-components z pairs with are ever
+formed; the x-leg is never pruned, since every x-exponent is read.
+monomial_images applies every z-monomial to one element along the digit
+trie of hopf_dual.trie_step, one generator per monomial and one kernel
+per generator.
 
 For the generators z_{p^s} with s <= r the action on x-monomials has a
 closed form (act_fast), used as an independent cross-check of act.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .base_arith import LaurentPoly
 from .field_tower import ExtensionParams, LElement
@@ -42,22 +46,30 @@ def _check_compat(ext: ExtensionParams, hopf: HopfParams, y: LElement | None = N
 def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> LElement:
     """Action of a dual element: pair z against the t-components of the coaction.
 
-    Only the t-components in the support of z are formed.
+    The digit kernel reads t in the support of z and every x-exponent: it
+    drops each partial product whose t-exponent matches no z-index modulo
+    p to the place of the next nonzero digit of the x-exponent, so only the
+    t-components z pairs with are formed.
     """
     _check_compat(ext, hopf, y)
     z._check(ext, "dual element does not belong to the dual algebra")
+    return _action_of(z, ext, hopf)(y)
+
+
+def _action_of(z: DualElement, ext: ExtensionParams, hopf: HopfParams) -> Callable[[LElement], LElement]:
+    """y |-> act(z, y) for elements y of ext, with one digit kernel for every y."""
     zc = dict(z.nonzero_items())
-    if not zc:
-        return LElement.zero(ext)
-    kernel = DigitKernel(hopf, ext.beta, max(zc))
-    out: dict[int, LaurentPoly] = {}
-    for i, c in y.nonzero_items():
-        for (x, t), coeff in kernel.image(i).items():
-            w = zc.get(t)
-            if w is not None:
-                term = c * w * coeff
+    kernel = DigitKernel(hopf, ext.beta, zc)
+
+    def apply(y: LElement) -> LElement:
+        out: dict[int, LaurentPoly] = {}
+        for i, c in y.nonzero_items():
+            for (x, t), coeff in kernel.image(i).items():
+                term = c * zc[t] * coeff
                 out[x] = out[x] + term if x in out else term
-    return LElement._from_terms(ext.p, ext.degree, out)
+        return LElement._from_terms(ext.p, ext.degree, out)
+
+    return apply
 
 
 def monomial_images(y: LElement, ext: ExtensionParams, hopf: HopfParams) -> list[LElement]:
@@ -66,13 +78,13 @@ def monomial_images(y: LElement, ext: ExtensionParams, hopf: HopfParams) -> list
     Formed along the digit trie: with (j - p^s, s) = trie_step(j), the
     digit-j image is z_{p^s} applied to the stored digit-(j - p^s) image,
     since (ab)y = a(by) and the dual algebra is commutative.  That is
-    p^n - 1 single-generator act calls.
+    p^n - 1 single-generator actions, through one kernel per generator.
     """
-    gens = [DualElement.z_basis(ext.p**s, hopf) for s in range(ext.n)]
+    gens = [_action_of(DualElement.z_basis(ext.p**s, hopf), ext, hopf) for s in range(ext.n)]
     images = [y]
     for j in range(1, ext.degree):
         parent, s = trie_step(j, ext.p)
-        images.append(act(gens[s], images[parent], ext, hopf))
+        images.append(gens[s](images[parent]))
     return images
 
 

@@ -66,8 +66,10 @@ def dual_mult(a: DualElement, b: DualElement, hopf: HopfParams) -> DualElement:
 
     The z_i coefficient of a*b pairs a with the first and b with the
     second tensor leg of Delta(t^i), the digit kernel's image of u^i with
-    beta = 0; terms above the largest z-index of b are never formed, nor is
-    any i above max(a) + max(b), since every term u (x) t^v has u + v >= i.
+    beta = 0.  The kernel reads u in the support of a and v in that of b,
+    pruning every partial product whose exponents miss them by residue, so
+    only the terms that pair are formed; no i above max(a) + max(b) is
+    tried, since every term u (x) t^v of Delta(t^i) has u + v >= i.
     """
     for z in (a, b):
         z._check(hopf, "dual element does not belong to the dual algebra")
@@ -75,11 +77,10 @@ def dual_mult(a: DualElement, b: DualElement, hopf: HopfParams) -> DualElement:
     if not ac or not bc:
         return DualElement.zero(hopf)
     zero = LaurentPoly._from_reduced(hopf.p, {})
-    kernel = DigitKernel(hopf, zero, max(bc))
+    kernel = DigitKernel(hopf, zero, bc, ac)
     out: dict[int, LaurentPoly] = {}
     for i in range(min(hopf.degree, max(ac) + max(bc) + 1)):
-        pairs = kernel.image(i).items()
-        out[i] = sum((ac[u] * bc[v] * c for (u, v), c in pairs if u in ac and v in bc), zero)
+        out[i] = sum((ac[u] * bc[v] * c for (u, v), c in kernel.image(i).items()), zero)
     return DualElement._from_terms(hopf.p, hopf.degree, out)
 
 

@@ -21,6 +21,7 @@ independently by the test suite as a differential oracle, not used here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection
 
 from .base_arith import CoeffVector, LaurentPoly, is_prime
 
@@ -123,60 +124,122 @@ class DigitKernel:
     commutative of characteristic p, so the image of u^{p^s} is
     u^{p^s}(x)1 + 1(x)t^{p^s} plus the twist terms with exponents scaled by
     p^s and coefficients raised to the p^s; the image of u^i is the product
-    of those generator images over the base-p digits of i.  A-exponents at
-    or above p^n fold through beta, and every term above t^kmax is dropped,
-    from the partial products too.
+    of the digit powers of those generator images over the nonzero base-p
+    digits of i.  A-exponents at or above p^n fold through beta.
+
+    The caller names the exponents it reads: t_read on the t-leg, u_read
+    on the A-leg, None for every exponent.  image(i) holds exactly the
+    terms of the image of u^i whose exponents are read.  Each factor for
+    digit s adds a multiple of p^s to either leg, and a fold subtracts p^n,
+    so once the factors up to digit s are multiplied in, with s' the next
+    nonzero digit of i (n if none), a partial term survives only if its
+    exponents agree mod p^{s'} with read ones; the t-exponent never falls,
+    so no partial term above the largest read t is formed either.  The
+    digit powers are built on first use and kept by the instance.
     """
 
-    __slots__ = ("pn", "beta", "kmax", "powers")
+    __slots__ = ("p", "n", "pn", "beta", "tmax", "levels", "powers")
 
-    def __init__(self, hopf: HopfParams, beta: LaurentPoly, kmax: int):
-        p = hopf.p
-        self.pn, self.beta, self.kmax = hopf.degree, beta, kmax
+    def __init__(
+        self,
+        hopf: HopfParams,
+        beta: LaurentPoly,
+        t_read: Collection[int] | None = None,
+        u_read: Collection[int] | None = None,
+    ):
+        p, n = hopf.p, hopf.n
+        self.p, self.n, self.pn, self.beta = p, n, hopf.degree, beta
+        self.tmax = hopf.degree - 1 if t_read is None else max(t_read, default=-1)
+
+        def residues(read: Collection[int] | None, m: int) -> set[int] | None:
+            return None if read is None else {e % m for e in read}
+
+        # levels[k] = (p^k, read t residues mod p^k, read A residues mod p^k); None prunes nothing
+        self.levels = [(1, None, None)] + [
+            (p**k, residues(t_read, p**k), residues(u_read, p**k)) for k in range(1, n + 1)
+        ]
         one = LaurentPoly._from_reduced(p, {0: 1})
         twist = twist_coefficients(hopf)
-        # powers[s][d] = image of u^{d p^s} for d < p
+        # powers[s][d - 1] = image of u^{d p^s}, the row grown on demand from the generator
         self.powers: list[list[Sparse]] = []
-        for s in range(hopf.n):
+        for s in range(n):
             q = p**s
             gen: Sparse = {(q, 0): one}
-            if q <= kmax:
+            if q <= self.tmax:
                 gen[(0, q)] = one
             prs = p ** (hopf.r + s)
             for ell, coeff in twist:
-                if prs * (p - ell) <= kmax:
+                if prs * (p - ell) <= self.tmax:
                     gen[(prs * ell, prs * (p - ell))] = _frobenius(coeff, q)
-            row = [{(0, 0): one}, gen]
-            while len(row) < p:
-                row.append(self.mul(row[-1], gen))
-            self.powers.append(row)
+            self.powers.append([gen])
 
-    def mul(self, a: Sparse, b: Sparse) -> Sparse:
-        """Product in A (x) H, dropping every term above t^kmax."""
-        pn, beta, kmax = self.pn, self.beta, self.kmax
+    def mul(self, a: Sparse, b: Sparse, level: int = 0) -> Sparse:
+        """Product in A (x) H without the terms above the largest read t.
+
+        With level k > 0 it also drops every term whose t- or A-exponent
+        agrees with no read exponent mod p^k.
+        """
+        pn, beta, tmax = self.pn, self.beta, self.tmax
+        m, t_res, u_res = self.levels[level]
+        nil = beta.is_zero()
         out: Sparse = {}
         for (ua, ta), ca in a.items():
             for (ub, tb), cb in b.items():
                 t = ta + tb
-                if t > kmax:
+                if t > tmax or t_res is not None and t % m not in t_res:
                     continue
                 u = ua + ub
-                c = ca * cb
-                if u >= pn:
+                fold = u >= pn
+                if fold:
+                    if nil:  # a term folded through beta = 0 vanishes
+                        continue
                     u -= pn
-                    c = c * beta
+                if u_res is not None and u % m not in u_res:
+                    continue
+                c = ca * cb * beta if fold else ca * cb
                 key = (u, t)
                 out[key] = out[key] + c if key in out else c
         return {key: c for key, c in out.items() if not c.is_zero()}
 
     def image(self, i: int) -> Sparse:
-        """Image of u^i as the product of its digit factors (shared; do not mutate)."""
-        image = None
-        for row in self.powers:
-            i, d = divmod(i, len(row))
+        """The read terms of the image of u^i (possibly shared; do not mutate)."""
+        p, image, factor, s = self.p, None, None, 0
+        while i:
+            i, d = divmod(i, p)
             if d:
-                image = row[d] if image is None else self.mul(image, row[d])
-        return self.powers[0][0] if image is None else image
+                # s is the next nonzero digit: the product through the pending factor is pruned mod p^s
+                if factor is not None:
+                    image = self._times(image, factor, s)
+                    if not image:
+                        return image
+                factor = (s, d)
+            s += 1
+        if factor is None:
+            return self._read({(0, 0): LaurentPoly._from_reduced(p, {0: 1})}, self.n)
+        return self._times(image, factor, self.n)
+
+    def _times(self, image: Sparse | None, factor: tuple[int, int], level: int) -> Sparse:
+        """image (None for the unit) times the digit power factor = (s, d), pruned mod p^level."""
+        power = self._power(*factor)
+        return self._read(power, level) if image is None else self.mul(image, power, level)
+
+    def _read(self, terms: Sparse, level: int) -> Sparse:
+        """terms without those whose exponents agree with no read ones mod p^level."""
+        m, t_res, u_res = self.levels[level]
+        if t_res is None and u_res is None:
+            return terms
+        return {
+            (u, t): c
+            for (u, t), c in terms.items()
+            if (t_res is None or t % m in t_res) and (u_res is None or u % m in u_res)
+        }
+
+    def _power(self, s: int, d: int) -> Sparse:
+        """The image of u^{d p^s}, built on first use."""
+        row = self.powers[s]
+        while len(row) < d:
+            row.append(self.mul(row[-1], row[0]))
+        return row[d - 1]
 
 
 def delta_power(i: int, hopf: HopfParams) -> Sparse:
@@ -188,4 +251,4 @@ def delta_power(i: int, hopf: HopfParams) -> Sparse:
     if not 0 <= i < hopf.degree:
         raise ValueError(f"power {i} out of range [0, {hopf.degree})")
     zero = LaurentPoly._from_reduced(hopf.p, {})
-    return DigitKernel(hopf, zero, hopf.degree - 1).image(i)
+    return DigitKernel(hopf, zero).image(i)

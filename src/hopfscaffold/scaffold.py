@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .action import act, monomial_images
+from .action import _action_of, monomial_images
 from .base_arith import LaurentPoly, padic_digits, res_mod
 from .field_tower import ExtensionParams, LElement, l_valuation
 from .hopf_dual import DualElement
@@ -155,11 +155,11 @@ def verify_scaffold(ctx: ScaffoldContext) -> ScaffoldReport:
     tol = ctx.tolerance
     checks = []
     for s in range(ext.n):
-        z = DualElement.z_basis(ext.p**s, hopf)
+        z_act = _action_of(DualElement.z_basis(ext.p**s, hopf), ext, hopf)
         step = ext.p**s * ext.b
         for j in range(pn):
             digit = res_mod(ctx.a * j, pn) // ext.p**s % ext.p
-            image = act(z, lambda_element(j, ctx), ext, hopf)
+            image = z_act(lambda_element(j, ctx))
             threshold = j + step + tol
             if digit > 0:
                 unit: Optional[LaurentPoly] = LaurentPoly._from_reduced(ext.p, {0: digit})
@@ -215,7 +215,7 @@ def integer_certificate_check(rho: LElement, ctx: ScaffoldContext) -> Certificat
     asserting v_L = b*(1 + j) and that the p^n valuations exhaust the
     residues mod p^n.  The images come from action.monomial_images, which
     forms them along the digit trie: each is one generator z_{p^s} applied
-    to an earlier image, p^n - 1 single-generator act calls in all.
+    to an earlier image, p^n - 1 single-generator actions in all.
     """
     ext, hopf = ctx.ext, ctx.hopf
     if l_valuation(rho, ext) != ext.b:

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfscaffold import base_arith, cli, field_tower, hopf_primal
 from hopfscaffold.scaffold import ScaffoldReport
@@ -347,3 +351,61 @@ class TestDegreeCap:
         code, out, err = run(capsys, "atlas", "--p", P31, "--n", "0", "--r", "1", "--b", "1", "--f-val", "3")
         assert (code, out) == (2, "")
         assert "n must be at least 2" in err
+
+
+# argv vocabulary: valid parameters keep p^n <= 81; the bad values are malformed, negative, huge or
+# out of range, and a drawn command line corrupts up to three of its valid entries
+_VALID_PNR = ((2, 2, 1), (2, 4, 2), (2, 4, 3), (2, 6, 3), (3, 2, 1), (3, 4, 2), (5, 2, 1))
+_BAD_PN = (("4", "2"), ("1", "3"), ("0", "2"), ("-3", "2"), ("2", "0"), ("2", "1"), ("3", "-2"),
+           ("7", "50"), ("2", "1000000000"), (P31, "2"), ("x", "2"), ("2.5", "2"))
+_BAD = ("0", "-1", "-7", "99", "1" + "0" * 30, "-" + "9" * 20, "x", "", "1e3", "T^", "((T)", "T^3 +",
+        "T^1.5", "T^99999999999", "*T", "0..100000", "0..1000000000", "5..2", "a..b", "3..", "..",
+        "z_999", "z_-1", "(T^)*z_1", "x^999", "x^-1", "((x", "xml")
+_JUNK = ("--force", "--f-val", "--bogus", "-h", "--p", "z_1", "x^2", "--output")
+
+
+@st.composite
+def _argv(draw):
+    """A command line for a drawn subcommand: valid flags and operands, up to three of them spoiled."""
+    command = draw(st.sampled_from(("scaffold-verify", "freeness", "act", "assoc-order", "atlas", "verify")))
+    p, n, r = draw(st.sampled_from(_VALID_PNR))
+    b = draw(st.sampled_from([v for v in range(1, 8) if v % p]))
+    flags = {"--p": str(p), "--n": str(n), "--r": str(r), "--b": str(b)}
+    if draw(st.booleans()):
+        flags["--f-val"] = str(draw(st.integers(-3, 12)))
+    else:
+        flags["--f"] = draw(st.sampled_from(("T^3", "T^-2 + 2*T^5", "T^9", "0")))
+    if draw(st.booleans()):
+        flags["--beta"] = draw(st.sampled_from((f"T^-{b}", f"T^-{b} + T^2", f"T^{b}")))
+    flags["--output"] = draw(st.sampled_from(("json", "tsv", "pretty")))
+    if command in ("freeness", "assoc-order"):
+        flags["--h"] = draw(st.sampled_from(("0", "3", "-2..1", str(b))))
+    operands = [draw(st.sampled_from(("z_1", "(T^2)*z_3", "z_0 + (2*T^-1)*z_2", "0"))),
+                draw(st.sampled_from(("x^1", "(T^-1)*x^2 + x^3", "0")))] if command == "act" else []
+    junk = []
+    for _ in range(draw(st.integers(0, 3))):
+        spoil = draw(st.sampled_from(("value", "drop", "degree", "junk", "operand")))
+        if spoil == "operand" and operands:
+            operands[draw(st.integers(0, 1))] = draw(st.sampled_from(_BAD))
+        elif spoil == "value":
+            flags[draw(st.sampled_from(sorted(flags)))] = draw(st.sampled_from(_BAD))
+        elif spoil == "drop" and flags:
+            del flags[draw(st.sampled_from(sorted(flags)))]
+        elif spoil == "degree":
+            flags["--p"], flags["--n"] = draw(st.sampled_from(_BAD_PN))
+        else:
+            junk.append(draw(st.sampled_from(_JUNK + _BAD)))
+    argv = [command]
+    for flag in draw(st.permutations(sorted(flags))):
+        argv += [flag, flags[flag]]
+    return argv + operands + junk
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_exit_code_contract_on_random_argv(argv):
+    # whatever the command line, main returns one of the documented codes and never raises
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED, cli.EXIT_USAGE, cli.EXIT_HYPOTHESIS)

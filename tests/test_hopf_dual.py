@@ -167,7 +167,7 @@ class TestDualMult:
         # dual_mult skips every i above max(a) + max(b): no term u (x) t^v of
         # Delta(t^i) has u + v < i
         params = hp(p, n, r, "T^3 + T^5")
-        kernel = DigitKernel(params, LaurentPoly.zero(p), params.degree - 1)
+        kernel = DigitKernel(params, LaurentPoly.zero(p))
         for i in range(params.degree):
             image = kernel.image(i)
             assert image

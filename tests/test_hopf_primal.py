@@ -80,10 +80,10 @@ class TestDeltaT:
 
 
 class TestTensorMul:
-    # the product of H (x) H is DigitKernel.mul with beta = 0 and kmax = p^n - 1
+    # the product of H (x) H is DigitKernel.mul with beta = 0, reading every exponent
     @staticmethod
     def kernel(params):
-        return DigitKernel(params, LaurentPoly.zero(params.p), params.degree - 1)
+        return DigitKernel(params, LaurentPoly.zero(params.p))
 
     def test_unit(self):
         params = hp(2, 2, 1)
@@ -184,6 +184,45 @@ class TestDeltaPower:
         for t in threads:
             t.join()
         assert all(rimage == results[0] for rimage in results)
+
+
+class TestReadPrune:
+    @pytest.mark.parametrize(
+        "p,n,r,t_read,u_read",
+        [
+            (2, 5, 3, {3, 12}, None),
+            (2, 6, 3, {5, 32, 40}, {1, 17}),
+            (3, 4, 2, {9, 28, 40}, {1, 27}),
+            (3, 4, 3, {27}, None),
+            (5, 2, 1, {7}, {3, 20}),
+        ],
+    )
+    def test_partial_products_keep_read_residues_to_the_next_digit_place(
+        self, monkeypatch, p, n, r, t_read, u_read
+    ):
+        # the product through a digit of i keeps only terms agreeing with read exponents modulo
+        # p^(place of the next nonzero digit of i), p^n after the last digit
+        params = hp(p, n, r, "T^3 + T^5")
+        kernel = DigitKernel(params, LaurentPoly.from_text("T^-1 + T^2", p), t_read, u_read)
+        for i in range(params.degree):
+            kernel.image(i)  # builds every digit power, so later products are partial products only
+        products = []
+        real_mul = DigitKernel.mul
+
+        def spy(self, a, b, level=0):
+            products.append(real_mul(self, a, b, level))
+            return products[-1]
+
+        monkeypatch.setattr(DigitKernel, "mul", spy)
+        for i in range(params.degree):
+            products.clear()
+            kernel.image(i)
+            places = [s for s in range(n) if i // p**s % p]
+            assert len(products) <= max(len(places) - 1, 0)
+            for product, place in zip(products, places[2:] + [n]):
+                m = p**place
+                assert all(t % m in {e % m for e in t_read} for _, t in product)
+                assert u_read is None or all(u % m in {e % m for e in u_read} for u, _ in product)
 
 
 class TestCounit:

@@ -1,4 +1,5 @@
-"""Property tests: text round-trips, and the products of L, H and the dual against their oracles."""
+"""Property tests: text round-trips, the products of L, H and the dual and the action against their
+oracles, and the read-set prune of the digit kernel."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hopfscaffold import (
     HopfParams,
     LaurentPoly,
     LElement,
+    act,
     dual_from_text,
     dual_mult,
     dual_to_text,
@@ -19,7 +21,9 @@ from hopfscaffold import (
     lelement_to_text,
 )
 
-from oracles import schoolbook_h_mul, schoolbook_l_mul, tensor_power_by_expansion
+from hopfscaffold.hopf_primal import DigitKernel
+
+from oracles import coaction_by_expansion, schoolbook_h_mul, schoolbook_l_mul, tensor_power_by_expansion
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -132,3 +136,79 @@ def test_dual_mult_matches_expansion_pairing(case):
             total = total + ac[u] * bc[v] * c
         expected.append(total)
     assert dual_mult(a, b, hopf) == DualElement(expected)
+
+
+# (p, n, r) with p in {2, 3, 5}, 0 < r < n <= 2r and p^n <= 81
+_ACTION_RANGE = (
+    (2, 2, 1), (2, 3, 2), (2, 4, 2), (2, 4, 3), (2, 5, 3), (2, 6, 3), (2, 6, 5),
+    (3, 2, 1), (3, 3, 2), (3, 4, 2), (3, 4, 3), (5, 2, 1),
+)
+
+
+@st.composite
+def _action_params(draw):
+    p, n, r = draw(st.sampled_from(_ACTION_RANGE))
+    b = draw(st.integers(1, 2 * p**n).filter(lambda v: v % p))
+    tail = draw(st.lists(st.tuples(st.integers(1 - b, 3), st.integers(0, p - 1)), max_size=2))
+    ext = ExtensionParams(p, n, b, LaurentPoly(p, [(-b, 1)] + tail))
+    return ext, HopfParams(p, n, r, LaurentPoly.monomial(p, draw(st.integers(-3, 6))))
+
+
+@st.composite
+def _spread_indices(draw, p: int, n: int):
+    """1-3 exponents below p^n in distinct residue classes mod p^s, for a drawn 1 <= s <= n."""
+    s = draw(st.integers(1, n))
+    q = p**s
+    residues = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=min(3, q), unique=True))
+    return [res + q * draw(st.integers(0, p ** (n - s) - 1)) for res in residues]
+
+
+@st.composite
+def _act_case(draw):
+    ext, hopf = draw(_action_params())
+    p, pn = ext.p, ext.degree
+    coeff = _laurent(p, 3)
+    z_terms = {k: draw(coeff) for k in draw(_spread_indices(p, ext.n))}
+    y_terms = draw(st.dictionaries(st.integers(0, pn - 1), coeff, min_size=1, max_size=2))
+    return ext, hopf, z_terms, y_terms
+
+
+@PROPERTY
+@given(_act_case())
+def test_act_with_sparse_z_matches_coaction_expansion(case):
+    # z reads a few t-exponents in distinct residue classes, so the kernel's prune keeps several
+    ext, hopf, z_terms, y_terms = case
+    zero = LaurentPoly.zero(ext.p)
+    z = DualElement([z_terms.get(k, zero) for k in range(ext.degree)])
+    y = LElement([y_terms.get(i, zero) for i in range(ext.degree)])
+    expected = LElement.zero(ext)
+    for i, c in y_terms.items():
+        comps = coaction_by_expansion(i, ext, hopf)
+        for k, w in z_terms.items():
+            expected = expected + comps[k].scale(c * w)
+    assert act(z, y, ext, hopf) == expected
+
+
+@st.composite
+def _kernel_case(draw):
+    ext, hopf = draw(_action_params())
+    beta = draw(st.sampled_from((ext.beta, LaurentPoly.zero(ext.p))))
+    p, n = ext.p, ext.n
+    t_read = set(draw(_spread_indices(p, n)))
+    u_read = draw(st.one_of(st.none(), _spread_indices(p, n).map(set)))
+    return hopf, beta, t_read, u_read
+
+
+@settings(PROPERTY, max_examples=30)
+@given(_kernel_case())
+def test_kernel_image_is_the_read_part_of_the_full_image(case):
+    # the residue prune drops no term the caller reads and keeps none it does not
+    hopf, beta, t_read, u_read = case
+    pruned, full = DigitKernel(hopf, beta, t_read, u_read), DigitKernel(hopf, beta)
+    for i in range(hopf.degree):
+        expected = {
+            (u, t): c
+            for (u, t), c in full.image(i).items()
+            if t in t_read and (u_read is None or u in u_read)
+        }
+        assert pruned.image(i) == expected
