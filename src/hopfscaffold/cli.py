@@ -3,19 +3,18 @@
 Exit codes are a stable contract: 0 success / all checks passed,
 1 verification failure, 2 usage or validation error, 3 tolerance
 hypothesis unmet.  JSON output is deterministic: keys sorted, check
-records sorted, no timestamps.  Set SCAFFOLD_LOG=DEBUG (or any logging
-level name) for diagnostics on stderr.
+records sorted, no timestamps.  With SCAFFOLD_LOG=DEBUG or NOTSET (any
+case), stderr gets the line `DEBUG:hopfscaffold:dispatching <command>`;
+any other value writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .action import act
 from .base_arith import LaurentPoly
@@ -41,11 +40,8 @@ MAX_H_VALUES = 100_000
 # primality or anything of length p^n is allocated
 MAX_DEGREE = 10_000
 
-log = logging.getLogger("hopfscaffold")
 
-
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated parameter set shared by all subcommands."""
 
     ext: ExtensionParams
@@ -278,9 +274,6 @@ def _merge_h_flag(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    level = os.environ.get("SCAFFOLD_LOG")
-    if level:
-        logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO), stream=sys.stderr)
     args_list = _merge_h_flag(list(sys.argv[1:] if argv is None else argv))
     parser = _make_parser()
     try:
@@ -295,7 +288,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    log.debug("dispatching %s", args.command)
+    if os.environ.get("SCAFFOLD_LOG", "").upper() in ("DEBUG", "NOTSET"):
+        print(f"DEBUG:hopfscaffold:dispatching {args.command}", file=sys.stderr)
     try:
         if args.command == "scaffold-verify":
             return cmd_scaffold_verify(cfg)

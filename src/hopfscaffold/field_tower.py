@@ -14,7 +14,7 @@ cancellation can hide it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Union
 
 from .base_arith import INF, CoeffVector, LaurentPoly, is_prime
@@ -22,26 +22,23 @@ from .base_arith import INF, CoeffVector, LaurentPoly, is_prime
 _X_TERM_RE = re.compile(r"^(?:\((?P<coef>[^()]*)\)(?:\*(?P<var1>x(?:\^\d+)?))?|(?P<var2>x(?:\^\d+)?))$")
 
 
-@dataclass(frozen=True)
-class ExtensionParams:
+class ExtensionParams(namedtuple("ExtensionParams", "p n b beta")):
     """Parameters (p, n, b, beta) of the extension L = K(x), x^{p^n} = beta."""
 
-    p: int
-    n: int
-    b: int
-    beta: LaurentPoly
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.n < 2:
+    def __new__(cls, p: int, n: int, b: int, beta: LaurentPoly) -> "ExtensionParams":
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if n < 2:
             raise ValueError("n must be at least 2")
-        if self.b < 1 or self.b % self.p == 0:
+        if b < 1 or b % p == 0:
             raise ValueError("b must be a positive integer prime to p")
-        if self.beta.p != self.p:
+        if beta.p != p:
             raise ValueError("beta lives over the wrong prime field")
-        if self.beta.valuation() != -self.b:
-            raise ValueError(f"v_K(beta) must equal -b = {-self.b}")
+        if beta.valuation() != -b:
+            raise ValueError(f"v_K(beta) must equal -b = {-b}")
+        return super().__new__(cls, p, n, b, beta)
 
     @property
     def degree(self) -> int:

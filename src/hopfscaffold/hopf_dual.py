@@ -168,18 +168,19 @@ def _fraction_free_rank(rows: list[list[LaurentPoly]], p: int) -> int:
     return rank
 
 
-def _rank_mod_t(rows: list[list[LaurentPoly]], p: int) -> int:
+def _rank_mod_t(rows: list[dict[int, LaurentPoly]], p: int) -> int:
     """Rank over F_p of the matrix mod T, each row first shifted by its least valuation.
 
     The shift is a unit of K and puts the row in F_p[T], not all of it
     divisible by T; reduction mod T is a ring map F_p[T] -> F_p, so a
     nonzero minor mod T lifts to a nonzero minor over K.  The result is
-    therefore a lower bound for the rank over K.
+    therefore a lower bound for the rank over K.  Each row is a map
+    {column: nonzero entry}, so a row costs its support, not its length.
     """
     pivots: dict[int, dict[int, int]] = {}  # pivot column -> row with 1 there, 0 left of it
     for row in rows:
-        low = min((c.valuation() for c in row if not c.is_zero()), default=None)
-        red = {k: c.terms[low] for k, c in enumerate(row) if c.valuation() == low}
+        low = min((c.valuation() for c in row.values()), default=None)
+        red = {k: c.terms[low] for k, c in row.items() if c.valuation() == low}
         while red:
             col = min(red)
             piv = pivots.get(col)
@@ -197,11 +198,14 @@ def _rank_mod_t(rows: list[list[LaurentPoly]], p: int) -> int:
     return len(pivots)
 
 
-def _certified_rank(rows: list[list[LaurentPoly]], p: int) -> int:
-    """Rank over K: the mod-T rank when it is already full, else Bareiss."""
-    full = min(len(rows), len(rows[0]) if rows else 0)
-    rank = _rank_mod_t(rows, p)
-    return rank if rank == full else _fraction_free_rank(rows, p)
+def _certified_rank(vectors: Sequence[CoeffVector], p: int) -> int:
+    """Rank over K of the vectors: the sparse mod-T rank when it is already full, else Bareiss.
+
+    Only the Bareiss fallback reads the vectors as dense rows.
+    """
+    full = min(len(vectors), vectors[0].degree if vectors else 0)
+    rank = _rank_mod_t([dict(v.nonzero_items()) for v in vectors], p)
+    return rank if rank == full else _fraction_free_rank([list(v.coeffs) for v in vectors], p)
 
 
 def dual_basis_rank(hopf: HopfParams) -> int:
@@ -210,12 +214,13 @@ def dual_basis_rank(hopf: HopfParams) -> int:
     Row j holds the pairings of the digit-j monomial against the t^i
     basis; full rank p^n certifies that the monomials form a K-basis.  The
     rows come from z_monomials, one product each.  Each row is shifted
-    into F_p[T] by its least valuation and the matrix is reduced mod T;
-    a full rank over F_p there is a full rank over K.  When it falls short
-    (at (p, n, r, f) = (2, 4, 2, T^-3) the rank mod T is 14 of 16), the
-    rank comes from _fraction_free_rank on the unreduced rows.
+    into F_p[T] by its least valuation and the matrix is reduced mod T,
+    reading only the nonzero entries; a full rank over F_p there is a full
+    rank over K.  When it falls short (at (p, n, r, f) = (2, 4, 2, T^-3)
+    the rank mod T is 14 of 16), the rank comes from _fraction_free_rank
+    on the unreduced dense rows.
     """
-    return _certified_rank([list(mono.coeffs) for mono in z_monomials(hopf)], hopf.p)
+    return _certified_rank(z_monomials(hopf), hopf.p)
 
 
 # -- text format ------------------------------------------------------------

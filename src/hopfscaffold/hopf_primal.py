@@ -20,30 +20,27 @@ independently by the test suite as a differential oracle, not used here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Collection
 
 from .base_arith import CoeffVector, LaurentPoly, is_prime
 
 
-@dataclass(frozen=True)
-class HopfParams:
+class HopfParams(namedtuple("HopfParams", "p n r f")):
     """Parameters (p, n, r, f) with 0 < r < n <= 2r and f nonzero in K."""
 
-    p: int
-    n: int
-    r: int
-    f: LaurentPoly
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if not 0 < self.r < self.n <= 2 * self.r:
-            raise ValueError(f"need 0 < r < n <= 2r, got r={self.r}, n={self.n}")
-        if self.f.p != self.p:
+    def __new__(cls, p: int, n: int, r: int, f: LaurentPoly) -> "HopfParams":
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if not 0 < r < n <= 2 * r:
+            raise ValueError(f"need 0 < r < n <= 2r, got r={r}, n={n}")
+        if f.p != p:
             raise ValueError("f lives over the wrong prime field")
-        if self.f.is_zero():
+        if f.is_zero():
             raise ValueError("f must be nonzero")
+        return super().__new__(cls, p, n, r, f)
 
     @property
     def degree(self) -> int:

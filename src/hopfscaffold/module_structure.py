@@ -43,9 +43,8 @@ unit T).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .base_arith import LaurentPoly, res_mod
 from .field_tower import ExtensionParams
@@ -58,8 +57,7 @@ class InsufficientToleranceError(ValueError):
     """Raised when a basis claim is requested below the licensing tolerance."""
 
 
-@dataclass(frozen=True)
-class IdealIndex:
+class IdealIndex(NamedTuple):
     """An ideal exponent h with its normalized representative and T-shift.
 
     h_raw = h_norm + m*p^n with 0 <= b - h_norm <= p^n - 1.  The window
@@ -179,8 +177,7 @@ def _generator_witnesses(idx: IdealIndex, ext: ExtensionParams, w_tab: tuple[int
     return [i for i in range(pn) if low[i] > (b * i + c) % pn]
 
 
-@dataclass(frozen=True)
-class BasisEntry:
+class BasisEntry(NamedTuple):
     """One associated-order basis record: generator digits and T-shift."""
 
     digits: tuple[int, ...]
@@ -190,8 +187,7 @@ class BasisEntry:
         return {"digits": list(self.digits), "shift": self.shift}
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(NamedTuple):
     """Full per-ideal verdict: tables, freeness, generators, basis data."""
 
     h: IdealIndex
@@ -250,8 +246,7 @@ def is_free(h: Union[int, IdealIndex], ext: ExtensionParams) -> FreenessReport:
     return FreenessReport(idx, d_tab, w_tab, free, witness, count, ext)
 
 
-@dataclass(frozen=True)
-class AssocOrderBasis:
+class AssocOrderBasis(NamedTuple):
     """Associated-order basis listing, possibly force-emitted below tolerance."""
 
     h: IdealIndex

@@ -21,8 +21,7 @@ is ever performed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .action import _action_of, monomial_images
 from .base_arith import LaurentPoly, padic_digits, res_mod
@@ -64,8 +63,7 @@ def min_f_valuation_for(target: int, ext: ExtensionParams, r: int) -> int:
     return max(need, floor_hyp)
 
 
-@dataclass(frozen=True)
-class ScaffoldContext:
+class ScaffoldContext(NamedTuple):
     """Extension and Hopf parameters with the solved a and tolerance."""
 
     ext: ExtensionParams
@@ -89,8 +87,7 @@ def lambda_element(j: int, ctx: ScaffoldContext) -> LElement:
     return LElement.x_power(res, ext, LaurentPoly._from_reduced(ext.p, {num // pn: 1}))
 
 
-@dataclass(frozen=True)
-class ScaffoldCheck:
+class ScaffoldCheck(NamedTuple):
     """Outcome of one congruence check at indices (s, j)."""
 
     s: int
@@ -109,8 +106,7 @@ class ScaffoldCheck:
         }
 
 
-@dataclass(frozen=True)
-class ScaffoldReport:
+class ScaffoldReport(NamedTuple):
     """Verification outcome over a full residue system of j and all s."""
 
     ext: ExtensionParams
@@ -174,8 +170,7 @@ def verify_scaffold(ctx: ScaffoldContext) -> ScaffoldReport:
     )
 
 
-@dataclass(frozen=True)
-class CertificateRecord:
+class CertificateRecord(NamedTuple):
     digits: tuple[int, ...]
     j: int
     valuation: Union[int, float]
@@ -183,8 +178,7 @@ class CertificateRecord:
     ok: bool
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Valuations of all z-monomial images of a valuation-b element."""
 
     records: tuple[CertificateRecord, ...]

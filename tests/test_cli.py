@@ -2,7 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -255,6 +259,38 @@ class TestAtlas:
         code, out, _ = run(capsys, "atlas", "--p", str(p), "--n", str(n), "--r", str(r), "--b", "1", "--f-val", "3")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digests[p**n]
+
+
+def _cli_process(argv, scaffold_log):
+    """Run the CLI in a fresh interpreter against this checkout's src/, SCAFFOLD_LOG set or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "SCAFFOLD_LOG"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    if scaffold_log is not None:
+        env["SCAFFOLD_LOG"] = scaffold_log
+    script = "import sys; from hopfscaffold.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.fixture(scope="module")
+def quiet_atlas():
+    return _cli_process(["atlas", *BASE], None)
+
+
+@pytest.mark.parametrize(
+    "level, prints",
+    [
+        ("DEBUG", True), ("debug", True), ("NOTSET", True), ("INFO", False), ("LOUD", False), (None, False),
+        ("basic_format", False),  # a logging module attribute, but not a level name
+    ],
+)
+def test_scaffold_log_prints_the_dispatch_line_only_at_debug(quiet_atlas, level, prints):
+    proc = _cli_process(["atlas", *BASE], level)
+    assert proc.stderr == ("DEBUG:hopfscaffold:dispatching atlas\n" if prints else "")
+    assert (proc.returncode, proc.stdout) == (quiet_atlas.returncode, quiet_atlas.stdout)
+    assert quiet_atlas.returncode == 0 and quiet_atlas.stdout.startswith("h\tfree")
 
 
 class TestUsage:

@@ -20,6 +20,7 @@ from hopfscaffold import (
     z_monomials,
 )
 from hopfscaffold import hopf_dual
+from hopfscaffold.base_arith import CoeffVector
 from hopfscaffold.hopf_dual import _certified_rank, _fraction_free_rank, _rank_mod_t, trie_step
 from hopfscaffold.hopf_primal import DigitKernel
 
@@ -32,6 +33,15 @@ def hp(p, n, r, f_text):
 
 def poly(p, text):
     return LaurentPoly.from_text(text, p)
+
+
+def sparse(rows):
+    """Dense rows of Laurent polynomials as the maps {column: nonzero entry} that _rank_mod_t reads."""
+    return [{k: c for k, c in enumerate(row) if not c.is_zero()} for row in rows]
+
+
+def vectors(rows):
+    return [CoeffVector(row) for row in rows]
 
 
 def z_power(j, m, params):
@@ -248,14 +258,14 @@ class TestBasisRank:
     def test_rank_mod_t_agrees_with_bareiss(self, p, n, r, f_text):
         params = hp(p, n, r, f_text)
         rows = [list(z_monomial(padic_digits(j, p, n), params).coeffs) for j in range(p**n)]
-        assert _rank_mod_t(rows, p) == _fraction_free_rank(rows, p) == p**n
+        assert _rank_mod_t(sparse(rows), p) == _fraction_free_rank(rows, p) == p**n
 
     @pytest.mark.parametrize("f_text,rank_mod_t,bareiss_calls", [("T^-3", 14, 1), ("T^3", 16, 0)])
     def test_bareiss_runs_exactly_when_rank_mod_t_falls_short(
         self, monkeypatch, f_text, rank_mod_t, bareiss_calls
     ):
         params = hp(2, 4, 2, f_text)
-        rows = [list(mono.coeffs) for mono in z_monomials(params)]
+        rows = [dict(mono.nonzero_items()) for mono in z_monomials(params)]
         assert _rank_mod_t(rows, 2) == rank_mod_t
         calls = []
 
@@ -267,15 +277,25 @@ class TestBasisRank:
         assert dual_basis_rank(params) == 16
         assert len(calls) == bareiss_calls
 
+    @pytest.mark.parametrize(
+        "p,n,r,f_text,rank_mod_t",
+        [(2, 5, 3, "T^-3", 28), (3, 3, 2, "T^3", 27), (3, 3, 2, "T^-2", 27), (3, 4, 2, "T^3", 81), (5, 2, 1, "T^3", 25)],
+    )
+    def test_sparse_rank_mod_t_pins(self, p, n, r, f_text, rank_mod_t):
+        # mod-T ranks recorded from the dense elimination; the rank over K stays full either way
+        params = hp(p, n, r, f_text)
+        assert _rank_mod_t([dict(mono.nonzero_items()) for mono in z_monomials(params)], p) == rank_mod_t
+        assert dual_basis_rank(params) == p**n
+
     def test_rows_shift_by_least_valuation(self):
         # either sign of shift: row 1 reads [1, 0] mod T, row 2 reads [0, 1]
         rows = [[poly(2, "T^2"), poly(2, "T^3")], [poly(2, "T^-1"), poly(2, "T^-2 + 1")]]
-        assert _rank_mod_t(rows, 2) == 2
+        assert _rank_mod_t(sparse(rows), 2) == 2
 
     def test_singular_mod_t_but_full_rank(self):
         rows = [[poly(2, "1"), poly(2, "T")], [poly(2, "1"), poly(2, "T + T^2")]]
-        assert _rank_mod_t(rows, 2) == 1
-        assert _certified_rank(rows, 2) == _fraction_free_rank(rows, 2) == 2
+        assert _rank_mod_t(sparse(rows), 2) == 1
+        assert _certified_rank(vectors(rows), 2) == _fraction_free_rank(rows, 2) == 2
 
     def test_rank_deficient_matrices(self):
         rows = [
@@ -283,9 +303,9 @@ class TestBasisRank:
             [poly(3, "T"), poly(3, "T^2"), poly(3, "T^3")],
             [poly(3, "1"), poly(3, "0"), poly(3, "2")],
         ]
-        assert _certified_rank(rows, 3) == 2
+        assert _certified_rank(vectors(rows), 3) == 2
         rows = [[poly(3, "0"), poly(3, "0")], [poly(3, "T^-1"), poly(3, "1 + T")]]
-        assert _rank_mod_t(rows, 3) == _certified_rank(rows, 3) == 1
+        assert _rank_mod_t(sparse(rows), 3) == _certified_rank(vectors(rows), 3) == 1
 
 
 def test_concurrent_dual_mult_agrees():

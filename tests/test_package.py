@@ -1,13 +1,34 @@
 """Package-wide structural checks."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import threading
 import types
+from pathlib import Path
+
+import pytest
 
 import hopfscaffold
-from hopfscaffold import DualElement, HElement, LElement
+from hopfscaffold import (
+    DualElement,
+    ExtensionParams,
+    HElement,
+    HopfParams,
+    IdealIndex,
+    LaurentPoly,
+    LElement,
+    assoc_order_basis,
+    integer_certificate_check,
+    is_free,
+    lambda_element,
+    scaffold_context,
+    verify_scaffold,
+)
 from hopfscaffold.base_arith import CoeffVector
+from hopfscaffold.cli import RunConfig
 
 _LOCK_TYPES = (type(threading.Lock()), type(threading.RLock()))
 
@@ -54,3 +75,85 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_logging():
+    # every CLI job is a fresh process, so each module the package imports is paid per job;
+    # the baseline is taken in the same interpreter, since a site .pth may preload modules
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    script = "import sys; bare = set(sys.modules); import hopfscaffold.cli; print(*sorted(set(sys.modules) - bare))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    added = set(proc.stdout.split())
+    assert "hopfscaffold.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "logging"})
+
+
+RECORD_TYPES = [
+    "ExtensionParams", "HopfParams", "ScaffoldContext", "ScaffoldReport", "ScaffoldCheck",
+    "CertificateReport", "CertificateRecord", "IdealIndex", "FreenessReport", "BasisEntry",
+    "AssocOrderBasis", "RunConfig",
+]
+
+
+def _records():
+    """One instance of every record type by name, built by the public entry points at (2, 2, 1, 1, T^4)."""
+    ext = ExtensionParams.monogenic(2, 2, 1)
+    hopf = HopfParams(2, 2, 1, LaurentPoly.monomial(2, 4))
+    ctx = scaffold_context(ext, hopf)
+    report = verify_scaffold(ctx)
+    certificate = integer_certificate_check(lambda_element(1, ctx), ctx)
+    freeness = is_free(0, ext)
+    records = [
+        ext, hopf, ctx, report, report.checks[0], certificate, certificate.records[0],
+        IdealIndex.normalize(0, ext), freeness, freeness.basis[0], assoc_order_basis(0, ext, hopf),
+        RunConfig(ext, hopf, "json", False),
+    ]
+    return {type(record).__name__: record for record in records}
+
+
+@pytest.mark.parametrize("name", RECORD_TYPES)
+def test_records_are_immutable_tuples_with_value_equality(name):
+    record, twin = _records()[name], _records()[name]
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    assert not hasattr(record, "__dict__")
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    assert repr(record).startswith(f"{name}({field}=")
+    # a record is a tuple: iterable, indexable, equal to the plain tuple of its fields
+    assert record == tuple(record) and record[0] == getattr(record, field)
+
+
+_BETA = LaurentPoly.monomial(2, -1)
+_F = LaurentPoly.monomial(2, 3)
+
+
+@pytest.mark.parametrize(
+    "cls, args, message",
+    [
+        (ExtensionParams, (4, 2, 1, _BETA), "p = 4 is not prime"),
+        (ExtensionParams, (2, 1, 1, _BETA), "n must be at least 2"),
+        (ExtensionParams, (2, 2, 0, _BETA), "b must be a positive integer prime to p"),
+        (ExtensionParams, (2, 2, 2, _BETA), "b must be a positive integer prime to p"),
+        (ExtensionParams, (2, 2, 1, LaurentPoly.monomial(3, -1)), "beta lives over the wrong prime field"),
+        (ExtensionParams, (2, 2, 1, LaurentPoly.monomial(2, -3)), "v_K(beta) must equal -b = -1"),
+        (HopfParams, (4, 2, 1, _F), "p = 4 is not prime"),
+        (HopfParams, (2, 2, 0, _F), "need 0 < r < n <= 2r, got r=0, n=2"),
+        (HopfParams, (2, 2, 2, _F), "need 0 < r < n <= 2r, got r=2, n=2"),
+        (HopfParams, (2, 4, 1, _F), "need 0 < r < n <= 2r, got r=1, n=4"),
+        (HopfParams, (2, 2, 1, LaurentPoly.monomial(3, 3)), "f lives over the wrong prime field"),
+        (HopfParams, (2, 2, 1, LaurentPoly.zero(2)), "f must be nonzero"),
+    ],
+)
+def test_param_validation_messages(cls, args, message):
+    # the same message whether the fields are given by position or by name
+    names = ("p", "n", "b", "beta") if cls is ExtensionParams else ("p", "n", "r", "f")
+    with pytest.raises(ValueError) as positional:
+        cls(*args)
+    with pytest.raises(ValueError) as keyword:
+        cls(**dict(zip(names, args)))
+    assert positional.value.args == keyword.value.args == (message,)
