@@ -80,6 +80,7 @@ def monomial_images(y: LElement, ext: ExtensionParams, hopf: HopfParams) -> list
     since (ab)y = a(by) and the dual algebra is commutative.  That is
     p^n - 1 single-generator actions, through one kernel per generator.
     """
+    _check_compat(ext, hopf, y)
     gens = [_action_of(DualElement.z_basis(ext.p**s, hopf), ext, hopf) for s in range(ext.n)]
     images = [y]
     for j in range(1, ext.degree):

@@ -186,43 +186,6 @@ class LaurentPoly:
             k >>= 1
         return out
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by T^k."""
-        return LaurentPoly._from_reduced(self.p, {e + k: c for e, c in self._terms.items()})
-
-    def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Quotient self/other when division is exact in F_p[T, T^-1].
-
-        Raises ValueError when the quotient is not a Laurent polynomial.
-        """
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPoly._from_reduced(self.p, {})
-        p = self.p
-        rem = dict(self._terms)
-        lead = max(other._terms)
-        inv_lead = pow(other._terms[lead], -1, p)
-        # Exact quotients have valuation v(self) - v(other); going below it
-        # means the division runs into an infinite series.
-        low_bound = min(self._terms) - min(other._terms)
-        out: dict[int, int] = {}
-        while rem:
-            d = max(rem)
-            shift = d - lead
-            if shift < low_bound:
-                raise ValueError("division is not exact")
-            q = rem[d] * inv_lead % p
-            out[shift] = q
-            for e, c in other._terms.items():
-                s = (rem.get(e + shift, 0) - q * c) % p
-                if s:
-                    rem[e + shift] = s
-                else:
-                    rem.pop(e + shift, None)
-        return LaurentPoly._from_reduced(p, out)
-
     # -- comparison / hashing ---------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -286,11 +249,11 @@ class CoeffVector:
     The shared core of the element types: L in the powers of x, the Hopf
     algebra in the powers of t, and its dual in the z_j.  Only the nonzero
     coefficients are stored, in ascending index, with the length
-    ``degree`` = p^n; ``coeffs`` is a dense view built on each read.
-    Addition and equality only combine two vectors of the same class, so
-    elements of different spaces never mix.  Subclasses add no
-    per-instance dictionary.  The ``params`` argument of the constructors
-    is any object with ``p`` and ``degree`` (ExtensionParams or HopfParams).
+    ``degree`` = p^n.  Addition and equality only combine two vectors of
+    the same class, so elements of different spaces never mix.  Subclasses
+    add no per-instance dictionary.  The ``params`` argument of the
+    constructors is any object with ``p`` and ``degree`` (ExtensionParams
+    or HopfParams).
     """
 
     __slots__ = ("p", "degree", "_terms")
@@ -335,12 +298,6 @@ class CoeffVector:
         elif coeff.p != p:
             raise ValueError("mixed moduli in coefficient vector")
         return cls._from_terms(p, params.degree, {k: coeff})
-
-    @property
-    def coeffs(self) -> tuple[LaurentPoly, ...]:
-        """Dense view: all ``degree`` coefficients, zeros included."""
-        zero = LaurentPoly._from_reduced(self.p, {})
-        return tuple(self._terms.get(k, zero) for k in range(self.degree))
 
     def nonzero_items(self) -> Iterator[tuple[int, LaurentPoly]]:
         """The (index, coefficient) pairs with nonzero coefficient, in ascending index."""

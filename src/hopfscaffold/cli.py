@@ -147,7 +147,7 @@ def cmd_freeness(cfg: RunConfig, h_values: Iterable[int]) -> int:
     reports = (is_free(h, cfg.ext) for h in h_values)
     if cfg.output == "json":
         for report in reports:
-            _emit_json_line(report.to_json_dict(cfg.ext, cfg.hopf))
+            _emit_json_line(report.to_json_dict(cfg.hopf))
     elif cfg.output == "tsv":
         print("h_raw\th_norm\tm\tfree\twitness_j\tgenerator_count\td\tw")
         for report in reports:

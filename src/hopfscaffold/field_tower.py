@@ -158,9 +158,13 @@ def lelement_from_text(text: str, ext: ExtensionParams) -> LElement:
     and bare Laurent terms such as `T^2` or `3`.
     """
     s = "".join(text.split())
+    if not s:
+        return LElement.zero(ext)
     one = LaurentPoly._from_reduced(ext.p, {0: 1})
     terms: dict[int, LaurentPoly] = {}
     for term in _split_top_level(s):
+        if not term:
+            raise ValueError(f"malformed field element term: {term!r}")
         m = _X_TERM_RE.match(term)
         if m is None:
             # bare Laurent term contributes to the x^0 coefficient

@@ -8,9 +8,9 @@ The p^n monomials z_1^{j_0} z_p^{j_1} ... z_{p^{n-1}}^{j_{n-1}} (digit
 exponents of j) form a K-basis.  z_monomials builds them all along the
 digit trie: the digit-j monomial is the digit-(j - p^s) one times z_{p^s},
 s the lowest nonzero digit of j (trie_step), so each costs one product.
-dual_basis_rank certifies the basis by the rank of their evaluation matrix
-reduced mod T, falling back to fraction-free Gaussian elimination over
-F_p[T] when that rank is short.
+dual_basis_rank certifies the basis by the shape of their evaluation
+matrix: lower triangular with the nonzero constants prod_s j_s! mod p on
+its diagonal.
 
 The dual side also carries a coalgebra structure, induced by the plain
 truncated-polynomial multiplication upstairs: z_j splits as the sum of
@@ -130,97 +130,30 @@ def z_monomials(hopf: HopfParams) -> list[DualElement]:
     return monos
 
 
-# -- basis rank --------------------------------------------------------------
-
-def _fraction_free_rank(rows: list[list[LaurentPoly]], p: int) -> int:
-    """Rank over K of a matrix of Laurent polynomials (Bareiss elimination).
-
-    Rows are first scaled by powers of T into F_p[T]; every division in
-    the elimination is then exact, which exact_div enforces.
-    """
-    m = []
-    for row in rows:
-        vals = [c.valuation() for c in row if not c.is_zero()]
-        shift = min(vals) if vals else 0
-        m.append([c.shift(-shift) for c in row] if shift < 0 else list(row))
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    zero = LaurentPoly._from_reduced(p, {})
-    prev = LaurentPoly._from_reduced(p, {0: 1})
-    row = 0
-    for col in range(ncols):
-        pivot = next((k for k in range(row, nrows) if not m[k][col].is_zero()), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for k in range(row + 1, nrows):
-            lead = m[k][col]
-            for j in range(col + 1, ncols):
-                m[k][j] = (pv * m[k][j] - lead * m[row][j]).exact_div(prev)
-            m[k][col] = zero
-        prev = pv
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def _rank_mod_t(rows: list[dict[int, LaurentPoly]], p: int) -> int:
-    """Rank over F_p of the matrix mod T, each row first shifted by its least valuation.
-
-    The shift is a unit of K and puts the row in F_p[T], not all of it
-    divisible by T; reduction mod T is a ring map F_p[T] -> F_p, so a
-    nonzero minor mod T lifts to a nonzero minor over K.  The result is
-    therefore a lower bound for the rank over K.  Each row is a map
-    {column: nonzero entry}, so a row costs its support, not its length.
-    """
-    pivots: dict[int, dict[int, int]] = {}  # pivot column -> row with 1 there, 0 left of it
-    for row in rows:
-        low = min((c.valuation() for c in row.values()), default=None)
-        red = {k: c.terms[low] for k, c in row.items() if c.valuation() == low}
-        while red:
-            col = min(red)
-            piv = pivots.get(col)
-            if piv is None:
-                inv = pow(red[col], -1, p)
-                pivots[col] = {k: v * inv % p for k, v in red.items()}
-                break
-            m = red[col]
-            for k, v in piv.items():
-                x = (red.get(k, 0) - m * v) % p
-                if x:
-                    red[k] = x
-                else:
-                    red.pop(k, None)
-    return len(pivots)
-
-
-def _certified_rank(vectors: Sequence[CoeffVector], p: int) -> int:
-    """Rank over K of the vectors: the sparse mod-T rank when it is already full, else Bareiss.
-
-    Only the Bareiss fallback reads the vectors as dense rows.
-    """
-    full = min(len(vectors), vectors[0].degree if vectors else 0)
-    rank = _rank_mod_t([dict(v.nonzero_items()) for v in vectors], p)
-    return rank if rank == full else _fraction_free_rank([list(v.coeffs) for v in vectors], p)
-
+# -- basis certificate -------------------------------------------------------
 
 def dual_basis_rank(hopf: HopfParams) -> int:
-    """Rank over K of the p^n x p^n evaluation matrix of the z-monomials.
+    """Rank over K of the p^n x p^n evaluation matrix of the z-monomials, read off its shape.
 
     Row j holds the pairings of the digit-j monomial against the t^i
-    basis; full rank p^n certifies that the monomials form a K-basis.  The
-    rows come from z_monomials, one product each.  Each row is shifted
-    into F_p[T] by its least valuation and the matrix is reduced mod T,
-    reading only the nonzero entries; a full rank over F_p there is a full
-    rank over K.  When it falls short (at (p, n, r, f) = (2, 4, 2, T^-3)
-    the rank mod T is 14 of 16), the rank comes from _fraction_free_rank
-    on the unreduced dense rows.
+    basis, i.e. its z_i coefficients.  Every term u (x) t^v of Delta(t^i)
+    has u + v >= i, and only the untwisted binomial terms reach equality,
+    so the z_{u+v} coefficient of z_u z_v is C(u + v, u) mod p and no
+    product has a z-index above the sum of its factors' largest ones.
+    Along the digit trie the digit-j monomial therefore has no z_i with
+    i > j, and by Lucas its z_j coefficient is prod_s j_s! mod p, nonzero
+    since every digit j_s < p.  The matrix is lower triangular with a
+    nonzero constant diagonal, so its rank is p^n and the monomials form a
+    K-basis.  This walks the rows from z_monomials and confirms that row
+    j's largest z-index is j (only nonzero coefficients are stored, so
+    the entry there is nonzero); a row that breaks the shape is a fault in
+    dual_mult and raises AssertionError naming j.
     """
-    return _certified_rank(z_monomials(hopf), hopf.p)
+    for j, mono in enumerate(z_monomials(hopf)):
+        top = max(dict(mono.nonzero_items()), default=None)
+        if top != j:
+            raise AssertionError(f"z-monomial row {j} has largest z-index {top}, not {j}")
+    return hopf.degree
 
 
 # -- text format ------------------------------------------------------------

@@ -206,11 +206,11 @@ class FreenessReport(NamedTuple):
         digits = product(range(p), repeat=n)
         return tuple(BasisEntry(ds[::-1], -w) for ds, w in zip(digits, self.w_table))
 
-    def to_json_dict(self, ext: ExtensionParams, hopf: Optional[HopfParams] = None) -> dict:
+    def to_json_dict(self, hopf: Optional[HopfParams] = None) -> dict:
         out = {
-            "p": ext.p,
-            "n": ext.n,
-            "b": ext.b,
+            "p": self.ext.p,
+            "n": self.ext.n,
+            "b": self.ext.b,
             "h_raw": self.h.h_raw,
             "h_norm": self.h.h_norm,
             "m": self.h.m,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Union
 
-from .action import _action_of, monomial_images
+from .action import _action_of, _check_compat, monomial_images
 from .base_arith import LaurentPoly, padic_digits, res_mod
 from .field_tower import ExtensionParams, LElement, l_valuation
 from .hopf_dual import DualElement
@@ -212,6 +212,7 @@ def integer_certificate_check(rho: LElement, ctx: ScaffoldContext) -> Certificat
     to an earlier image, p^n - 1 single-generator actions in all.
     """
     ext, hopf = ctx.ext, ctx.hopf
+    _check_compat(ext, hopf, rho)
     if l_valuation(rho, ext) != ext.b:
         raise ValueError(f"v_L(rho) = {l_valuation(rho, ext)} but the certificate needs {ext.b}")
     pn = ext.degree

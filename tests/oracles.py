@@ -23,6 +23,13 @@ from hopfscaffold import (
 )
 
 
+def dense(v) -> list[LaurentPoly]:
+    """All ``degree`` coefficients of a coefficient vector, zeros included."""
+    terms = dict(v.nonzero_items())
+    zero = LaurentPoly.zero(v.p)
+    return [terms.get(k, zero) for k in range(v.degree)]
+
+
 def compositions(total: int, parts: int):
     """All ordered tuples of `parts` nonnegative integers summing to total."""
     if parts == 1:
@@ -104,7 +111,7 @@ def coaction_by_expansion(i: int, ext: ExtensionParams, hopf: HopfParams) -> lis
 def schoolbook_l_mul(a: LElement, b: LElement, ext: ExtensionParams) -> LElement:
     """Dense polynomial product followed by explicit beta folding."""
     pn = ext.degree
-    ac, bc = a.coeffs, b.coeffs
+    ac, bc = dense(a), dense(b)
     wide = [LaurentPoly.zero(ext.p) for _ in range(2 * pn)]
     for i in range(pn):
         for j in range(pn):
@@ -117,7 +124,7 @@ def schoolbook_l_mul(a: LElement, b: LElement, ext: ExtensionParams) -> LElement
 
 def schoolbook_h_mul(a: HElement, b: HElement) -> HElement:
     """Dense convolution of the t-coefficient lists, truncated at t^{p^n}: every pair (i, j), zeros too."""
-    ac, bc = a.coeffs, b.coeffs
+    ac, bc = dense(a), dense(b)
     dim = len(ac)
     out = [LaurentPoly.zero(a.p) for _ in range(dim)]
     for i in range(dim):
@@ -155,7 +162,7 @@ def antipode_convolution_defect(hopf: HopfParams) -> HElement:
     acc = HElement.zero(hopf)
     for (a, b), c in tensor_power_by_expansion(1, hopf).items():
         term = h_mul(antipode(HElement.t_power(a, hopf)), HElement.t_power(b, hopf))
-        acc = acc + HElement([coeff * c for coeff in term.coeffs])
+        acc = acc + HElement([coeff * c for coeff in dense(term)])
     return acc
 
 

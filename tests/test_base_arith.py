@@ -93,24 +93,6 @@ def test_ring_axioms_randomized():
             assert a - a == LaurentPoly.zero(p)
 
 
-def test_exact_div_inverts_multiplication():
-    rng = random.Random(13)
-    for _ in range(40):
-        p = rng.choice((2, 3, 5))
-        a = LaurentPoly(p, [(rng.randint(-4, 4), rng.randint(0, p - 1)) for _ in range(3)])
-        b = LaurentPoly(p, [(rng.randint(-4, 4), rng.randint(0, p - 1)) for _ in range(3)])
-        if b.is_zero():
-            continue
-        assert (a * b).exact_div(b) == a
-
-
-def test_exact_div_rejects_series_quotients():
-    with pytest.raises(ValueError):
-        LaurentPoly.one(2).exact_div(lp("1 + T", 2))
-    with pytest.raises(ZeroDivisionError):
-        lp("T", 2).exact_div(LaurentPoly.zero(2))
-
-
 def test_lucas_digit_identity():
     # C(i, p^s) mod p equals the s-th base-p digit of i
     for p in (2, 3, 5):

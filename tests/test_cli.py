@@ -195,6 +195,16 @@ class TestAct:
         code, _, _ = run(capsys, "act", *BASE, "z_1", "y^3")
         assert code == 2
 
+    def test_empty_field_element_term_exits_2(self, capsys):
+        for text in ("x + ", "x ++ x^2", "+ x"):
+            code, _, err = run(capsys, "act", *BASE, "z_1", text)
+            assert code == 2
+            assert "malformed field element term: ''" in err
+        for text in ("", "0"):
+            code, out, _ = run(capsys, "act", *BASE, "z_1", text)
+            assert code == 0
+            assert json.loads(out)["result"] == "0"
+
     def test_pretty(self, capsys):
         code, out, _ = run(capsys, "act", *BASE, "--output", "pretty", "z_1", "x^3")
         assert code == 0

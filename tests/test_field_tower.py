@@ -17,7 +17,7 @@ from hopfscaffold import (
     lelement_to_text,
 )
 
-from oracles import rand_lelement, schoolbook_l_mul
+from oracles import dense, rand_lelement, schoolbook_l_mul
 
 
 @pytest.fixture
@@ -206,7 +206,7 @@ class TestCoeffVectorDiscipline:
 
     def test_equal_elements_hash_equal(self, same_coeffs):
         for a in same_coeffs:
-            twin = type(a)(list(a.coeffs))
+            twin = type(a)(dense(a))
             assert twin == a and hash(twin) == hash(a)
             assert twin + a == a.scale(2)
 
@@ -214,7 +214,7 @@ class TestCoeffVectorDiscipline:
         for y in same_coeffs:
             assert not hasattr(y, "__dict__")
             with pytest.raises(AttributeError):
-                y.coeffs = ()
+                y.degree = 0
             with pytest.raises(AttributeError):
                 y.extra = 1
 
@@ -235,7 +235,7 @@ class TestCoeffVectorDiscipline:
     def test_dense_parsed_and_computed_forms_are_one_value(self):
         ext = ExtensionParams.monogenic(3, 2, 1)
         zero, t2, t_inv = LaurentPoly.zero(3), LaurentPoly.monomial(3, 2), LaurentPoly.monomial(3, -1, 2)
-        dense = LElement([zero, t2, zero, zero, zero, t_inv, zero, zero, zero])
+        expected = LElement([zero, t2, zero, zero, zero, t_inv, zero, zero, zero])
         parsed = lelement_from_text("(T^2)*x + (0)*x^3 + (2*T^-1)*x^5 + (0)", ext)
         computed = (
             LElement.x_power(5, ext, LaurentPoly.monomial(3, -1)).scale(2)
@@ -244,9 +244,8 @@ class TestCoeffVectorDiscipline:
             - LElement.x_power(3, ext, t2)
         )
         for y in (parsed, computed):
-            assert y == dense and hash(y) == hash(dense)
+            assert y == expected and hash(y) == hash(expected)
             assert list(y.nonzero_items()) == [(1, t2), (5, t_inv)]
-            assert y.coeffs == dense.coeffs
 
     def test_negation_cancels_to_zero(self):
         rng = random.Random(59)

@@ -219,6 +219,14 @@ class TestIsFree:
         report = is_free(0, ext221)
         assert [entry.shift for entry in report.basis] == [0, 0, 0, -1]
 
+    def test_json_reads_the_reports_own_extension(self):
+        report = is_free(1, ExtensionParams.monogenic(3, 2, 2))
+        plain = report.to_json_dict()
+        assert (plain["p"], plain["n"], plain["b"]) == (3, 2, 2)
+        assert "r" not in plain and "f_val" not in plain
+        full = report.to_json_dict(HopfParams(3, 2, 1, LaurentPoly.monomial(3, 5)))
+        assert (full["p"], full["n"], full["b"], full["r"], full["f_val"]) == (3, 2, 2, 1, 5)
+
 
 class TestFreenessB1:
     def test_frozen_examples(self):

@@ -23,7 +23,7 @@ from hopfscaffold import (
 
 from hopfscaffold.hopf_primal import DigitKernel
 
-from oracles import coaction_by_expansion, schoolbook_h_mul, schoolbook_l_mul, tensor_power_by_expansion
+from oracles import coaction_by_expansion, dense, schoolbook_h_mul, schoolbook_l_mul, tensor_power_by_expansion
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -128,7 +128,7 @@ def test_h_mul_matches_schoolbook(case):
 def test_dual_mult_matches_expansion_pairing(case):
     # the z_i coefficient of a*b pairs a (x) b with Delta(t^i) from the multinomial expansion
     hopf, a, b = case
-    ac, bc = a.coeffs, b.coeffs
+    ac, bc = dense(a), dense(b)
     expected = []
     for i in range(hopf.degree):
         total = LaurentPoly.zero(hopf.p)

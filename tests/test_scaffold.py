@@ -17,7 +17,9 @@ from hopfscaffold import (
     l_valuation,
     integer_certificate_check,
     lambda_element,
+    lelement_from_text,
     min_f_valuation_for,
+    monomial_images,
     padic_digits,
     res_mod,
     scaffold_context,
@@ -275,6 +277,15 @@ class TestIntegerCertificate:
         with pytest.raises(ValueError):
             integer_certificate_check(LElement.one(ctx.ext), ctx)
 
+    @pytest.mark.parametrize("text", ["(T)*x^3", "(T^2)*x^5"])
+    def test_rejects_an_element_of_another_extension(self, text):
+        # (T)*x^3 of the degree-8 extension has v_L = 1 = b read at degree 4
+        ctx = ctx_for(2, 2, 1, 1, 4)
+        rho = lelement_from_text(text, ExtensionParams.monogenic(2, 3, 1))
+        for call in (lambda: integer_certificate_check(rho, ctx), lambda: monomial_images(rho, ctx.ext, ctx.hopf)):
+            with pytest.raises(ValueError, match="field element does not belong to the extension"):
+                call()
+
     @pytest.mark.parametrize("p,n,r,b,f_val", [(2, 4, 2, 1, 3), (3, 3, 2, 2, 4)])
     def test_valuations_match_direct_action(self, p, n, r, b, f_val):
         # oracle side: each monomial built by z_monomial and applied to rho in one act call
@@ -289,7 +300,8 @@ class TestIntegerCertificate:
     def test_degree_81_pinned(self):
         # SHA-256 of the perfbench worker's certificate-plus-rank stdout at
         # (p, n, r, b, v_K(f)) = (3, 4, 2, 1, 3), recorded before the digit-trie
-        # certificate and the mod-T rank replaced per-monomial products and Bareiss
+        # certificate replaced per-monomial products and the triangular-shape
+        # check replaced Bareiss elimination for the rank
         ctx = ctx_for(3, 4, 2, 1, 3)
         report = integer_certificate_check(lambda_element(1, ctx), ctx)
         rank = dual_basis_rank(ctx.hopf)
