@@ -17,7 +17,7 @@ The images come from hopf_primal.DigitKernel with fold constant beta, the
 kernel that gives Delta(t^i) with beta = 0.  act reads the t-exponents in
 the support of z, and the kernel prunes every partial product by its
 t-residue against them, so only the t-components z pairs with are ever
-formed; the x-leg is never pruned, since every x-exponent is read.
+formed; the x-leg is returned whole.
 monomial_images applies every z-monomial to one element along the digit
 trie of hopf_dual.trie_step, one generator per monomial and one kernel
 per generator.
@@ -46,10 +46,10 @@ def _check_compat(ext: ExtensionParams, hopf: HopfParams, y: LElement | None = N
 def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> LElement:
     """Action of a dual element: pair z against the t-components of the coaction.
 
-    The digit kernel reads t in the support of z and every x-exponent: it
-    drops each partial product whose t-exponent matches no z-index modulo
-    p to the place of the next nonzero digit of the x-exponent, so only the
-    t-components z pairs with are formed.
+    The digit kernel reads t in the support of z: it drops each partial
+    product whose t-exponent matches no z-index modulo p to the place of
+    the next nonzero digit of the x-exponent, so only the t-components z
+    pairs with are formed.
     """
     _check_compat(ext, hopf, y)
     z._check(ext, "dual element does not belong to the dual algebra")

@@ -76,7 +76,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         f = LaurentPoly.monomial(args.p, args.f_val)
     ext = ExtensionParams(args.p, args.n, args.b, beta)
     hopf = HopfParams(args.p, args.n, args.r, f)
-    return RunConfig(ext, hopf, args.output, getattr(args, "force", False))
+    return RunConfig(ext, hopf, getattr(args, "output", "tsv"), getattr(args, "force", False))
 
 
 def _parse_h_range(text: str) -> range:
@@ -225,7 +225,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     f_group.add_argument("--f-val", type=int, help="f = T^{f_val}")
     f_group.add_argument("--f", type=str, help="explicit Laurent polynomial f")
     parser.add_argument("--beta", type=str, default=None, help="explicit beta (default T^-b)")
-    parser.add_argument("--output", choices=("json", "tsv", "pretty"), default="json")
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -254,6 +253,8 @@ def _make_parser() -> argparse.ArgumentParser:
 
     at = sub.add_parser("atlas", help="TSV freeness table over one full period of h")
     _add_common(at)
+    for reporting in (sv, fr, ac, ao):  # atlas prints TSV only
+        reporting.add_argument("--output", choices=("json", "tsv", "pretty"), default="json")
 
     return parser
 

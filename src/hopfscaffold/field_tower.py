@@ -19,7 +19,7 @@ from typing import Union
 
 from .base_arith import INF, CoeffVector, LaurentPoly, is_prime
 
-_X_TERM_RE = re.compile(r"^(?:\((?P<coef>[^()]*)\)(?:\*(?P<var1>x(?:\^\d+)?))?|(?P<var2>x(?:\^\d+)?))$")
+_X_TERM_RE = re.compile(r"^(?:\((?P<coef>[^()]+)\)(?:\*(?P<var1>x(?:\^\d+)?))?|(?P<var2>x(?:\^\d+)?))$")
 
 
 class ExtensionParams(namedtuple("ExtensionParams", "p n b beta")):
@@ -96,6 +96,7 @@ def l_mul(a: LElement, b: LElement, ext: ExtensionParams) -> LElement:
 
 def l_valuation(y: LElement, ext: ExtensionParams) -> Union[int, float]:
     """v_L(y) = min over nonzero coefficients of p^n*v_K(c_i) - b*i; INF at 0."""
+    y._check(ext, "field element does not belong to the extension")
     best: Union[int, float] = INF
     pn = ext.degree
     for i, c in y.nonzero_items():

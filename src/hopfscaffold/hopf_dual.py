@@ -28,7 +28,7 @@ from .base_arith import CoeffVector, LaurentPoly
 from .field_tower import _split_top_level
 from .hopf_primal import DigitKernel, HElement, HopfParams
 
-_Z_TERM_RE = re.compile(r"^(?:\((?P<coef>[^()]*)\)\*)?z_(?P<idx>\d+)$")
+_Z_TERM_RE = re.compile(r"^(?:\((?P<coef>[^()]+)\)\*)?z_(?P<idx>\d+)$")
 
 
 class DualElement(CoeffVector):
@@ -61,27 +61,42 @@ def dual_eval(z: DualElement, h: HElement) -> LaurentPoly:
     return sum((c * hc[j] for j, c in z.nonzero_items() if j in hc), LaurentPoly._from_reduced(z.p, {}))
 
 
+def _pairing_shifts(hopf: HopfParams) -> set[int]:
+    """X = {sum_s k_s (p^{r+s+1} - p^s) : 0 <= k_s < p, s < n - r}, holding u + v - i for Delta(t^i).
+
+    Each of the i_s terms picked from the factor of Delta(t^i) for digit s
+    adds p^s to u + v, or p^{r+s+1} if it is one of k_s <= i_s twist terms
+    (r + s < n only), so every term u (x) t^v has u + v - i in X.
+    """
+    p, r = hopf.p, hopf.r
+    shifts = {0}
+    for s in range(hopf.n - r):
+        step = p ** (r + s + 1) - p**s
+        shifts = {x + k * step for x in shifts for k in range(p)}
+    return shifts
+
+
 def dual_mult(a: DualElement, b: DualElement, hopf: HopfParams) -> DualElement:
     """Product in the dual algebra.
 
     The z_i coefficient of a*b pairs a with the first and b with the
     second tensor leg of Delta(t^i), the digit kernel's image of u^i with
-    beta = 0.  The kernel reads u in the support of a and v in that of b,
-    pruning every partial product whose exponents miss them by residue, so
-    only the terms that pair are formed; no i above max(a) + max(b) is
-    tried, since every term u (x) t^v of Delta(t^i) has u + v >= i.
+    beta = 0.  Only i = u + v - x with u, v in the supports of a, b and x
+    in _pairing_shifts can pair, so only those images are formed.  The
+    kernel reads v in the support of b; terms with u outside the support
+    of a are dropped as they are summed.
     """
     for z in (a, b):
         z._check(hopf, "dual element does not belong to the dual algebra")
     ac, bc = dict(a.nonzero_items()), dict(b.nonzero_items())
-    if not ac or not bc:
-        return DualElement.zero(hopf)
-    zero = LaurentPoly._from_reduced(hopf.p, {})
-    kernel = DigitKernel(hopf, zero, bc, ac)
+    pn, zero = hopf.degree, LaurentPoly._from_reduced(hopf.p, {})
+    shifts, sums = _pairing_shifts(hopf), {u + v for u in ac for v in bc}
+    reach = {s - x for s in sums for x in shifts if 0 <= s - x < pn}
+    kernel = DigitKernel(hopf, zero, bc)
     out: dict[int, LaurentPoly] = {}
-    for i in range(min(hopf.degree, max(ac) + max(bc) + 1)):
-        out[i] = sum((ac[u] * bc[v] * c for (u, v), c in kernel.image(i).items()), zero)
-    return DualElement._from_terms(hopf.p, hopf.degree, out)
+    for i in reach:
+        out[i] = sum((ac[u] * bc[v] * c for (u, v), c in kernel.image(i).items() if u in ac), zero)
+    return DualElement._from_terms(hopf.p, pn, out)
 
 
 def z_monomial(digits: Sequence[int], hopf: HopfParams) -> DualElement:

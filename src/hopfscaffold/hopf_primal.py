@@ -124,37 +124,24 @@ class DigitKernel:
     of the digit powers of those generator images over the nonzero base-p
     digits of i.  A-exponents at or above p^n fold through beta.
 
-    The caller names the exponents it reads: t_read on the t-leg, u_read
-    on the A-leg, None for every exponent.  image(i) holds exactly the
-    terms of the image of u^i whose exponents are read.  Each factor for
-    digit s adds a multiple of p^s to either leg, and a fold subtracts p^n,
-    so once the factors up to digit s are multiplied in, with s' the next
-    nonzero digit of i (n if none), a partial term survives only if its
-    exponents agree mod p^{s'} with read ones; the t-exponent never falls,
-    so no partial term above the largest read t is formed either.  The
-    digit powers are built on first use and kept by the instance.
+    image(i) holds exactly the terms of the image of u^i whose t-exponent
+    the caller reads (t_read), the A-leg whole.  Each factor for digit s
+    adds a multiple of p^s to the t-exponent, so once the factors up to
+    digit s are multiplied in, with s' the next nonzero digit of i (n if
+    none), a partial term survives only if its t-exponent agrees mod p^{s'}
+    with a read one; the t-exponent never falls, so no partial term above
+    the largest read t is formed either.  The digit powers are built on
+    first use and kept by the instance.
     """
 
     __slots__ = ("p", "n", "pn", "beta", "tmax", "levels", "powers")
 
-    def __init__(
-        self,
-        hopf: HopfParams,
-        beta: LaurentPoly,
-        t_read: Collection[int] | None = None,
-        u_read: Collection[int] | None = None,
-    ):
+    def __init__(self, hopf: HopfParams, beta: LaurentPoly, t_read: Collection[int]):
         p, n = hopf.p, hopf.n
         self.p, self.n, self.pn, self.beta = p, n, hopf.degree, beta
-        self.tmax = hopf.degree - 1 if t_read is None else max(t_read, default=-1)
-
-        def residues(read: Collection[int] | None, m: int) -> set[int] | None:
-            return None if read is None else {e % m for e in read}
-
-        # levels[k] = (p^k, read t residues mod p^k, read A residues mod p^k); None prunes nothing
-        self.levels = [(1, None, None)] + [
-            (p**k, residues(t_read, p**k), residues(u_read, p**k)) for k in range(1, n + 1)
-        ]
+        self.tmax = max(t_read, default=-1)
+        # levels[k] = (p^k, the read t-exponents mod p^k)
+        self.levels = [(p**k, {e % p**k for e in t_read}) for k in range(n + 1)]
         one = LaurentPoly._from_reduced(p, {0: 1})
         twist = twist_coefficients(hopf)
         # powers[s][d - 1] = image of u^{d p^s}, the row grown on demand from the generator
@@ -173,17 +160,17 @@ class DigitKernel:
     def mul(self, a: Sparse, b: Sparse, level: int = 0) -> Sparse:
         """Product in A (x) H without the terms above the largest read t.
 
-        With level k > 0 it also drops every term whose t- or A-exponent
-        agrees with no read exponent mod p^k.
+        With level k > 0 it also drops every term whose t-exponent agrees
+        with no read one mod p^k.
         """
         pn, beta, tmax = self.pn, self.beta, self.tmax
-        m, t_res, u_res = self.levels[level]
+        m, t_res = self.levels[level]
         nil = beta.is_zero()
         out: Sparse = {}
         for (ua, ta), ca in a.items():
             for (ub, tb), cb in b.items():
                 t = ta + tb
-                if t > tmax or t_res is not None and t % m not in t_res:
+                if t > tmax or t % m not in t_res:
                     continue
                 u = ua + ub
                 fold = u >= pn
@@ -191,8 +178,6 @@ class DigitKernel:
                     if nil:  # a term folded through beta = 0 vanishes
                         continue
                     u -= pn
-                if u_res is not None and u % m not in u_res:
-                    continue
                 c = ca * cb * beta if fold else ca * cb
                 key = (u, t)
                 out[key] = out[key] + c if key in out else c
@@ -221,15 +206,9 @@ class DigitKernel:
         return self._read(power, level) if image is None else self.mul(image, power, level)
 
     def _read(self, terms: Sparse, level: int) -> Sparse:
-        """terms without those whose exponents agree with no read ones mod p^level."""
-        m, t_res, u_res = self.levels[level]
-        if t_res is None and u_res is None:
-            return terms
-        return {
-            (u, t): c
-            for (u, t), c in terms.items()
-            if (t_res is None or t % m in t_res) and (u_res is None or u % m in u_res)
-        }
+        """terms without those whose t-exponent agrees with no read one mod p^level."""
+        m, t_res = self.levels[level]
+        return {(u, t): c for (u, t), c in terms.items() if t % m in t_res}
 
     def _power(self, s: int, d: int) -> Sparse:
         """The image of u^{d p^s}, built on first use."""
@@ -248,4 +227,4 @@ def delta_power(i: int, hopf: HopfParams) -> Sparse:
     if not 0 <= i < hopf.degree:
         raise ValueError(f"power {i} out of range [0, {hopf.degree})")
     zero = LaurentPoly._from_reduced(hopf.p, {})
-    return DigitKernel(hopf, zero).image(i)
+    return DigitKernel(hopf, zero, range(hopf.degree)).image(i)

@@ -194,6 +194,11 @@ class TestAct:
         assert "error" in err
         code, _, _ = run(capsys, "act", *BASE, "z_1", "y^3")
         assert code == 2
+        # an empty parenthesized coefficient is malformed, not zero
+        for z, y in (("z_1", "()*x"), ("()*z_1", "x"), ("z_1", "(T)*x + ()")):
+            code, out, err = run(capsys, "act", *BASE, z, y)
+            assert (code, out) == (2, "")
+            assert "malformed" in err
 
     def test_empty_field_element_term_exits_2(self, capsys):
         for text in ("x + ", "x ++ x^2", "+ x"):
@@ -247,6 +252,13 @@ class TestAtlas:
         rows = [line.split("\t") for line in lines[1:]]
         assert len(rows) == 4
         assert [row[1] for row in rows] == ["0", "1", "1", "1"]
+
+    def test_takes_no_output_option(self, capsys):
+        # atlas prints TSV only, so --output is refused rather than ignored
+        for fmt in ("json", "tsv", "pretty"):
+            code, out, err = run(capsys, "atlas", *BASE, "--output", fmt)
+            assert (code, out) == (2, "")
+            assert "unrecognized arguments: --output" in err
 
     def test_degree_81_pinned(self, capsys):
         # the atlas/R81 digest of perfbench/reference.json
@@ -423,7 +435,8 @@ def _argv(draw):
         flags["--f"] = draw(st.sampled_from(("T^3", "T^-2 + 2*T^5", "T^9", "0")))
     if draw(st.booleans()):
         flags["--beta"] = draw(st.sampled_from((f"T^-{b}", f"T^-{b} + T^2", f"T^{b}")))
-    flags["--output"] = draw(st.sampled_from(("json", "tsv", "pretty")))
+    if command != "atlas":  # atlas takes no --output
+        flags["--output"] = draw(st.sampled_from(("json", "tsv", "pretty")))
     if command in ("freeness", "assoc-order"):
         flags["--h"] = draw(st.sampled_from(("0", "3", "-2..1", str(b))))
     operands = [draw(st.sampled_from(("z_1", "(T^2)*z_3", "z_0 + (2*T^-1)*z_2", "0"))),

@@ -134,6 +134,13 @@ class TestIdealMembership:
         for h in (-5, 0, 7):
             assert ideal_membership(LElement.zero(ext221), h, ext221)
 
+    def test_rejects_an_element_of_another_extension(self, ext221):
+        # (T)*x^7 lives in the degree-8 extension; read against degree 4 it has no valuation
+        y = lelement_from_text("(T)*x^7", ExtensionParams.monogenic(2, 3, 1))
+        for check in (lambda: l_valuation(y, ext221), lambda: ideal_membership(y, 0, ext221)):
+            with pytest.raises(ValueError, match="does not belong to the extension"):
+                check()
+
     def test_period_is_multiplication_by_t(self):
         rng = random.Random(41)
         ext = ExtensionParams.monogenic(3, 2, 1)
@@ -177,8 +184,10 @@ class TestTextFormat:
             lelement_from_text("x^4", ext221)
 
     def test_rejects_garbage(self, ext221):
-        with pytest.raises(ValueError):
-            lelement_from_text("x^^2", ext221)
+        # an empty parenthesized coefficient is malformed, not zero
+        for text in ("x^^2", "()*x", "()", "(T)*x + ()", "()*x^2 + x"):
+            with pytest.raises(ValueError):
+                lelement_from_text(text, ext221)
 
 
 class TestCoeffVectorDiscipline:

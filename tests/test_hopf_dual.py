@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import threading
@@ -158,16 +159,30 @@ class TestDualMult:
                 expected.append(total)
             assert dual_mult(a, b, params) == DualElement(expected)
 
-    @pytest.mark.parametrize("p,n,r", [(2, 4, 2), (3, 3, 2)])
+    @pytest.mark.parametrize("p,n,r", [(2, 4, 2), (3, 3, 2), (3, 4, 3), (5, 3, 2)])
     def test_delta_terms_reach_their_index(self, p, n, r):
-        # dual_mult skips every i above max(a) + max(b): no term u (x) t^v of
-        # Delta(t^i) has u + v < i
+        # dual_mult tries only i = u + v - x with x in _pairing_shifts: every term
+        # u (x) t^v of Delta(t^i), from the multinomial expansion, has u + v - i there
         params = hp(p, n, r, "T^3 + T^5")
-        kernel = DigitKernel(params, LaurentPoly.zero(p))
-        for i in range(params.degree):
-            image = kernel.image(i)
+        shifts = hopf_dual._pairing_shifts(params)
+        # the expansion slows sharply with i at p = 5 (0.6 s at i = 34); i < 27 still sets every digit there
+        for i in range(27 if p == 5 else params.degree):
+            image = tensor_power_by_expansion(i, params)
             assert image
-            assert all(u + v >= i for u, v in image)
+            assert all(u + v - i in shifts for u, v in image)
+
+    def test_forms_kernel_images_only_for_reachable_indices(self, monkeypatch):
+        # at (3,5,3,T^3) the z-monomial rows once formed 29,645 kernel images, 29,338 of them empty
+        formed = []
+        real_image = DigitKernel.image
+
+        def spy(self, i):
+            formed.append(i)
+            return real_image(self, i)
+
+        monkeypatch.setattr(DigitKernel, "image", spy)
+        assert dual_basis_rank(hp(3, 5, 3, "T^3")) == 243
+        assert len(formed) < 1000
 
     def test_rejects_operands_of_another_degree(self):
         params8, params16 = hp(2, 3, 2, "T^5"), hp(2, 4, 2, "T^5")
@@ -270,6 +285,13 @@ class TestBasisRank:
             assert top == j
             assert lead == LaurentPoly.constant(p, math.prod(map(math.factorial, padic_digits(j, p, n))) % p)
 
+    def test_degree_243_rows_pinned(self):
+        # SHA-256 of the z-monomial rows in text, one per line, at (p, n, r, f) = (3, 5, 3, T^3),
+        # recorded before dual_mult tried only the indices reachable from its operands
+        out = "".join(dual_to_text(mono) + "\n" for mono in z_monomials(hp(3, 5, 3, "T^3")))
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "10d9d1dcd39908ac77bc98703b56ff7bd876557a1ee42ed93b35505a35247008"
+
     @pytest.mark.parametrize("fault", ["swap rows", "drop lead term"])
     def test_rejects_rows_off_the_triangular_shape(self, monkeypatch, fault):
         params = hp(2, 4, 2, "T^-3")
@@ -329,6 +351,6 @@ class TestTextFormat:
 
     def test_rejects_garbage(self):
         params = hp(2, 2, 1, "T^4")
-        for text in ("w_1", "(T*z_1", "(T))*z_1"):
+        for text in ("w_1", "(T*z_1", "(T))*z_1", "()*z_1", "z_1 + ()*z_2"):
             with pytest.raises(ValueError):
                 dual_from_text(text, params)
