@@ -16,8 +16,10 @@ callers realize those by substituting (beta, f).
 The images come from hopf_primal.DigitKernel with fold constant beta, the
 kernel that gives Delta(t^i) with beta = 0.  act reads the t-exponents in
 the support of z, and the kernel prunes every partial product by its
-t-residue against them, so only the t-components z pairs with are ever
-formed; the x-leg is returned whole.
+t-residue against them, so only the t-components z pairs with are formed.
+The kernel multiplies integer terms c * f^m * beta^k and returns one
+Laurent coefficient per term of the image of x^i, the x-leg whole; y's
+coefficient of x^i times z's of t^k is formed once per k.
 monomial_images applies every z-monomial to one element along the digit
 trie of hopf_dual.trie_step, one generator per monomial and one kernel
 per generator.
@@ -64,8 +66,11 @@ def _action_of(z: DualElement, ext: ExtensionParams, hopf: HopfParams) -> Callab
     def apply(y: LElement) -> LElement:
         out: dict[int, LaurentPoly] = {}
         for i, c in y.nonzero_items():
+            scaled: dict[int, LaurentPoly] = {}  # t -> c * z_t, formed for the t read
             for (x, t), coeff in kernel.image(i).items():
-                term = c * zc[t] * coeff
+                if t not in scaled:
+                    scaled[t] = c * zc[t]
+                term = scaled[t] * coeff
                 out[x] = out[x] + term if x in out else term
         return LElement._from_terms(ext.p, ext.degree, out)
 

@@ -182,8 +182,9 @@ class LaurentPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- comparison / hashing ---------------------------------------------

@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success / all checks passed,
 1 verification failure, 2 usage or validation error, 3 tolerance
-hypothesis unmet.  JSON output is deterministic: keys sorted, check
+hypothesis unmet, 141 stdout closed early by its reader (128 + SIGPIPE,
+as `seq | head` gives).  JSON output is deterministic: keys sorted, check
 records sorted, no timestamps.  With SCAFFOLD_LOG=DEBUG or NOTSET (any
 case), stderr gets the line `DEBUG:hopfscaffold:dispatching <command>`;
 any other value writes nothing.
@@ -312,7 +313,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:  # console script hook
-    sys.exit(main())
+    """Exit with main's code, or 141 (128 + SIGPIPE) once the reader has closed stdout."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout is flushed again at exit: point it where that cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,12 +14,14 @@ holding nonzero terms only.  Delta(t^i) is the image of u^i under
 DigitKernel with beta = 0, and Delta(t) is delta_power(1).  That
 digit-factored kernel is shared with the coaction of L (see action),
 which is the same formula with x^{p^n} = beta in place of u^{p^n} = 0.
-The closed multinomial expansion of the powers is exercised
+Its coefficients are all c * f^m * beta^k with c in F_p, so it multiplies
+integers only.  The closed multinomial expansion of the powers is exercised
 independently by the test suite as a differential oracle, not used here.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from typing import Collection
 
@@ -90,27 +92,10 @@ def antipode(h: HElement) -> HElement:
     return HElement._from_terms(h.p, h.degree, {i: -c if i % 2 else c for i, c in h.nonzero_items()})
 
 
-def twist_coefficients(hopf: HopfParams) -> list[tuple[int, LaurentPoly]]:
-    """The pairs (l, f/(l!(p-l)!)) for l = 1 ... p-1: the twist term's coefficients."""
-    p = hopf.p
-    out = []
-    for ell in range(1, p):
-        denom = 1
-        for k in range(2, ell + 1):
-            denom = denom * k % p
-        for k in range(2, p - ell + 1):
-            denom = denom * k % p
-        out.append((ell, hopf.f * pow(denom, -1, p)))
-    return out
-
-
 # An element of A (x) H as {(A-exponent, t-exponent): nonzero coefficient}.
 Sparse = dict[tuple[int, int], LaurentPoly]
-
-
-def _frobenius(c: LaurentPoly, q: int) -> LaurentPoly:
-    """c^q for q a power of p: F_p is fixed, so only exponents scale."""
-    return LaurentPoly._from_reduced(c.p, {e * q: a for e, a in c.items()})
+# The kernel's terms c * f^m * beta^k * u^a (x) t^b as {(a, b, m, k): c}, c in [1, p).
+Terms = dict[tuple[int, int, int, int], int]
 
 
 class DigitKernel:
@@ -124,6 +109,16 @@ class DigitKernel:
     of the digit powers of those generator images over the nonzero base-p
     digits of i.  A-exponents at or above p^n fold through beta.
 
+    Every coefficient formed is c * f^m * beta^k with c in F_p: the twist
+    coefficient of digit s is (f/(l!(p-l)!))^{p^s} = f^{p^s}/(l!(p-l)!), as
+    Frobenius fixes F_p, and each fold multiplies by beta.  So digit powers
+    and partial products are Terms, multiplied in integers, and image(i)
+    reads each c * f^m * beta^k from a memo kept by the instance.  No two
+    terms share (u, t), so none cancel: a twist at digit s adds p^{r+s+1}
+    to u + t and p^s to m where a plain factor adds p^s, so
+    u + k p^n + t = i + (p^{r+1} - 1) m, and k < p as t_read < p^n keeps
+    unfolded A-exponents below p^{n+1}; so (u, t) fixes k, then m.
+
     image(i) holds exactly the terms of the image of u^i whose t-exponent
     the caller reads (t_read), the A-leg whole.  Each factor for digit s
     adds a multiple of p^s to the t-exponent, so once the factors up to
@@ -134,83 +129,74 @@ class DigitKernel:
     first use and kept by the instance.
     """
 
-    __slots__ = ("p", "n", "pn", "beta", "tmax", "levels", "powers")
+    __slots__ = ("p", "n", "pn", "f", "beta", "tmax", "levels", "powers", "scalars")
 
     def __init__(self, hopf: HopfParams, beta: LaurentPoly, t_read: Collection[int]):
         p, n = hopf.p, hopf.n
-        self.p, self.n, self.pn, self.beta = p, n, hopf.degree, beta
+        self.p, self.n, self.pn, self.f, self.beta = p, n, hopf.degree, hopf.f, beta
         self.tmax = max(t_read, default=-1)
         # levels[k] = (p^k, the read t-exponents mod p^k)
         self.levels = [(p**k, {e % p**k for e in t_read}) for k in range(n + 1)]
-        one = LaurentPoly._from_reduced(p, {0: 1})
-        twist = twist_coefficients(hopf)
+        self.scalars: dict[tuple[int, int, int], LaurentPoly] = {}  # (m, k, c) -> c * f^m * beta^k
         # powers[s][d - 1] = image of u^{d p^s}, the row grown on demand from the generator
-        self.powers: list[list[Sparse]] = []
+        self.powers: list[list[Terms]] = []
         for s in range(n):
             q = p**s
-            gen: Sparse = {(q, 0): one}
+            gen: Terms = {(q, 0, 0, 0): 1}
             if q <= self.tmax:
-                gen[(0, q)] = one
+                gen[(0, q, 0, 0)] = 1
             prs = p ** (hopf.r + s)
-            for ell, coeff in twist:
+            for ell in range(1, p):
                 if prs * (p - ell) <= self.tmax:
-                    gen[(prs * ell, prs * (p - ell))] = _frobenius(coeff, q)
+                    gen[(prs * ell, prs * (p - ell), q, 0)] = pow(math.factorial(ell) * math.factorial(p - ell), -1, p)
             self.powers.append([gen])
 
-    def mul(self, a: Sparse, b: Sparse, level: int = 0) -> Sparse:
+    def mul(self, a: Terms, b: Terms, level: int = 0) -> Terms:
         """Product in A (x) H without the terms above the largest read t.
 
         With level k > 0 it also drops every term whose t-exponent agrees
         with no read one mod p^k.
         """
-        pn, beta, tmax = self.pn, self.beta, self.tmax
-        m, t_res = self.levels[level]
-        nil = beta.is_zero()
-        out: Sparse = {}
-        for (ua, ta), ca in a.items():
-            for (ub, tb), cb in b.items():
+        p, pn, tmax = self.p, self.pn, self.tmax
+        mod, t_res = self.levels[level]
+        nil = self.beta.is_zero()
+        out: Terms = {}
+        for (ua, ta, ma, ka), ca in a.items():
+            for (ub, tb, mb, kb), cb in b.items():
                 t = ta + tb
-                if t > tmax or t % m not in t_res:
+                if t > tmax or t % mod not in t_res:
                     continue
-                u = ua + ub
-                fold = u >= pn
-                if fold:
+                u, k = ua + ub, ka + kb
+                if u >= pn:
                     if nil:  # a term folded through beta = 0 vanishes
                         continue
-                    u -= pn
-                c = ca * cb * beta if fold else ca * cb
-                key = (u, t)
-                out[key] = out[key] + c if key in out else c
-        return {key: c for key, c in out.items() if not c.is_zero()}
+                    u, k = u - pn, k + 1
+                key = (u, t, ma + mb, k)
+                out[key] = out.get(key, 0) + ca * cb
+        return {key: c % p for key, c in out.items() if c % p}
 
     def image(self, i: int) -> Sparse:
-        """The read terms of the image of u^i (possibly shared; do not mutate)."""
-        p, image, factor, s = self.p, None, None, 0
-        while i:
-            i, d = divmod(i, p)
-            if d:
-                # s is the next nonzero digit: the product through the pending factor is pruned mod p^s
-                if factor is not None:
-                    image = self._times(image, factor, s)
-                    if not image:
-                        return image
-                factor = (s, d)
-            s += 1
-        if factor is None:
-            return self._read({(0, 0): LaurentPoly._from_reduced(p, {0: 1})}, self.n)
-        return self._times(image, factor, self.n)
+        """The read terms of the image of u^i, as a fresh {(u, t): nonzero coefficient} map."""
+        p, n = self.p, self.n
+        places = [s for s in range(n) if i // p**s % p]
+        terms = None if places else self._read({(0, 0, 0, 0): 1}, n)
+        # the product through the factor for digit s is pruned mod p^(place of the next nonzero digit)
+        for s, level in zip(places, places[1:] + [n]):
+            power = self._power(s, i // p**s % p)
+            terms = self._read(power, level) if terms is None else self.mul(terms, power, level)
+            if not terms:
+                return {}
+        scalars = self.scalars
+        for m, k, c in {(m, k, c) for (_, _, m, k), c in terms.items()} - scalars.keys():
+            scalars[(m, k, c)] = self.f**m * self.beta**k * c
+        return {(u, t): scalars[(m, k, c)] for (u, t, m, k), c in terms.items()}
 
-    def _times(self, image: Sparse | None, factor: tuple[int, int], level: int) -> Sparse:
-        """image (None for the unit) times the digit power factor = (s, d), pruned mod p^level."""
-        power = self._power(*factor)
-        return self._read(power, level) if image is None else self.mul(image, power, level)
-
-    def _read(self, terms: Sparse, level: int) -> Sparse:
+    def _read(self, terms: Terms, level: int) -> Terms:
         """terms without those whose t-exponent agrees with no read one mod p^level."""
-        m, t_res = self.levels[level]
-        return {(u, t): c for (u, t), c in terms.items() if t % m in t_res}
+        mod, t_res = self.levels[level]
+        return {key: c for key, c in terms.items() if key[1] % mod in t_res}
 
-    def _power(self, s: int, d: int) -> Sparse:
+    def _power(self, s: int, d: int) -> Terms:
         """The image of u^{d p^s}, built on first use."""
         row = self.powers[s]
         while len(row) < d:

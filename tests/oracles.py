@@ -40,18 +40,60 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def expansion_terms(i: int, p: int, r: int):
-    """Exact multinomial expansion of the i-th power of the twisted primitive sum.
+def _twist_inverses(p: int) -> dict[int, int]:
+    """{l: 1/(l!(p-l)!) mod p} for l = 1 ... p-1."""
+    return {ell: pow(math.factorial(ell) * math.factorial(p - ell) % p, -1, p) for ell in range(1, p)}
 
-    Yields (left_exp, right_exp, scalar, f_power) for each term of
+
+def expansion_terms(i: int, p: int, r: int):
+    """Exact multinomial expansion of the i-th power of the twisted primitive sum, digit by digit.
+
+    Yields (left_exp, right_exp, scalar, f_power) for the nonzero terms of
     (u + v + f * sum_l u^{p^r l} v^{p^r (p-l)} / (l!(p-l)!))^i: the term is
-    scalar * f^f_power * u^left_exp * v^right_exp.  Scalars are computed
-    from exact integer binomials reduced mod p.
+    scalar * f^f_power * u^left_exp * v^right_exp.  In characteristic p the
+    i-th power is the product, over the base-p digits d of i at places s,
+    of the d-th power of u^{p^s} + v^{p^s} + f^{p^s} * sum_l
+    u^{p^{r+s} l} v^{p^{r+s} (p-l)} / (l!(p-l)!) (Frobenius fixes F_p).
+    Each such power expands over the compositions of d into u, v and the
+    p - 1 twist parts, with the multinomial d!/(a! b! k_1! ... k_{p-1}!)
+    (Lucas: the full multinomial mod p is the product of these).
     """
-    inv = {
-        ell: pow(math.factorial(ell) * math.factorial(p - ell) % p, -1, p)
-        for ell in range(1, p)
-    }
+    inv = _twist_inverses(p)
+    terms = {(0, 0, 0): 1}
+    q = 1
+    while i:
+        i, d = divmod(i, p)
+        factor: dict[tuple[int, int, int], int] = {}
+        for comp in compositions(d, p + 1):
+            c = math.factorial(d)
+            for part in comp:
+                c //= math.factorial(part)
+            twists = list(enumerate(comp[2:], start=1))
+            for ell, k in twists:
+                c = c * pow(inv[ell], k, p)
+            lo = sum(ell * k for ell, k in twists)
+            hi = sum((p - ell) * k for ell, k in twists)
+            key = (q * (comp[0] + p**r * lo), q * (comp[1] + p**r * hi), q * sum(comp[2:]))
+            factor[key] = (factor.get(key, 0) + c) % p
+        product: dict[tuple[int, int, int], int] = {}
+        for (a1, b1, f1), c1 in terms.items():
+            for (a2, b2, f2), c2 in factor.items():
+                key = (a1 + a2, b1 + b2, f1 + f2)
+                product[key] = (product.get(key, 0) + c1 * c2) % p
+        terms = {key: c for key, c in product.items() if c}
+        q *= p
+    for (a, b, fpow), c in terms.items():
+        yield (a, b, c, fpow)
+
+
+def expansion_terms_by_binomials(i: int, p: int, r: int):
+    """The terms of expansion_terms from exact integer binomials of i, reduced mod p.
+
+    Enumerates every composition of i into u, v and the p - 1 twist parts,
+    so it is slow beyond small i at p = 5; kept to cross-check the
+    digit-wise expansion.  Terms may repeat a key; their scalars add.
+    """
+    inv = _twist_inverses(p)
     for i1 in range(i + 1):
         for i2 in range(i - i1 + 1):
             i3 = i - i1 - i2
@@ -72,16 +114,25 @@ def expansion_terms(i: int, p: int, r: int):
                 yield (i1 + p**r * lo, i2 + p**r * hi, c, i3)
 
 
-def tensor_power_by_expansion(i: int, hopf: HopfParams) -> dict:
-    """Closed-form expansion of t^i's comultiplication as {(a, b): nonzero coefficient}, truncating at p^n."""
+def image_by_expansion(i: int, hopf: HopfParams, beta: LaurentPoly) -> dict:
+    """Closed-form image of u^i in K[u]/(u^{p^n} - beta) (x) H as {(a, b): nonzero coefficient}.
+
+    Left exponents at or above p^n fold through beta, right ones vanish.
+    """
     pn = hopf.degree
     acc: dict[tuple[int, int], LaurentPoly] = {}
     for a, b, c, fpow in expansion_terms(i, hopf.p, hopf.r):
-        if a >= pn or b >= pn:
+        if b >= pn:
             continue
-        term = (hopf.f**fpow) * c
-        acc[(a, b)] = acc.get((a, b), LaurentPoly.zero(hopf.p)) + term
+        folds, a = divmod(a, pn)
+        term = hopf.f**fpow * beta**folds * c
+        acc[(a, b)] = acc[(a, b)] + term if (a, b) in acc else term
     return {key: c for key, c in acc.items() if not c.is_zero()}
+
+
+def tensor_power_by_expansion(i: int, hopf: HopfParams) -> dict:
+    """Closed-form expansion of t^i's comultiplication as {(a, b): nonzero coefficient}, truncating at p^n."""
+    return image_by_expansion(i, hopf, LaurentPoly.zero(hopf.p))
 
 
 def tensor_product(a: dict, b: dict, dim: int) -> dict:
@@ -96,16 +147,12 @@ def tensor_product(a: dict, b: dict, dim: int) -> dict:
 
 
 def coaction_by_expansion(i: int, ext: ExtensionParams, hopf: HopfParams) -> list[LElement]:
-    """Closed-form coaction image of x^i: left legs reduce through beta."""
-    pn = ext.degree
-    comps = [LElement.zero(ext) for _ in range(pn)]
-    for a, b, c, fpow in expansion_terms(i, ext.p, hopf.r):
-        if b >= pn:
-            continue
-        folds, exp = divmod(a, pn)
-        coeff = (hopf.f**fpow) * (ext.beta**folds) * c
-        comps[b] = comps[b] + LElement.x_power(exp, ext, coeff)
-    return comps
+    """Closed-form coaction image of x^i, by t-exponent: left legs reduce through beta."""
+    comps: list[dict[int, LaurentPoly]] = [{} for _ in range(ext.degree)]
+    for (a, b), c in image_by_expansion(i, hopf, ext.beta).items():
+        comps[b][a] = c
+    zero = LaurentPoly.zero(ext.p)
+    return [LElement([comp.get(a, zero) for a in range(ext.degree)]) for comp in comps]
 
 
 def schoolbook_l_mul(a: LElement, b: LElement, ext: ExtensionParams) -> LElement:

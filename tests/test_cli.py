@@ -315,6 +315,30 @@ def test_scaffold_log_prints_the_dispatch_line_only_at_debug(quiet_atlas, level,
     assert quiet_atlas.returncode == 0 and quiet_atlas.stdout.startswith("h\tfree")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["act", *BASE, "z_1", "x"],  # one line, still buffered at exit
+        ["freeness", *BASE, "--h", "-300..300"],  # streamed rows, written while main runs
+    ],
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # the read end of stdout is closed before the child writes, so every write fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env.pop("SCAFFOLD_LOG", None)
+    script = "from hopfscaffold.cli import entry; entry()"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 class TestUsage:
     def test_missing_f_specification(self, capsys):
         code, _, err = run(capsys, "scaffold-verify", "--p", "2", "--n", "2", "--r", "1", "--b", "1")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import threading
@@ -18,6 +19,9 @@ from hopfscaffold.hopf_primal import DigitKernel
 from oracles import (
     antipode_convolution_defect,
     coassociativity_sides,
+    expansion_terms,
+    expansion_terms_by_binomials,
+    image_by_expansion,
     tensor_power_by_expansion,
     tensor_product,
 )
@@ -80,28 +84,55 @@ class TestDeltaT:
 
 
 class TestTensorMul:
-    # the product of H (x) H is DigitKernel.mul with beta = 0, reading every t-exponent
+    # the product of H (x) H is DigitKernel.mul with beta = 0, reading every t-exponent, on integer
+    # terms {(a, b, m, k): c} standing for c * f^m * beta^k * t^a (x) t^b; the schoolbook product
+    # of oracles.tensor_product checks it on the Laurent maps the terms stand for
     @staticmethod
     def kernel(params):
         return DigitKernel(params, LaurentPoly.zero(params.p), range(params.degree))
 
+    @staticmethod
+    def laurent(terms, params):
+        """The {(a, b): coefficient} map of beta-free integer kernel terms."""
+        acc = {}
+        for (a, b, m, k), c in terms.items():
+            assert k == 0 and 0 < c < params.p
+            acc[(a, b)] = acc.get((a, b), LaurentPoly.zero(params.p)) + params.f**m * c
+        return {key: c for key, c in acc.items() if not c.is_zero()}
+
     def test_unit(self):
         params = hp(2, 2, 1)
+        gen = {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (2, 2, 1, 0): 1}  # Delta(t) at p = 2
+        assert self.kernel(params).mul({(0, 0, 0, 0): 1}, gen) == gen
         d = delta_power(1, params)
-        assert self.kernel(params).mul(unit(2), d) == d == tensor_product(unit(2), d, params.degree)
+        assert self.laurent(gen, params) == d == tensor_product(unit(2), d, params.degree)
 
     def test_simple_tensor_product(self):
         params = hp(2, 2, 1)
         one = LaurentPoly.one(2)
-        t_left, t_right = {(1, 0): one}, {(0, 1): one}
-        assert self.kernel(params).mul(t_left, t_right) == {(1, 1): one}
-        assert tensor_product(t_left, t_right, params.degree) == {(1, 1): one}
+        t_left, t_right = {(1, 0, 0, 0): 1}, {(0, 1, 0, 0): 1}
+        assert self.kernel(params).mul(t_left, t_right) == {(1, 1, 0, 0): 1}
+        assert tensor_product({(1, 0): one}, {(0, 1): one}, params.degree) == {(1, 1): one}
 
     def test_kernel_product_drops_exponents_at_or_above_degree(self):
         params = hp(2, 2, 1)
-        one = LaurentPoly.one(2)
-        for a, b in (({(3, 0): one}, {(1, 0): one}), ({(0, 2): one}, {(1, 2): one})):
-            assert self.kernel(params).mul(a, b) == {} == tensor_product(a, b, params.degree)
+        for a, b in (({(3, 0, 0, 0): 1}, {(1, 0, 0, 0): 1}), ({(0, 2, 0, 0): 1}, {(1, 2, 0, 0): 1})):
+            assert self.kernel(params).mul(a, b) == {}
+            assert tensor_product(self.laurent(a, params), self.laurent(b, params), params.degree) == {}
+
+    @pytest.mark.parametrize("p,n,r", AXIOM_RANGE)
+    def test_products_of_generator_images_reduce_mod_p(self, p, n, r):
+        # Delta(t)^2 and Delta(t)^3 as integer terms: coefficients add exponents of f, multiply
+        # residues, reduce mod p (at p = 2 the cross terms 2 t (x) t vanish) and drop zeros
+        params = hp(p, n, r, "T^-1 + T^2")
+        kernel = self.kernel(params)
+        gen = kernel.powers[0][0]
+        square = kernel.mul(gen, gen)
+        cube = kernel.mul(square, gen)
+        d1 = delta_power(1, params)
+        assert self.laurent(gen, params) == d1
+        assert self.laurent(square, params) == tensor_product(d1, d1, params.degree) == delta_power(2, params)
+        assert self.laurent(cube, params) == delta_power(3, params)
 
     @pytest.mark.parametrize("p,n,r", AXIOM_RANGE)
     def test_nilpotency(self, p, n, r):
@@ -219,7 +250,90 @@ class TestReadPrune:
             assert len(products) <= max(len(places) - 1, 0)
             for product, place in zip(products, places[2:] + [n]):
                 m = p**place
-                assert all(t % m in {e % m for e in t_read} for _, t in product)
+                assert all(t % m in {e % m for e in t_read} for _, t, _, _ in product)
+
+
+# (p, n, r, f, beta, t_read): multi-term f and beta, beta = 0 among them; None reads every t
+KERNEL_PIN_CASES = [
+    (2, 4, 2, "T^-1 + T^2", "T^-3 + 1 + T", None),
+    (2, 5, 3, "T^3 + T^5", "0", {3, 12, 17, 30}),
+    (2, 6, 3, "T^-2 + T", "T^-1 + T^2", {5, 32, 40, 63}),
+    (3, 3, 2, "2*T^-1 + T^2", "T^-2 + 2*T", None),
+    (3, 3, 2, "T + 2*T^4", "0", None),
+    (3, 4, 2, "T + 2*T^4", "T^-1 + T^2", {9, 28, 40, 80}),
+    (5, 2, 1, "2*T^-1 + T^2", "T^-1 + 3*T", None),
+    (5, 3, 2, "T^3 + 4*T^5", "0", {7, 30, 62, 124}),
+    (5, 3, 2, "2*T^-1 + T^2", "4*T^-1 + T^3", None),
+]
+
+
+class TestKernelImages:
+    def test_images_are_pinned(self):
+        # SHA-256 of every image(i), each term as "p n r i u t coeff", recorded when the kernel
+        # multiplied LaurentPoly coefficients term by term
+        digest = hashlib.sha256()
+        for p, n, r, f, beta, t_read in KERNEL_PIN_CASES:
+            params = hp(p, n, r, f)
+            kernel = DigitKernel(params, LaurentPoly.from_text(beta, p), range(p**n) if t_read is None else t_read)
+            for i in range(p**n):
+                for (u, t), c in sorted(kernel.image(i).items()):
+                    digest.update(f"{p} {n} {r} {i} {u} {t} {c}\n".encode())
+        assert digest.hexdigest() == "e32733471cc233748b277ae2fc92d11b3ac025494e140bb33dd291dcd52eedbb"
+
+    @pytest.mark.parametrize(
+        "p,n,r,f,beta",
+        [(2, 4, 2, "T^-2", "T^-1"), (3, 4, 2, "T^-2", "T^-1"), (2, 5, 3, "T^-2 + T", "T^-1"), (5, 2, 1, "T^-2", "T^-1")],
+    )
+    def test_no_two_terms_share_an_exponent_pair(self, monkeypatch, p, n, r, f, beta):
+        # f = beta^2 here, so c f^m beta^k and c' f^(m+1) beta^(k-2) would cancel if they met on one
+        # (u, t); they never do: u + k p^n + t - i = (p^(r+1) - 1) m with k < p fixes (m, k).  So no
+        # partial product holds two terms on one (u, t) and no image holds a zero coefficient.
+        params = hp(p, n, r, f)
+        kernel = DigitKernel(params, LaurentPoly.from_text(beta, p), range(params.degree))
+        formed = []
+        for name in ("mul", "_read"):
+            real = getattr(DigitKernel, name)
+
+            def spy(self, *args, real=real):
+                formed.append(real(self, *args))
+                return formed[-1]
+
+            monkeypatch.setattr(DigitKernel, name, spy)
+        for i in range(params.degree):
+            image = kernel.image(i)
+            assert all(not c.is_zero() for c in image.values())
+            assert image == image_by_expansion(i, params, kernel.beta)
+        assert formed
+        for terms in formed:
+            assert all(0 < c < p for c in terms.values())
+            assert len({(u, t) for u, t, _, _ in terms}) == len(terms)
+
+    @pytest.mark.parametrize("beta", ["0", "4*T^-1 + T^3"])
+    def test_matches_expansion_at_p5_for_every_power(self, beta):
+        params = hp(5, 3, 2, "2*T^-1 + T^2")
+        beta = LaurentPoly.from_text(beta, 5)
+        kernel = DigitKernel(params, beta, range(params.degree))
+        for i in range(params.degree):
+            expected = image_by_expansion(i, params, beta)
+            assert kernel.image(i) == expected
+            if beta.is_zero():
+                assert delta_power(i, params) == expected
+
+
+class TestExpansionOracle:
+    @pytest.mark.parametrize("p,r,top", [(2, 1, 64), (2, 3, 64), (3, 2, 81), (5, 2, 27)])
+    def test_digit_wise_expansion_matches_binomial_enumeration(self, p, r, top):
+        # every i below p^4 (p^2 at p = 5, where the binomial enumeration slows sharply with i)
+        def summed(terms):
+            acc = {}
+            for a, b, c, fpow in terms:
+                acc[(a, b, fpow)] = (acc.get((a, b, fpow), 0) + c) % p
+            return {key: c for key, c in acc.items() if c}
+
+        for i in range(top):
+            digit_wise = list(expansion_terms(i, p, r))
+            assert all(0 < c < p for _, _, c, _ in digit_wise)
+            assert summed(digit_wise) == summed(expansion_terms_by_binomials(i, p, r))
 
 
 class TestCounit:
