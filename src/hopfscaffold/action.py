@@ -17,9 +17,10 @@ The images come from hopf_primal.DigitKernel with fold constant beta, the
 kernel that gives Delta(t^i) with beta = 0.  act reads the t-exponents in
 the support of z, and the kernel prunes every partial product by its
 t-residue against them, so only the t-components z pairs with are formed.
-The kernel multiplies integer terms c * f^m * beta^k and returns one
-Laurent coefficient per term of the image of x^i, the x-leg whole; y's
-coefficient of x^i times z's of t^k is formed once per k.
+act reads the kernel's integer terms (terms(i), the x-leg whole, each
+c * f^m * beta^k) in the loop that scales them: y's coefficient of x^i
+times z's of t^k is formed once per k, a plain term (m = k = 0) scales it
+by c, and a twist or fold term by c * f^m * beta^k from the kernel's memo.
 monomial_images applies every z-monomial to one element along the digit
 trie of hopf_dual.trie_step, one generator per monomial and one kernel
 per generator.
@@ -62,15 +63,21 @@ def _action_of(z: DualElement, ext: ExtensionParams, hopf: HopfParams) -> Callab
     """y |-> act(z, y) for elements y of ext, with one digit kernel for every y."""
     zc = dict(z.nonzero_items())
     kernel = DigitKernel(hopf, ext.beta, zc)
+    scalars, f, beta = kernel.scalars, hopf.f, ext.beta
 
     def apply(y: LElement) -> LElement:
         out: dict[int, LaurentPoly] = {}
         for i, c in y.nonzero_items():
             scaled: dict[int, LaurentPoly] = {}  # t -> c * z_t, formed for the t read
-            for (x, t), coeff in kernel.image(i).items():
+            for (x, t, m, k), e in kernel.terms(i).items():
                 if t not in scaled:
                     scaled[t] = c * zc[t]
-                term = scaled[t] * coeff
+                if m or k:  # a twist or fold term: e * f^m * beta^k, from the kernel's memo
+                    if (m, k, e) not in scalars:
+                        scalars[(m, k, e)] = f**m * beta**k * e
+                    term = scaled[t] * scalars[(m, k, e)]
+                else:
+                    term = scaled[t] * e
                 out[x] = out[x] + term if x in out else term
         return LElement._from_terms(ext.p, ext.degree, out)
 
@@ -109,8 +116,6 @@ def act_fast(s: int, i: int, ext: ExtensionParams, hopf: HopfParams) -> LElement
         raise ValueError(f"no closed form for s = {s}; need 0 <= s <= r = {r}")
     if not 0 <= i < pn:
         raise ValueError(f"x-exponent {i} out of range [0, {pn})")
-    if i == 0:
-        return LElement.zero(ext)
     digit = i // p**s % p
     out = LElement.zero(ext)
     if digit:
@@ -118,10 +123,8 @@ def act_fast(s: int, i: int, ext: ExtensionParams, hopf: HopfParams) -> LElement
     if s == r:
         c = (-i) % p
         if c:
-            e = p**r * (p - 1) + i - 1
-            coeff = hopf.f * c
+            e, coeff = p**r * (p - 1) + i - 1, hopf.f * c
             if e >= pn:
-                out = out + LElement.x_power(e - pn, ext, coeff * ext.beta)
-            else:
-                out = out + LElement.x_power(e, ext, coeff)
+                e, coeff = e - pn, coeff * ext.beta
+            out = out + LElement.x_power(e, ext, coeff)
     return out

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence, TypeVar, Union
 
 INF = math.inf
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*)?T(?:\^(-?\d+))?$")
+_TERM_RE = re.compile(r"^(?:([0-9]+)\*)?T(?:\^(-?[0-9]+))?$")
 
 
 def is_prime(m: int) -> bool:
@@ -78,9 +78,9 @@ class LaurentPoly:
         coefficients are checked.
         """
         out = object.__new__(cls)
-        object.__setattr__(out, "p", p)
-        object.__setattr__(out, "_terms", terms)
-        object.__setattr__(out, "_hash", None)
+        LaurentPoly.p.__set__(out, p)
+        LaurentPoly._terms.__set__(out, terms)
+        LaurentPoly._hash.__set__(out, None)
         return out
 
     def __setattr__(self, *_):  # pragma: no cover
@@ -175,8 +175,12 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        """self^k for k >= 0; a single term c*T^e gives (c^k mod p)*T^(ek) directly."""
         if k < 0:
             raise ValueError("negative powers are not defined for Laurent polynomials")
+        if len(self._terms) == 1:
+            ((e, c),) = self._terms.items()
+            return LaurentPoly._from_reduced(self.p, {e * k: pow(c, k, self.p)})
         out = LaurentPoly._from_reduced(self.p, {0: 1})
         base = self
         while k:
@@ -223,7 +227,7 @@ class LaurentPoly:
             return cls.zero(p)
         acc: list[tuple[int, int]] = []
         for term in s.split("+"):
-            if term.isdigit():
+            if term.isascii() and term.isdigit():
                 acc.append((0, int(term)))
                 continue
             m = _TERM_RE.match(term)
@@ -275,9 +279,9 @@ class CoeffVector:
     def _from_terms(cls: type[_V], p: int, degree: int, terms: dict[int, LaurentPoly]) -> _V:
         """Wrap an index -> coefficient map, dropping zeros; unchecked, for results of arithmetic."""
         out = object.__new__(cls)
-        object.__setattr__(out, "p", p)
-        object.__setattr__(out, "degree", degree)
-        object.__setattr__(out, "_terms", {k: terms[k] for k in sorted(terms) if not terms[k].is_zero()})
+        CoeffVector.p.__set__(out, p)
+        CoeffVector.degree.__set__(out, degree)
+        CoeffVector._terms.__set__(out, {k: terms[k] for k in sorted(terms) if not terms[k].is_zero()})
         return out
 
     def __setattr__(self, *_):

@@ -19,7 +19,7 @@ from typing import Union
 
 from .base_arith import INF, CoeffVector, LaurentPoly, is_prime
 
-_X_TERM_RE = re.compile(r"^(?:\((?P<coef>[^()]+)\)(?:\*(?P<var1>x(?:\^\d+)?))?|(?P<var2>x(?:\^\d+)?))$")
+_X_TERM_RE = re.compile(r"^(?:\((?P<coef>[^()]+)\)(?:\*(?P<var1>x(?:\^[0-9]+)?))?|(?P<var2>x(?:\^[0-9]+)?))$")
 
 
 class ExtensionParams(namedtuple("ExtensionParams", "p n b beta")):

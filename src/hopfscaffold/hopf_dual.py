@@ -28,7 +28,7 @@ from .base_arith import CoeffVector, LaurentPoly
 from .field_tower import _split_top_level
 from .hopf_primal import DigitKernel, HElement, HopfParams
 
-_Z_TERM_RE = re.compile(r"^(?:\((?P<coef>[^()]+)\)\*)?z_(?P<idx>\d+)$")
+_Z_TERM_RE = re.compile(r"^(?:\((?P<coef>[^()]+)\)\*)?z_(?P<idx>[0-9]+)$")
 
 
 class DualElement(CoeffVector):

@@ -112,44 +112,35 @@ class DigitKernel:
     Every coefficient formed is c * f^m * beta^k with c in F_p: the twist
     coefficient of digit s is (f/(l!(p-l)!))^{p^s} = f^{p^s}/(l!(p-l)!), as
     Frobenius fixes F_p, and each fold multiplies by beta.  So digit powers
-    and partial products are Terms, multiplied in integers, and image(i)
-    reads each c * f^m * beta^k from a memo kept by the instance.  No two
-    terms share (u, t), so none cancel: a twist at digit s adds p^{r+s+1}
-    to u + t and p^s to m where a plain factor adds p^s, so
+    and partial products are Terms, multiplied in integers; terms(i) returns
+    them, and image(i) forms each c * f^m * beta^k once per instance.  No
+    two terms share (u, t), so none cancel: a twist at digit s adds
+    p^{r+s+1} to u + t and p^s to m where a plain factor adds p^s, so
     u + k p^n + t = i + (p^{r+1} - 1) m, and k < p as t_read < p^n keeps
     unfolded A-exponents below p^{n+1}; so (u, t) fixes k, then m.
 
-    image(i) holds exactly the terms of the image of u^i whose t-exponent
+    terms(i) holds exactly the terms of the image of u^i whose t-exponent
     the caller reads (t_read), the A-leg whole.  Each factor for digit s
     adds a multiple of p^s to the t-exponent, so once the factors up to
     digit s are multiplied in, with s' the next nonzero digit of i (n if
     none), a partial term survives only if its t-exponent agrees mod p^{s'}
     with a read one; the t-exponent never falls, so no partial term above
-    the largest read t is formed either.  The digit powers are built on
-    first use and kept by the instance.
+    the largest read t is formed either.  The generator image of digit s
+    and its powers are built when an image first needs them, and kept.
     """
 
-    __slots__ = ("p", "n", "pn", "f", "beta", "tmax", "levels", "powers", "scalars")
+    __slots__ = ("p", "n", "r", "pn", "f", "beta", "nil", "tmax", "levels", "powers", "scalars")
 
     def __init__(self, hopf: HopfParams, beta: LaurentPoly, t_read: Collection[int]):
         p, n = hopf.p, hopf.n
-        self.p, self.n, self.pn, self.f, self.beta = p, n, hopf.degree, hopf.f, beta
+        self.p, self.n, self.r, self.pn, self.f, self.beta = p, n, hopf.r, hopf.degree, hopf.f, beta
+        self.nil = beta.is_zero()  # a term folded through beta = 0 vanishes
         self.tmax = max(t_read, default=-1)
         # levels[k] = (p^k, the read t-exponents mod p^k)
         self.levels = [(p**k, {e % p**k for e in t_read}) for k in range(n + 1)]
         self.scalars: dict[tuple[int, int, int], LaurentPoly] = {}  # (m, k, c) -> c * f^m * beta^k
-        # powers[s][d - 1] = image of u^{d p^s}, the row grown on demand from the generator
-        self.powers: list[list[Terms]] = []
-        for s in range(n):
-            q = p**s
-            gen: Terms = {(q, 0, 0, 0): 1}
-            if q <= self.tmax:
-                gen[(0, q, 0, 0)] = 1
-            prs = p ** (hopf.r + s)
-            for ell in range(1, p):
-                if prs * (p - ell) <= self.tmax:
-                    gen[(prs * ell, prs * (p - ell), q, 0)] = pow(math.factorial(ell) * math.factorial(p - ell), -1, p)
-            self.powers.append([gen])
+        # powers[s][d - 1] = image of u^{d p^s}; row s starts at the generator image on first use
+        self.powers: list[list[Terms]] = [[] for _ in range(n)]
 
     def mul(self, a: Terms, b: Terms, level: int = 0) -> Terms:
         """Product in A (x) H without the terms above the largest read t.
@@ -157,9 +148,8 @@ class DigitKernel:
         With level k > 0 it also drops every term whose t-exponent agrees
         with no read one mod p^k.
         """
-        p, pn, tmax = self.p, self.pn, self.tmax
+        p, pn, tmax, nil = self.p, self.pn, self.tmax, self.nil
         mod, t_res = self.levels[level]
-        nil = self.beta.is_zero()
         out: Terms = {}
         for (ua, ta, ma, ka), ca in a.items():
             for (ub, tb, mb, kb), cb in b.items():
@@ -168,25 +158,29 @@ class DigitKernel:
                     continue
                 u, k = ua + ub, ka + kb
                 if u >= pn:
-                    if nil:  # a term folded through beta = 0 vanishes
+                    if nil:
                         continue
                     u, k = u - pn, k + 1
                 key = (u, t, ma + mb, k)
                 out[key] = out.get(key, 0) + ca * cb
-        return {key: c % p for key, c in out.items() if c % p}
+        return {key: r for key, c in out.items() if (r := c % p)}
 
-    def image(self, i: int) -> Sparse:
-        """The read terms of the image of u^i, as a fresh {(u, t): nonzero coefficient} map."""
+    def terms(self, i: int) -> Terms:
+        """The read terms of the image of u^i as integer terms {(u, t, m, k): c}."""
         p, n = self.p, self.n
-        places = [s for s in range(n) if i // p**s % p]
-        terms = None if places else self._read({(0, 0, 0, 0): 1}, n)
+        factors = [(s, d) for s in range(n) if (d := i // p**s % p)]  # (place, digit) of nonzero digits
+        terms = None if factors else self._read({(0, 0, 0, 0): 1}, n)
         # the product through the factor for digit s is pruned mod p^(place of the next nonzero digit)
-        for s, level in zip(places, places[1:] + [n]):
-            power = self._power(s, i // p**s % p)
+        for (s, d), (level, _) in zip(factors, factors[1:] + [(n, 0)]):
+            power = self._power(s, d)
             terms = self._read(power, level) if terms is None else self.mul(terms, power, level)
             if not terms:
                 return {}
-        scalars = self.scalars
+        return terms
+
+    def image(self, i: int) -> Sparse:
+        """The read terms of the image of u^i, as a fresh {(u, t): nonzero coefficient} map."""
+        terms, scalars = self.terms(i), self.scalars
         for m, k, c in {(m, k, c) for (_, _, m, k), c in terms.items()} - scalars.keys():
             scalars[(m, k, c)] = self.f**m * self.beta**k * c
         return {(u, t): scalars[(m, k, c)] for (u, t, m, k), c in terms.items()}
@@ -197,8 +191,17 @@ class DigitKernel:
         return {key: c for key, c in terms.items() if key[1] % mod in t_res}
 
     def _power(self, s: int, d: int) -> Terms:
-        """The image of u^{d p^s}, built on first use."""
+        """The image of u^{d p^s}, built on first use from the generator image of u^{p^s}."""
         row = self.powers[s]
+        if not row:
+            p, q, prs, tmax = self.p, self.p**s, self.p ** (self.r + s), self.tmax
+            gen: Terms = {(q, 0, 0, 0): 1}
+            if q <= tmax:
+                gen[(0, q, 0, 0)] = 1
+            for ell in range(1, p):
+                if prs * (p - ell) <= tmax:
+                    gen[(prs * ell, prs * (p - ell), q, 0)] = pow(math.factorial(ell) * math.factorial(p - ell), -1, p)
+            row.append(gen)
         while len(row) < d:
             row.append(self.mul(row[-1], row[0]))
         return row[d - 1]

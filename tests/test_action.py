@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from hopfscaffold import (
     l_mul,
     l_valuation,
     lambda_element,
+    lelement_to_text,
     monomial_images,
     padic_digits,
     scaffold_context,
@@ -36,6 +38,15 @@ CERTIFICATE_RUNGS = {
     "R27": _certificate_rung(3, 3, 2, 2, 4),
     "R32": _certificate_rung(2, 5, 3, 3, 4),
 }
+
+
+# (p, n, r, b, f, beta) with v_K(beta) = -b: multi-term f and beta, and single terms with coefficient 3 and 2
+GENERAL_F_BETA = [(3, 3, 2, 1, "T^4 + 2*T^6", "T^-1 + T^2"), (5, 2, 1, 1, "3*T^2", "2*T^-1")]
+
+
+def general_pair(p, n, r, b, f, beta):
+    ext = ExtensionParams(p, n, b, LaurentPoly.from_text(beta, p))
+    return ext, HopfParams(p, n, r, LaurentPoly.from_text(f, p))
 
 
 def coaction(y, ext, hopf):
@@ -121,10 +132,36 @@ class TestCoaction:
 
     @pytest.mark.parametrize("p,n,r,b", [(2, 4, 2, 1), (2, 5, 3, 3), (3, 3, 2, 2)])
     def test_act_matches_expansion_oracle(self, p, n, r, b):
+        self.check_act_against_expansion(*standard_pair(p, n, r, b))
+
+    @pytest.mark.parametrize("p,n,r,b,f,beta", GENERAL_F_BETA)
+    def test_act_matches_expansion_oracle_for_general_f_and_beta(self, p, n, r, b, f, beta):
+        # f and beta with several terms, or one term whose coefficient is not 1
+        self.check_act_against_expansion(*general_pair(p, n, r, b, f, beta))
+
+    def test_act_stream_is_pinned(self):
+        # SHA-256 of 240 seeded act(z, y) outputs, 120 per GENERAL_F_BETA case, z with 1-3 and y with
+        # 1-4 terms carrying random Laurent coefficients; recorded when every act call built all n
+        # generator rows of its digit kernel and raised f and beta by repeated squaring
+        digest = hashlib.sha256()
+        for case in GENERAL_F_BETA:
+            ext, hopf = general_pair(*case)
+            rng = random.Random(f"act-stream:{case}")
+            for _ in range(120):
+                z = DualElement.zero(hopf)
+                for k in rng.sample(range(ext.degree), rng.randint(1, 3)):
+                    z = z + DualElement.z_basis(k, hopf, rand_laurent(rng, ext.p, -2, 3, 2))
+                y = LElement.zero(ext)
+                for i in rng.sample(range(ext.degree), rng.randint(1, 4)):
+                    y = y + LElement.x_power(i, ext, rand_laurent(rng, ext.p, -2, 3, 2))
+                digest.update(f"{case} {lelement_to_text(act(z, y, ext, hopf))}\n".encode())
+        assert digest.hexdigest() == "efeb37431740ff5c5e8e2d9d5b67b2ca258563f2addf39b9e7052932eb889072"
+
+    @staticmethod
+    def check_act_against_expansion(ext, hopf):
         # act(z, y) = sum_k z_k sum_i y_i [t^k] coaction(x^i)
         rng = random.Random(73)
-        ext, hopf = standard_pair(p, n, r, b)
-        pn = ext.degree
+        p, pn = ext.p, ext.degree
         oracle = {}
         for _ in range(6):
             z = DualElement.zero(hopf)

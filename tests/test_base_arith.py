@@ -50,6 +50,48 @@ class TestLaurentMul:
         assert (lp("2*T + T^3", 3) * 6).is_zero()
 
 
+class TestLaurentPow:
+    @staticmethod
+    def repeated(a, k):
+        out = LaurentPoly.one(a.p)
+        for _ in range(k):
+            out = out * a
+        return out
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_single_terms_match_repeated_multiplication(self, p):
+        # (c*T^e)^k = (c^k mod p)*T^(ek): c^k wraps mod p, and e may be negative
+        for c in range(1, p):
+            for e in (-3, 0, 1, 4):
+                a = LaurentPoly.monomial(p, e, c)
+                for k in range(2 * p + 1):
+                    assert a**k == self.repeated(a, k)
+                    assert (a**k).terms == {e * k: pow(c, k, p)}
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_multi_term_matches_repeated_multiplication(self, p):
+        rng = random.Random(41 + p)
+        cases = [lp("1 + T", p), lp("T^-1 + T^2", p), lp(f"{p - 1}*T^-2 + 1 + T^3", p)]
+        cases += [LaurentPoly(p, [(rng.randint(-3, 4), rng.randint(1, p - 1)) for _ in range(3)]) for _ in range(6)]
+        for a in cases:
+            for k in range(2 * p + 1):
+                assert a**k == self.repeated(a, k)
+        assert lp("1 + T", p) ** p == lp(f"1 + T^{p}", p)  # Frobenius
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_zeroth_power_is_one_and_zero_stays_zero(self, p):
+        zero = LaurentPoly.zero(p)
+        for a in (zero, lp("T^-2", p), lp("T^-1 + T^2", p)):
+            assert a**0 == LaurentPoly.one(p)
+        for k in (1, 2, 5):
+            assert (zero**k).is_zero()
+
+    def test_negative_power_raises(self):
+        for a in (LaurentPoly.zero(3), lp("2*T^-1", 3), lp("1 + T", 3)):
+            with pytest.raises(ValueError, match="negative powers"):
+                a**-1
+
+
 def test_public_constructors_reject_composite_modulus():
     for make in (LaurentPoly.zero, LaurentPoly.one, lambda p: LaurentPoly.monomial(p, 1)):
         with pytest.raises(ValueError):
@@ -171,6 +213,12 @@ class TestTextFormat:
 
     def test_reduces_large_coefficients(self):
         assert lp("5*T", 3) == lp("2*T", 3)
+
+    def test_rejects_non_ascii_digits(self):
+        # Arabic-Indic three and superscript two are Unicode digits, not digits of the format
+        for text in ("T^٣", "T^-٣", "٣*T", "٣", "²", "1 + ²"):
+            with pytest.raises(ValueError, match="malformed Laurent polynomial term"):
+                lp(text, 3)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):

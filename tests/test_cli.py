@@ -200,6 +200,19 @@ class TestAct:
             assert (code, out) == (2, "")
             assert "malformed" in err
 
+    def test_non_ascii_digits_exit_2(self, capsys):
+        # \d and str.isdigit accept Unicode digits, and int() reads some of them; the formats take [0-9] only
+        params = ["--p", "3", "--n", "2", "--r", "1", "--b", "1"]
+        for argv in (
+            [*params, "--f-val", "3", "z_1", "x^٣"],
+            [*params, "--f-val", "3", "z_٠", "x"],
+            [*params, "--f-val", "3", "z_1", "(²)*x"],
+            [*params, "--f", "T^٣", "z_1", "x"],
+        ):
+            code, out, err = run(capsys, "act", *argv)
+            assert (code, out) == (2, "")
+            assert "malformed" in err and "invalid literal" not in err
+
     def test_empty_field_element_term_exits_2(self, capsys):
         for text in ("x + ", "x ++ x^2", "+ x"):
             code, _, err = run(capsys, "act", *BASE, "z_1", text)

@@ -183,6 +183,12 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             lelement_from_text("x^4", ext221)
 
+    def test_rejects_non_ascii_digits(self, ext221):
+        # read as x^3 and as the coefficient 2 if Unicode digits were accepted
+        for text in ("x^٣", "(T)*x^٣", "x^²", "(²)*x", "(T^٢)*x"):
+            with pytest.raises(ValueError, match="malformed"):
+                lelement_from_text(text, ext221)
+
     def test_rejects_garbage(self, ext221):
         # an empty parenthesized coefficient is malformed, not zero
         for text in ("x^^2", "()*x", "()", "(T)*x + ()", "()*x^2 + x"):

@@ -336,6 +336,12 @@ class TestTextFormat:
         assert text == "z_1 + (T^4)*z_2"
         assert dual_from_text(text, params) == z
 
+    def test_rejects_non_ascii_digits(self):
+        params = hp(2, 2, 1, "T^4")
+        for text in ("z_٠", "z_١", "(T)*z_٣", "(²)*z_1"):
+            with pytest.raises(ValueError, match="malformed"):
+                dual_from_text(text, params)
+
     def test_roundtrip_randomized(self):
         rng = random.Random(47)
         params = hp(3, 2, 1, "T^3")

@@ -126,7 +126,7 @@ class TestTensorMul:
         # residues, reduce mod p (at p = 2 the cross terms 2 t (x) t vanish) and drop zeros
         params = hp(p, n, r, "T^-1 + T^2")
         kernel = self.kernel(params)
-        gen = kernel.powers[0][0]
+        gen = kernel._power(0, 1)
         square = kernel.mul(gen, gen)
         cube = kernel.mul(square, gen)
         d1 = delta_power(1, params)
