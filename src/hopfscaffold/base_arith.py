@@ -10,6 +10,11 @@ of the element types of L, H and the dual of H: it stores only the
 nonzero coefficients and the length p^n.  padic_digits and res_mod are
 the integer helpers.
 
+The text format of every element lives here: one splitter into top-level
+`+` terms serves LaurentPoly and CoeffVector, and CoeffVector parses and
+renders the terms of all three element types; each subclass supplies only
+the spelling of its monomials and the pattern of one term.
+
 All values are immutable and all operations are pure; instances may be
 shared freely between threads.
 """
@@ -22,7 +27,10 @@ from typing import Iterable, Iterator, Sequence, TypeVar, Union
 
 INF = math.inf
 
-_TERM_RE = re.compile(r"^(?:([0-9]+)\*)?T(?:\^(-?[0-9]+))?$")
+# one Laurent polynomial term: c*T^e with c and e optional, or a constant c; ASCII digits only
+_TERM_RE = re.compile(r"(?:([0-9]+)\*)?T(?:\^(-?[0-9]+))?|([0-9]+)")
+# one term of a sum: a run stops at a +, unless the + is inside parentheses
+_SPAN_RE = re.compile(r"(?:[^+(]+|\([^)]*\)?)*")
 
 
 def is_prime(m: int) -> bool:
@@ -39,6 +47,35 @@ def is_prime(m: int) -> bool:
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
+
+
+def _split_terms(s: str) -> list[str]:
+    """The terms of whitespace-free text s, split at each + outside parentheses; none for "" and "0"."""
+    if s in ("", "0"):
+        return []
+    terms, start = [], 0
+    while True:
+        end = _SPAN_RE.match(s, start).end()
+        terms.append(s[start:end])
+        if end == len(s):
+            return terms
+        start = end + 1
+
+
+def _add_text(s: str, p: int, acc: dict[int, int]) -> dict[int, int]:
+    """Add the Laurent polynomial of whitespace-free text s to acc (exponent -> residue in [1, p))."""
+    for term in _split_terms(s):
+        m = _TERM_RE.fullmatch(term)
+        if m is None:
+            raise ValueError(f"malformed Laurent polynomial term: {term!r}")
+        coeff, exp, const = m.groups()
+        e, c = (0, int(const)) if const else (int(exp or 1), int(coeff or 1))
+        c = (acc.get(e, 0) + c) % p
+        if c:
+            acc[e] = c
+        else:
+            acc.pop(e, None)
+    return acc
 
 
 class LaurentPoly:
@@ -222,21 +259,8 @@ class LaurentPoly:
 
     @classmethod
     def from_text(cls, text: str, p: int) -> "LaurentPoly":
-        s = "".join(text.split())
-        if s in ("", "0"):
-            return cls.zero(p)
-        acc: list[tuple[int, int]] = []
-        for term in s.split("+"):
-            if term.isascii() and term.isdigit():
-                acc.append((0, int(term)))
-                continue
-            m = _TERM_RE.match(term)
-            if m is None:
-                raise ValueError(f"malformed Laurent polynomial term: {term!r}")
-            coeff = int(m.group(1)) if m.group(1) else 1
-            exp = int(m.group(2)) if m.group(2) else 1
-            acc.append((exp, coeff))
-        return cls(p, acc)
+        _require_prime(p)
+        return cls._from_reduced(p, _add_text("".join(text.split()), p, {}))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -263,6 +287,13 @@ class CoeffVector:
 
     __slots__ = ("p", "degree", "_terms")
     _index_name = "index"
+    # Text format: terms joined by " + ", each (c)*m for the LaurentPoly text
+    # c of a coefficient and the spelling m of its monomial, m bare when
+    # c = 1.  A subclass spells the monomial of index k as _monomial(k), ""
+    # for the x^0 of L (written (c), or 1).  A parsed subclass also matches
+    # one term with _term_re (group coef: the coefficient in its parentheses,
+    # None for 1; group mono: the monomial, None at x^0, with idx its index
+    # digits, None for x = x^1) and names its elements in errors by _noun.
 
     def __init__(self, coeffs: Sequence[LaurentPoly]):
         coeffs = tuple(coeffs)
@@ -343,6 +374,36 @@ class CoeffVector:
 
     def __hash__(self) -> int:
         return hash((self.p, self.degree, tuple(self._terms.items())))
+
+    def to_text(self) -> str:
+        parts = []
+        for k, c in self._terms.items():
+            mono = self._monomial(k)
+            if c._terms != {0: 1}:
+                mono = f"({c.to_text()})*{mono}" if mono else f"({c.to_text()})"
+            parts.append(mono or "1")
+        return " + ".join(parts) or "0"
+
+    @classmethod
+    def from_text(cls: type[_V], text: str, params) -> _V:
+        """Read to_text's format, whitespace ignored; "" and "0" read as zero."""
+        p, acc = params.p, {}
+        for term in _split_terms("".join(text.split())):
+            m = cls._term_re.fullmatch(term)
+            if m is None:
+                raise ValueError(f"malformed {cls._noun} term: {term!r}")
+            coef, mono, idx = m.group("coef", "mono", "idx")
+            k = int(idx) if idx else 1 if mono else 0
+            if not 0 <= k < params.degree:
+                raise ValueError(f"{cls._index_name} {k} out of range [0, {params.degree})")
+            _add_text(coef.strip("()") if coef else "1", p, acc.setdefault(k, {}))
+        return cls._from_terms(p, params.degree, {k: LaurentPoly._from_reduced(p, c) for k, c in acc.items()})
+
+    def __str__(self) -> str:
+        return self.to_text()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_text()!r})"
 
 
 def padic_digits(i: int, p: int, n: int) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -37,6 +38,9 @@ EXIT_HYPOTHESIS = 3
 
 # widest --h range accepted; wider ones exit 2 before any report is computed
 MAX_H_VALUES = 100_000
+# largest h count times p^n a freeness run accepts (each report prints d and w
+# tables of length p^n); larger ones exit 2 before any report is computed
+MAX_FREENESS_ENTRIES = 1_000_000
 # largest degree p^n accepted; larger ones exit 2 before p is tested for
 # primality or anything of length p^n is allocated
 MAX_DEGREE = 10_000
@@ -80,10 +84,17 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(ext, hopf, getattr(args, "output", "tsv"), getattr(args, "force", False))
 
 
+def _int(text: str) -> int:
+    """An integer in the digit rule of the text formats: ASCII digits after an optional -."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_h_range(text: str) -> range:
     lo_text, dots, hi_text = text.partition("..")
-    lo = int(lo_text)
-    hi = int(hi_text) if dots else lo
+    lo = _int(lo_text)
+    hi = _int(hi_text) if dots else lo
     if hi < lo:
         raise ValueError(f"empty h range {text!r}")
     if hi - lo >= MAX_H_VALUES:
@@ -218,12 +229,12 @@ def cmd_atlas(cfg: RunConfig) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=int, required=True, help="prime residue characteristic")
-    parser.add_argument("--n", type=int, required=True, help="extension degree exponent (degree p^n)")
-    parser.add_argument("--r", type=int, required=True, help="comultiplication twist level, 0 < r < n <= 2r")
-    parser.add_argument("--b", type=int, required=True, help="break number, positive and prime to p")
+    parser.add_argument("--p", type=_int, required=True, help="prime residue characteristic")
+    parser.add_argument("--n", type=_int, required=True, help="extension degree exponent (degree p^n)")
+    parser.add_argument("--r", type=_int, required=True, help="comultiplication twist level, 0 < r < n <= 2r")
+    parser.add_argument("--b", type=_int, required=True, help="break number, positive and prime to p")
     f_group = parser.add_mutually_exclusive_group(required=True)
-    f_group.add_argument("--f-val", type=int, help="f = T^{f_val}")
+    f_group.add_argument("--f-val", type=_int, help="f = T^{f_val}")
     f_group.add_argument("--f", type=str, help="explicit Laurent polynomial f")
     parser.add_argument("--beta", type=str, default=None, help="explicit beta (default T^-b)")
 
@@ -286,7 +297,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _build_config(args)
         h_values = _parse_h_range(args.h) if getattr(args, "h", None) is not None else None
-    except (ValueError, ZeroDivisionError) as exc:
+        if h_values is not None and len(h_values) * cfg.ext.degree > MAX_FREENESS_ENTRIES:
+            raise ValueError(f"{len(h_values)} h values times p^n = {cfg.ext.degree} exceed {MAX_FREENESS_ENTRIES}")
+    except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

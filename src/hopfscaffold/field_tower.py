@@ -3,7 +3,9 @@
 beta is a finitely supported element of K with v_K(beta) = -b < 0 and
 p not dividing b, so L/K is totally ramified of degree p^n and the
 extension valuation satisfies v_L(x) = -b, v_L|_K = p^n * v_K.  Elements
-of L are sparse coefficient vectors over K in the powers of x.
+of L are sparse coefficient vectors over K in the powers of x.  Their text
+format is base_arith's CoeffVector format with monomials x and x^i; this
+module adds only that spelling and the x^0 shorthands.
 
 Exactness of l_valuation rests on the p^n candidate values
 p^n*v_K(c_i) - b*i being pairwise incongruent mod p^n (as p does not
@@ -18,8 +20,6 @@ from collections import namedtuple
 from typing import Union
 
 from .base_arith import INF, CoeffVector, LaurentPoly, is_prime
-
-_X_TERM_RE = re.compile(r"^(?:\((?P<coef>[^()]+)\)(?:\*(?P<var1>x(?:\^[0-9]+)?))?|(?P<var2>x(?:\^[0-9]+)?))$")
 
 
 class ExtensionParams(namedtuple("ExtensionParams", "p n b beta")):
@@ -55,6 +55,13 @@ class LElement(CoeffVector):
 
     __slots__ = ()
     _index_name = "x-exponent"
+    _noun = "field element"
+    # (c)*x^i, (c)*x, x^i, x; at x^0 a bare (c) or a bare Laurent term such as T^2 or 3
+    _term_re = re.compile(r"(?=.)(?:(?P<coef>\([^()]+\)|[-0-9T^*]+$)(?:\*(?=x)|$))?(?P<mono>x(?:\^(?P<idx>[0-9]+))?)?")
+
+    @staticmethod
+    def _monomial(k: int) -> str:
+        return "" if k == 0 else "x" if k == 1 else f"x^{k}"
 
     @classmethod
     def one(cls, ext: ExtensionParams) -> "LElement":
@@ -69,12 +76,6 @@ class LElement(CoeffVector):
     def scalar(cls, c: LaurentPoly, ext: ExtensionParams) -> "LElement":
         """The element of K <= L with constant coefficient c."""
         return cls.x_power(0, ext, c)
-
-    def __str__(self) -> str:
-        return lelement_to_text(self)
-
-    def __repr__(self) -> str:
-        return f"LElement({lelement_to_text(self)!r})"
 
 
 def l_mul(a: LElement, b: LElement, ext: ExtensionParams) -> LElement:
@@ -113,69 +114,5 @@ def ideal_membership(y: LElement, h: int, ext: ExtensionParams) -> bool:
 
 # -- text format ------------------------------------------------------------
 
-
-def lelement_to_text(y: LElement) -> str:
-    """Render as `+`-joined terms `(<coeff>)*x^i`, coefficient 1 left bare."""
-    one = LaurentPoly._from_reduced(y.p, {0: 1})
-    parts = []
-    for i, c in y.nonzero_items():
-        xpart = "1" if i == 0 else ("x" if i == 1 else f"x^{i}")
-        if c == one:
-            parts.append(xpart)
-        elif i == 0:
-            parts.append(f"({c.to_text()})")
-        elif i == 1:
-            parts.append(f"({c.to_text()})*x")
-        else:
-            parts.append(f"({c.to_text()})*x^{i}")
-    return " + ".join(parts) if parts else "0"
-
-
-def _split_top_level(s: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {s!r}")
-        if ch == "+" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {s!r}")
-    parts.append("".join(cur))
-    return parts
-
-
-def lelement_from_text(text: str, ext: ExtensionParams) -> LElement:
-    """Parse the LElement text format.
-
-    Accepts `(<LaurentPoly>)*x^i` terms as well as the shorthands `x`,
-    `x^i` (coefficient 1), a bare parenthesized coefficient (meaning x^0)
-    and bare Laurent terms such as `T^2` or `3`.
-    """
-    s = "".join(text.split())
-    if not s:
-        return LElement.zero(ext)
-    one = LaurentPoly._from_reduced(ext.p, {0: 1})
-    terms: dict[int, LaurentPoly] = {}
-    for term in _split_top_level(s):
-        if not term:
-            raise ValueError(f"malformed field element term: {term!r}")
-        m = _X_TERM_RE.match(term)
-        if m is None:
-            # bare Laurent term contributes to the x^0 coefficient
-            exp, poly = 0, LaurentPoly.from_text(term, ext.p)
-        else:
-            var = m.group("var1") or m.group("var2")
-            exp = 0 if var is None else (1 if var == "x" else int(var[2:]))
-            if not 0 <= exp < ext.degree:
-                raise ValueError(f"x-exponent {exp} out of range [0, {ext.degree})")
-            coef_text = m.group("coef")
-            poly = one if coef_text is None else LaurentPoly.from_text(coef_text, ext.p)
-        terms[exp] = terms[exp] + poly if exp in terms else poly
-    return LElement._from_terms(ext.p, ext.degree, terms)
+lelement_to_text = LElement.to_text
+lelement_from_text = LElement.from_text

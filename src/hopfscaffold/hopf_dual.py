@@ -17,6 +17,8 @@ truncated-polynomial multiplication upstairs: z_j splits as the sum of
 z_{j-i} (x) z_i over 0 <= i <= j.  It is not materialized here; its only
 downstream use is the measuring identity z_j(y y') = sum z_{j-i}(y) z_i(y'),
 which the action tests exercise directly.
+
+The text format is base_arith's CoeffVector format with monomials z_j.
 """
 
 from __future__ import annotations
@@ -25,10 +27,7 @@ import re
 from typing import Sequence, Union
 
 from .base_arith import CoeffVector, LaurentPoly
-from .field_tower import _split_top_level
 from .hopf_primal import DigitKernel, HElement, HopfParams
-
-_Z_TERM_RE = re.compile(r"^(?:\((?P<coef>[^()]+)\)\*)?z_(?P<idx>[0-9]+)$")
 
 
 class DualElement(CoeffVector):
@@ -36,6 +35,12 @@ class DualElement(CoeffVector):
 
     __slots__ = ()
     _index_name = "z-index"
+    _noun = "dual element"
+    _term_re = re.compile(r"(?:(?P<coef>\([^()]+\))\*)?(?P<mono>z_(?P<idx>[0-9]+))")
+
+    @staticmethod
+    def _monomial(k: int) -> str:
+        return f"z_{k}"
 
     @classmethod
     def z_basis(cls, j: int, hopf: HopfParams, coeff: Union[LaurentPoly, int] = 1) -> "DualElement":
@@ -46,12 +51,6 @@ class DualElement(CoeffVector):
     def one(cls, hopf: HopfParams) -> "DualElement":
         """z_0, the identity of the dual algebra."""
         return cls.z_basis(0, hopf)
-
-    def __str__(self) -> str:
-        return dual_to_text(self)
-
-    def __repr__(self) -> str:
-        return f"DualElement({dual_to_text(self)!r})"
 
 
 def dual_eval(z: DualElement, h: HElement) -> LaurentPoly:
@@ -173,34 +172,5 @@ def dual_basis_rank(hopf: HopfParams) -> int:
 
 # -- text format ------------------------------------------------------------
 
-
-def dual_to_text(z: DualElement) -> str:
-    """Render as `+`-joined terms `(<coeff>)*z_j`, coefficient 1 left bare."""
-    one = LaurentPoly._from_reduced(z.p, {0: 1})
-    parts = []
-    for j, c in z.nonzero_items():
-        if c == one:
-            parts.append(f"z_{j}")
-        else:
-            parts.append(f"({c.to_text()})*z_{j}")
-    return " + ".join(parts) if parts else "0"
-
-
-def dual_from_text(text: str, hopf: HopfParams) -> DualElement:
-    """Parse the DualElement text format (terms `(<LaurentPoly>)*z_j` or `z_j`)."""
-    s = "".join(text.split())
-    if s in ("", "0"):
-        return DualElement.zero(hopf)
-    one = LaurentPoly._from_reduced(hopf.p, {0: 1})
-    terms: dict[int, LaurentPoly] = {}
-    for term in _split_top_level(s):
-        m = _Z_TERM_RE.match(term)
-        if m is None:
-            raise ValueError(f"malformed dual element term: {term!r}")
-        j = int(m.group("idx"))
-        if not 0 <= j < hopf.degree:
-            raise ValueError(f"z-index {j} out of range [0, {hopf.degree})")
-        coef_text = m.group("coef")
-        poly = one if coef_text is None else LaurentPoly.from_text(coef_text, hopf.p)
-        terms[j] = terms[j] + poly if j in terms else poly
-    return DualElement._from_terms(hopf.p, hopf.degree, terms)
+dual_to_text = DualElement.to_text
+dual_from_text = DualElement.from_text

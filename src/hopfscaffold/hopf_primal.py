@@ -59,9 +59,9 @@ class HElement(CoeffVector):
     def t_power(cls, i: int, hopf: HopfParams, coeff: LaurentPoly | int = 1) -> "HElement":
         return cls._basis(i, hopf, coeff)
 
-    def __repr__(self) -> str:
-        body = " + ".join(f"({c})*t^{i}" for i, c in self.nonzero_items()) or "0"
-        return f"HElement({body})"
+    @staticmethod
+    def _monomial(k: int) -> str:
+        return f"t^{k}"
 
 
 def h_mul(a: HElement, b: HElement) -> HElement:

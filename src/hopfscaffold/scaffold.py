@@ -42,8 +42,7 @@ def solve_a(b: int, pn: int) -> int:
 
 def tolerance(ext: ExtensionParams, hopf: HopfParams) -> Optional[int]:
     """p^n*v_K(f) - b*(p^{r+1} - 1), or None when v_K(f) < b*p^{r+1-n}."""
-    if ext.p != hopf.p or ext.n != hopf.n:
-        raise ValueError("extension and Hopf parameters must share p and n")
+    _check_compat(ext, hopf)
     vf = hopf.f.valuation()
     pn = ext.degree
     pr1 = ext.p ** (hopf.r + 1)

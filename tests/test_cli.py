@@ -134,10 +134,33 @@ class TestFreeness:
         assert f"more than {cli.MAX_H_VALUES} values" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_range_times_degree_over_cap_exits_2(self, capsys):
+        # at 2^13, MAX_H_VALUES values would run for minutes and print gigabytes
+        big = ["--p", "2", "--n", "13", "--r", "7", "--b", "1", "--f-val", "3"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, "freeness", *big, "--h", f"1..{cli.MAX_H_VALUES}")
+        assert (code, out) == (2, "")
+        assert f"{cli.MAX_H_VALUES} h values times p^n = 8192 exceed {cli.MAX_FREENESS_ENTRIES}" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_range_times_degree_cap_boundary(self, capsys, monkeypatch):
+        # 16 * 4 entries at p^n = 4; a cap of 63 refuses 16 values and takes 15
+        monkeypatch.setattr(cli, "MAX_FREENESS_ENTRIES", 63)
+        assert run(capsys, "freeness", *BASE, "--h", "1..16")[0] == 2
+        code, out, _ = run(capsys, "freeness", *BASE, "--h", "1..15", "--output", "tsv")
+        assert code == 0 and len(out.splitlines()) == 16
+
     def test_range_cap_boundary(self):
         assert cli._parse_h_range(f"1..{cli.MAX_H_VALUES}") == range(1, cli.MAX_H_VALUES + 1)
         with pytest.raises(ValueError):
             cli._parse_h_range(f"0..{cli.MAX_H_VALUES}")
+
+    @pytest.mark.parametrize("h, bad", [("1_0", "1_0"), ("١..٢", "١"), ("3..٥", "٥"), ("+3", "+3"), ("1..+2", "+2"), (" 4", " 4")])
+    def test_h_takes_ascii_digits_only(self, capsys, h, bad):
+        # int() would read these as 10, 1..2, 3..5, 3, 1..2 and 4
+        code, out, err = run(capsys, "freeness", *BASE, "--h", h)
+        assert (code, out) == (2, "")
+        assert f"error: invalid int value: {bad!r}" in err
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "freeness", *BASE, "--h", "-2..1")
@@ -212,6 +235,17 @@ class TestAct:
             code, out, err = run(capsys, "act", *argv)
             assert (code, out) == (2, "")
             assert "malformed" in err and "invalid literal" not in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--p", "٣"), ("--n", "٢"), ("--r", "١"), ("--b", "1_0"), ("--f-val", "٣"), ("--f-val", "+3"), ("--n", " 2"),
+    ])
+    def test_integer_options_take_ascii_digits_only(self, capsys, flag, value):
+        # int() reads Unicode digits, _ separators, a + sign and spaces; the options take -?[0-9]+ only
+        flags = {"--p": "3", "--n": "2", "--r": "1", "--b": "1", "--f-val": "3"}
+        flags[flag] = value
+        code, out, err = run(capsys, "act", *[x for item in flags.items() for x in item], "z_1", "x")
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: invalid int value: {value!r}" in err
 
     def test_empty_field_element_term_exits_2(self, capsys):
         for text in ("x + ", "x ++ x^2", "+ x"):
@@ -455,7 +489,7 @@ _BAD_PN = (("4", "2"), ("1", "3"), ("0", "2"), ("-3", "2"), ("2", "0"), ("2", "1
            ("7", "50"), ("2", "1000000000"), (P31, "2"), ("x", "2"), ("2.5", "2"))
 _BAD = ("0", "-1", "-7", "99", "1" + "0" * 30, "-" + "9" * 20, "x", "", "1e3", "T^", "((T)", "T^3 +",
         "T^1.5", "T^99999999999", "*T", "0..100000", "0..1000000000", "5..2", "a..b", "3..", "..",
-        "z_999", "z_-1", "(T^)*z_1", "x^999", "x^-1", "((x", "xml")
+        "z_999", "z_-1", "(T^)*z_1", "x^999", "x^-1", "((x", "xml", "٣", "-٣", "1_0", "١..٢", "x^1_0")
 _JUNK = ("--force", "--f-val", "--bogus", "-h", "--p", "z_1", "x^2", "--output")
 
 
