@@ -20,10 +20,10 @@ t-residue against them, so only the t-components z pairs with are formed.
 act reads the kernel's integer terms (terms(i), the x-leg whole, each
 c * f^m * beta^k) in the loop that scales them: y's coefficient of x^i
 times z's of t^k is formed once per k, a plain term (m = k = 0) scales it
-by c, and a twist or fold term by c * f^m * beta^k from the kernel's memo.
-monomial_images applies every z-monomial to one element along the digit
-trie of hopf_dual.trie_step, one generator per monomial and one kernel
-per generator.
+by the integer c, and a twist or fold term by c * f^m * beta^k from the
+kernel's memo (DigitKernel.coefficient).  generator_actions gives the
+actions of the z_{p^s}, one kernel each, which monomial_images walks
+along hopf_dual.trie_walk and verify_scaffold applies.
 
 For the generators z_{p^s} with s <= r the action on x-monomials has a
 closed form (act_fast), used as an independent cross-check of act.
@@ -34,12 +34,13 @@ from __future__ import annotations
 from typing import Callable
 
 from .base_arith import LaurentPoly
-from .field_tower import ExtensionParams, LElement
-from .hopf_dual import DualElement, trie_step
+from .field_tower import ExtensionParams, LElement, l_mul
+from .hopf_dual import DualElement, trie_walk
 from .hopf_primal import DigitKernel, HopfParams
 
 
-def _check_compat(ext: ExtensionParams, hopf: HopfParams, y: LElement | None = None) -> None:
+def check_compat(ext: ExtensionParams, hopf: HopfParams, y: LElement | None = None) -> None:
+    """ValueError unless ext and hopf share p and n and y, when given, belongs to ext."""
     if ext.p != hopf.p or ext.n != hopf.n:
         raise ValueError("extension and Hopf parameters must share p and n")
     if y is not None:
@@ -54,7 +55,7 @@ def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> 
     the next nonzero digit of the x-exponent, so only the t-components z
     pairs with are formed.
     """
-    _check_compat(ext, hopf, y)
+    check_compat(ext, hopf, y)
     z._check(ext, "dual element does not belong to the dual algebra")
     return _action_of(z, ext, hopf)(y)
 
@@ -63,7 +64,7 @@ def _action_of(z: DualElement, ext: ExtensionParams, hopf: HopfParams) -> Callab
     """y |-> act(z, y) for elements y of ext, with one digit kernel for every y."""
     zc = dict(z.nonzero_items())
     kernel = DigitKernel(hopf, ext.beta, zc)
-    scalars, f, beta = kernel.scalars, hopf.f, ext.beta
+    coefficient = kernel.coefficient
 
     def apply(y: LElement) -> LElement:
         out: dict[int, LaurentPoly] = {}
@@ -72,33 +73,29 @@ def _action_of(z: DualElement, ext: ExtensionParams, hopf: HopfParams) -> Callab
             for (x, t, m, k), e in kernel.terms(i).items():
                 if t not in scaled:
                     scaled[t] = c * zc[t]
-                if m or k:  # a twist or fold term: e * f^m * beta^k, from the kernel's memo
-                    if (m, k, e) not in scalars:
-                        scalars[(m, k, e)] = f**m * beta**k * e
-                    term = scaled[t] * scalars[(m, k, e)]
-                else:
-                    term = scaled[t] * e
+                term = scaled[t] * (coefficient(m, k, e) if m or k else e)
                 out[x] = out[x] + term if x in out else term
         return LElement._from_terms(ext.p, ext.degree, out)
 
     return apply
 
 
+def generator_actions(ext: ExtensionParams, hopf: HopfParams) -> list[Callable[[LElement], LElement]]:
+    """The maps y |-> act(z_{p^s}, y) for s = 0 ... n - 1 on elements y of ext, one digit kernel each."""
+    check_compat(ext, hopf)
+    return [_action_of(DualElement.z_basis(ext.p**s, hopf), ext, hopf) for s in range(ext.n)]
+
+
 def monomial_images(y: LElement, ext: ExtensionParams, hopf: HopfParams) -> list[LElement]:
     """The image of y under every z-monomial, the digit-j one at index j.
 
-    Formed along the digit trie: with (j - p^s, s) = trie_step(j), the
-    digit-j image is z_{p^s} applied to the stored digit-(j - p^s) image,
-    since (ab)y = a(by) and the dual algebra is commutative.  That is
-    p^n - 1 single-generator actions, through one kernel per generator.
+    Formed along hopf_dual.trie_walk: with (j - p^s, s) = trie_step(j),
+    the digit-j image is z_{p^s} applied to the stored digit-(j - p^s)
+    image, since (ab)y = a(by) and the dual algebra is commutative.  That
+    is p^n - 1 single-generator actions, through one kernel per generator.
     """
-    _check_compat(ext, hopf, y)
-    gens = [_action_of(DualElement.z_basis(ext.p**s, hopf), ext, hopf) for s in range(ext.n)]
-    images = [y]
-    for j in range(1, ext.degree):
-        parent, s = trie_step(j, ext.p)
-        images.append(gens[s](images[parent]))
-    return images
+    check_compat(ext, hopf, y)
+    return trie_walk(y, generator_actions(ext, hopf), ext.p)
 
 
 def act_fast(s: int, i: int, ext: ExtensionParams, hopf: HopfParams) -> LElement:
@@ -109,7 +106,7 @@ def act_fast(s: int, i: int, ext: ExtensionParams, hopf: HopfParams) -> LElement
     above p^n folded through beta.  There is no closed form for s > r;
     use act for the generic path.
     """
-    _check_compat(ext, hopf)
+    check_compat(ext, hopf)
     p, r = ext.p, hopf.r
     pn = ext.degree
     if not 0 <= s <= r:
@@ -120,11 +117,7 @@ def act_fast(s: int, i: int, ext: ExtensionParams, hopf: HopfParams) -> LElement
     out = LElement.zero(ext)
     if digit:
         out = out + LElement.x_power(i - p**s, ext, digit)
-    if s == r:
-        c = (-i) % p
-        if c:
-            e, coeff = p**r * (p - 1) + i - 1, hopf.f * c
-            if e >= pn:
-                e, coeff = e - pn, coeff * ext.beta
-            out = out + LElement.x_power(e, ext, coeff)
+    if s == r and (c := (-i) % p):
+        twist = LElement.x_power(p**r * (p - 1), ext, hopf.f * c)
+        out = out + l_mul(twist, LElement.x_power(i - 1, ext), ext)
     return out

@@ -13,7 +13,9 @@ the integer helpers.
 The text format of every element lives here: one splitter into top-level
 `+` terms serves LaurentPoly and CoeffVector, and CoeffVector parses and
 renders the terms of all three element types; each subclass supplies only
-the spelling of its monomials and the pattern of one term.
+the spelling of its monomials and the pattern of one term.  _accumulate
+adds (exponent, residue) pairs into Laurent terms for construction,
+addition and parsing; _fold_mul is the product of K[u]/(u^{p^n} - beta).
 
 All values are immutable and all operations are pure; instances may be
 shared freely between threads.
@@ -31,6 +33,8 @@ INF = math.inf
 _TERM_RE = re.compile(r"(?:([0-9]+)\*)?T(?:\^(-?[0-9]+))?|([0-9]+)")
 # one term of a sum: a run stops at a +, unless the + is inside parentheses
 _SPAN_RE = re.compile(r"(?:[^+(]+|\([^)]*\)?)*")
+# whitespace that dropping would join into one number or name, as in "1 0" or "z _ 3": refused
+_JOINING_SPACE_RE = re.compile(r"[0-9A-Za-z_]\s+(?=[0-9A-Za-z_])")
 
 
 def is_prime(m: int) -> bool:
@@ -49,8 +53,11 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"modulus {p} is not prime")
 
 
-def _split_terms(s: str) -> list[str]:
-    """The terms of whitespace-free text s, split at each + outside parentheses; none for "" and "0"."""
+def _split_terms(text: str) -> list[str]:
+    """The terms of text, whitespace dropped, split at each + outside parentheses; none for "" and "0"."""
+    s = "".join(text.split())
+    if s != text and _JOINING_SPACE_RE.search(text):
+        raise ValueError(f"whitespace inside a number or a name: {text!r}")
     if s in ("", "0"):
         return []
     terms, start = [], 0
@@ -62,20 +69,25 @@ def _split_terms(s: str) -> list[str]:
         start = end + 1
 
 
-def _add_text(s: str, p: int, acc: dict[int, int]) -> dict[int, int]:
-    """Add the Laurent polynomial of whitespace-free text s to acc (exponent -> residue in [1, p))."""
-    for term in _split_terms(s):
-        m = _TERM_RE.fullmatch(term)
-        if m is None:
-            raise ValueError(f"malformed Laurent polynomial term: {term!r}")
-        coeff, exp, const = m.groups()
-        e, c = (0, int(const)) if const else (int(exp or 1), int(coeff or 1))
+def _accumulate(acc: dict[int, int], terms: Iterable[tuple[int, int]], p: int) -> dict[int, int]:
+    """Add each (e, c) of terms into acc as acc[e] = acc[e] + c mod p, dropping zero residues; returns acc."""
+    for e, c in terms:
         c = (acc.get(e, 0) + c) % p
         if c:
             acc[e] = c
         else:
             acc.pop(e, None)
     return acc
+
+
+def _text_terms(text: str) -> Iterator[tuple[int, int]]:
+    """The (exponent, coefficient) pairs of the Laurent polynomial text."""
+    for term in _split_terms(text):
+        m = _TERM_RE.fullmatch(term)
+        if m is None:
+            raise ValueError(f"malformed Laurent polynomial term: {term!r}")
+        coeff, exp, const = m.groups()
+        yield (0, int(const)) if const else (int(exp or 1), int(coeff or 1))
 
 
 class LaurentPoly:
@@ -95,14 +107,7 @@ class LaurentPoly:
 
     def __init__(self, p: int, terms: Union[dict[int, int], Iterable[tuple[int, int]]] = ()):
         _require_prime(p)
-        items = terms.items() if isinstance(terms, dict) else terms
-        acc: dict[int, int] = {}
-        for e, c in items:
-            c = (acc.get(e, 0) + c) % p
-            if c:
-                acc[e] = c
-            else:
-                acc.pop(e, None)
+        acc = _accumulate({}, terms.items() if isinstance(terms, dict) else terms, p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_terms", acc)
         object.__setattr__(self, "_hash", None)
@@ -168,14 +173,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            s = (acc.get(e, 0) + c) % self.p
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
-        return LaurentPoly._from_reduced(self.p, acc)
+        return LaurentPoly._from_reduced(self.p, _accumulate(dict(self._terms), other._terms.items(), self.p))
 
     def __neg__(self) -> "LaurentPoly":
         p = self.p
@@ -260,7 +258,7 @@ class LaurentPoly:
     @classmethod
     def from_text(cls, text: str, p: int) -> "LaurentPoly":
         _require_prime(p)
-        return cls._from_reduced(p, _add_text("".join(text.split()), p, {}))
+        return cls._from_reduced(p, _accumulate({}, _text_terms(text), p))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -386,9 +384,9 @@ class CoeffVector:
 
     @classmethod
     def from_text(cls: type[_V], text: str, params) -> _V:
-        """Read to_text's format, whitespace ignored; "" and "0" read as zero."""
+        """Read to_text's format, whitespace dropped as _split_terms does; "" and "0" read as zero."""
         p, acc = params.p, {}
-        for term in _split_terms("".join(text.split())):
+        for term in _split_terms(text):
             m = cls._term_re.fullmatch(term)
             if m is None:
                 raise ValueError(f"malformed {cls._noun} term: {term!r}")
@@ -396,7 +394,7 @@ class CoeffVector:
             k = int(idx) if idx else 1 if mono else 0
             if not 0 <= k < params.degree:
                 raise ValueError(f"{cls._index_name} {k} out of range [0, {params.degree})")
-            _add_text(coef.strip("()") if coef else "1", p, acc.setdefault(k, {}))
+            _accumulate(acc.setdefault(k, {}), _text_terms(coef.strip("()") if coef else "1"), p)
         return cls._from_terms(p, params.degree, {k: LaurentPoly._from_reduced(p, c) for k, c in acc.items()})
 
     def __str__(self) -> str:
@@ -404,6 +402,28 @@ class CoeffVector:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_text()!r})"
+
+
+def _fold_mul(a: _V, b: _V, params, beta: LaurentPoly, message: str) -> _V:
+    """a*b in K[u]/(u^{p^n} - beta), p^n = params.degree: u^{p^n + k} folds to beta*u^k (to 0 for beta = 0).
+
+    ValueError(message) unless both operands have the p and degree of params.
+    """
+    a._check(params, message)
+    b._check(params, message)
+    pn, nil = params.degree, beta.is_zero()
+    out: dict[int, LaurentPoly] = {}
+    for i, ci in a._terms.items():
+        for j, cj in b._terms.items():
+            e = i + j
+            if e < pn:
+                c = ci * cj
+            elif nil:
+                break  # the terms of b ascend, so the rest vanish too
+            else:
+                e, c = e - pn, ci * cj * beta
+            out[e] = out[e] + c if e in out else c
+    return a._from_terms(a.p, pn, out)
 
 
 def padic_digits(i: int, p: int, n: int) -> tuple[int, ...]:

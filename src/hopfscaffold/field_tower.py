@@ -5,7 +5,8 @@ p not dividing b, so L/K is totally ramified of degree p^n and the
 extension valuation satisfies v_L(x) = -b, v_L|_K = p^n * v_K.  Elements
 of L are sparse coefficient vectors over K in the powers of x.  Their text
 format is base_arith's CoeffVector format with monomials x and x^i; this
-module adds only that spelling and the x^0 shorthands.
+module adds only that spelling and the x^0 shorthands.  l_mul is
+base_arith's product of K[u]/(u^{p^n} - beta) at the beta of L.
 
 Exactness of l_valuation rests on the p^n candidate values
 p^n*v_K(c_i) - b*i being pairwise incongruent mod p^n (as p does not
@@ -19,7 +20,7 @@ import re
 from collections import namedtuple
 from typing import Union
 
-from .base_arith import INF, CoeffVector, LaurentPoly, is_prime
+from .base_arith import INF, CoeffVector, LaurentPoly, _fold_mul, is_prime
 
 
 class ExtensionParams(namedtuple("ExtensionParams", "p n b beta")):
@@ -80,19 +81,7 @@ class LElement(CoeffVector):
 
 def l_mul(a: LElement, b: LElement, ext: ExtensionParams) -> LElement:
     """Product in L: polynomial product with x^{p^n + k} folded to beta * x^k."""
-    pn = ext.degree
-    conv: dict[int, LaurentPoly] = {}
-    for i, ci in a.nonzero_items():
-        for j, cj in b.nonzero_items():
-            e = i + j
-            prod = ci * cj
-            conv[e] = conv[e] + prod if e in conv else prod
-    out: dict[int, LaurentPoly] = {}
-    for e, c in conv.items():
-        if e >= pn:
-            e, c = e - pn, c * ext.beta
-        out[e] = out[e] + c if e in out else c
-    return LElement._from_terms(ext.p, pn, out)
+    return _fold_mul(a, b, ext, ext.beta, "field element does not belong to the extension")
 
 
 def l_valuation(y: LElement, ext: ExtensionParams) -> Union[int, float]:

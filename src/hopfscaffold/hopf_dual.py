@@ -8,6 +8,7 @@ The p^n monomials z_1^{j_0} z_p^{j_1} ... z_{p^{n-1}}^{j_{n-1}} (digit
 exponents of j) form a K-basis.  z_monomials builds them all along the
 digit trie: the digit-j monomial is the digit-(j - p^s) one times z_{p^s},
 s the lowest nonzero digit of j (trie_step), so each costs one product.
+trie_walk is that walk; action.monomial_images takes it with the actions.
 dual_basis_rank certifies the basis by the shape of their evaluation
 matrix: lower triangular with the nonzero constants prod_s j_s! mod p on
 its diagonal.
@@ -24,7 +25,8 @@ The text format is base_arith's CoeffVector format with monomials z_j.
 from __future__ import annotations
 
 import re
-from typing import Sequence, Union
+from functools import partial
+from typing import Callable, Sequence, Union
 
 from .base_arith import CoeffVector, LaurentPoly
 from .hopf_primal import DigitKernel, HElement, HopfParams
@@ -60,19 +62,15 @@ def dual_eval(z: DualElement, h: HElement) -> LaurentPoly:
     return sum((c * hc[j] for j, c in z.nonzero_items() if j in hc), LaurentPoly._from_reduced(z.p, {}))
 
 
-def _pairing_shifts(hopf: HopfParams) -> set[int]:
-    """X = {sum_s k_s (p^{r+s+1} - p^s) : 0 <= k_s < p, s < n - r}, holding u + v - i for Delta(t^i).
+def _pairing_shifts(hopf: HopfParams) -> range:
+    """The u + v - i of the terms u (x) t^v of Delta(t^i): (p^{r+1} - 1)*m for 0 <= m < p^{n-r}.
 
-    Each of the i_s terms picked from the factor of Delta(t^i) for digit s
-    adds p^s to u + v, or p^{r+s+1} if it is one of k_s <= i_s twist terms
-    (r + s < n only), so every term u (x) t^v has u + v - i in X.
+    A digit-kernel term c f^m beta^k u^u (x) t^v of u^i has u + k p^n + v =
+    i + (p^{r+1} - 1) m, with k = 0 at beta = 0, and m = sum_{s < n-r} k_s p^s
+    for its k_s < p twists of digit s (none for s >= n - r): every m < p^{n-r}.
     """
-    p, r = hopf.p, hopf.r
-    shifts = {0}
-    for s in range(hopf.n - r):
-        step = p ** (r + s + 1) - p**s
-        shifts = {x + k * step for x in shifts for k in range(p)}
-    return shifts
+    step = hopf.p ** (hopf.r + 1) - 1
+    return range(0, step * hopf.p ** (hopf.n - hopf.r), step)
 
 
 def dual_mult(a: DualElement, b: DualElement, hopf: HopfParams) -> DualElement:
@@ -134,14 +132,19 @@ def trie_step(j: int, p: int) -> tuple[int, int]:
     return j - q, s
 
 
+def trie_walk(first, steps: Sequence[Callable], p: int) -> list:
+    """[first] and, for 0 < j < p^len(steps), steps[s](entry j - p^s) with (j - p^s, s) = trie_step(j, p)."""
+    out = [first]
+    for j in range(1, p ** len(steps)):
+        parent, s = trie_step(j, p)
+        out.append(steps[s](out[parent]))
+    return out
+
+
 def z_monomials(hopf: HopfParams) -> list[DualElement]:
     """Every z-monomial, the digit-j one at index j, each one dual_mult from its trie parent."""
-    gens = [DualElement.z_basis(hopf.p**s, hopf) for s in range(hopf.n)]
-    monos = [DualElement.one(hopf)]
-    for j in range(1, hopf.degree):
-        parent, s = trie_step(j, hopf.p)
-        monos.append(dual_mult(monos[parent], gens[s], hopf))
-    return monos
+    steps = [partial(dual_mult, b=DualElement.z_basis(hopf.p**s, hopf), hopf=hopf) for s in range(hopf.n)]
+    return trie_walk(DualElement.one(hopf), steps, hopf.p)
 
 
 # -- basis certificate -------------------------------------------------------

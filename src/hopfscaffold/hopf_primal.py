@@ -7,7 +7,8 @@ on the generator is
 
 with counit t |-> 0 and antipode t |-> -t.  The constraint n <= 2r makes
 t^{p^r} primitive (the twist terms of its comultiplication die under the
-truncation t^{p^n} = 0), which is what coassociativity rests on.
+truncation t^{p^n} = 0), which is what coassociativity rests on.  h_mul
+is base_arith's product of K[u]/(u^{p^n} - beta) at beta = 0.
 
 Elements of H (x) H are sparse maps {(a, b): coefficient of t^a (x) t^b}
 holding nonzero terms only.  Delta(t^i) is the image of u^i under
@@ -25,7 +26,7 @@ import math
 from collections import namedtuple
 from typing import Collection
 
-from .base_arith import CoeffVector, LaurentPoly, is_prime
+from .base_arith import CoeffVector, LaurentPoly, _fold_mul, is_prime
 
 
 class HopfParams(namedtuple("HopfParams", "p n r f")):
@@ -66,15 +67,7 @@ class HElement(CoeffVector):
 
 def h_mul(a: HElement, b: HElement) -> HElement:
     """Product in K[t]/(t^{p^n}): convolution truncated by the nilpotent t."""
-    a._check(b)
-    out: dict[int, LaurentPoly] = {}
-    for i, ci in a.nonzero_items():
-        for j, cj in b.nonzero_items():
-            if i + j >= a.degree:
-                break
-            prod = ci * cj
-            out[i + j] = out[i + j] + prod if i + j in out else prod
-    return HElement._from_terms(a.p, a.degree, out)
+    return _fold_mul(a, b, a, LaurentPoly._from_reduced(a.p, {}), "incompatible elements")
 
 
 def counit(h: HElement) -> LaurentPoly:
@@ -113,7 +106,8 @@ class DigitKernel:
     coefficient of digit s is (f/(l!(p-l)!))^{p^s} = f^{p^s}/(l!(p-l)!), as
     Frobenius fixes F_p, and each fold multiplies by beta.  So digit powers
     and partial products are Terms, multiplied in integers; terms(i) returns
-    them, and image(i) forms each c * f^m * beta^k once per instance.  No
+    them, and coefficient(m, k, c) forms each c * f^m * beta^k once per
+    instance, for image(i) and for the action's loop over terms(i).  No
     two terms share (u, t), so none cancel: a twist at digit s adds
     p^{r+s+1} to u + t and p^s to m where a plain factor adds p^s, so
     u + k p^n + t = i + (p^{r+1} - 1) m, and k < p as t_read < p^n keeps
@@ -178,12 +172,17 @@ class DigitKernel:
                 return {}
         return terms
 
+    def coefficient(self, m: int, k: int, c: int) -> LaurentPoly:
+        """The Laurent coefficient c * f^m * beta^k of a term, formed once per instance."""
+        key = (m, k, c)
+        if key not in self.scalars:
+            self.scalars[key] = self.f**m * self.beta**k * c
+        return self.scalars[key]
+
     def image(self, i: int) -> Sparse:
         """The read terms of the image of u^i, as a fresh {(u, t): nonzero coefficient} map."""
-        terms, scalars = self.terms(i), self.scalars
-        for m, k, c in {(m, k, c) for (_, _, m, k), c in terms.items()} - scalars.keys():
-            scalars[(m, k, c)] = self.f**m * self.beta**k * c
-        return {(u, t): scalars[(m, k, c)] for (u, t, m, k), c in terms.items()}
+        coefficient = self.coefficient
+        return {(u, t): coefficient(m, k, c) for (u, t, m, k), c in self.terms(i).items()}
 
     def _read(self, terms: Terms, level: int) -> Terms:
         """terms without those whose t-exponent agrees with no read one mod p^level."""

@@ -79,13 +79,14 @@ class IdealIndex(NamedTuple):
 
 
 def _as_index(h: Union[int, IdealIndex], ext: ExtensionParams) -> IdealIndex:
-    return h if isinstance(h, IdealIndex) else IdealIndex.normalize(h, ext)
+    """h normalized into the window of ext; an IdealIndex is normalized again from its h_raw."""
+    return IdealIndex.normalize(h.h_raw if isinstance(h, IdealIndex) else h, ext)
 
 
 def d_h(h: Union[int, IdealIndex], j: int, ext: ExtensionParams) -> int:
-    """floor((b*j + b - h)/p^n) at the normalized h (floor toward -inf)."""
-    idx = _as_index(h, ext)
-    return (ext.b * j + ext.b - idx.h_norm) // ext.degree
+    """floor((b*j + b - h_norm)/p^n), floor toward -inf; b - h_norm is (b - h_raw) mod p^n for the window of ext."""
+    pn = ext.degree
+    return (ext.b * j + (ext.b - (h.h_raw if isinstance(h, IdealIndex) else h)) % pn) // pn
 
 
 def _compatible(j: int, ext: ExtensionParams) -> list[int]:
@@ -177,6 +178,14 @@ def _generator_witnesses(idx: IdealIndex, ext: ExtensionParams, w_tab: tuple[int
     return [i for i in range(pn) if low[i] > (b * i + c) % pn]
 
 
+def _json_header(idx: IdealIndex, ext: ExtensionParams, hopf: Optional[HopfParams]) -> dict:
+    """The fields p, n, b, h_raw, h_norm and m of an ideal report, and r and f_val when hopf is given."""
+    out = {"p": ext.p, "n": ext.n, "b": ext.b, "h_raw": idx.h_raw, "h_norm": idx.h_norm, "m": idx.m}
+    if hopf is not None:
+        out.update(r=hopf.r, f_val=hopf.f.valuation())
+    return out
+
+
 class BasisEntry(NamedTuple):
     """One associated-order basis record: generator digits and T-shift."""
 
@@ -207,13 +216,8 @@ class FreenessReport(NamedTuple):
         return tuple(BasisEntry(ds[::-1], -w) for ds, w in zip(digits, self.w_table))
 
     def to_json_dict(self, hopf: Optional[HopfParams] = None) -> dict:
-        out = {
-            "p": self.ext.p,
-            "n": self.ext.n,
-            "b": self.ext.b,
-            "h_raw": self.h.h_raw,
-            "h_norm": self.h.h_norm,
-            "m": self.h.m,
+        return {
+            **_json_header(self.h, self.ext, hopf),
             "d": list(self.d_table),
             "w": list(self.w_table),
             "free": self.free,
@@ -221,10 +225,6 @@ class FreenessReport(NamedTuple):
             "generator_count": self.generator_count,
             "basis": [entry.to_json_dict() for entry in self.basis],
         }
-        if hopf is not None:
-            out["r"] = hopf.r
-            out["f_val"] = hopf.f.valuation()
-        return out
 
 
 def is_free(h: Union[int, IdealIndex], ext: ExtensionParams) -> FreenessReport:
@@ -256,14 +256,7 @@ class AssocOrderBasis(NamedTuple):
 
     def to_json_dict(self, ext: ExtensionParams, hopf: HopfParams) -> dict:
         return {
-            "p": ext.p,
-            "n": ext.n,
-            "r": hopf.r,
-            "b": ext.b,
-            "f_val": hopf.f.valuation(),
-            "h_raw": self.h.h_raw,
-            "h_norm": self.h.h_norm,
-            "m": self.h.m,
+            **_json_header(self.h, ext, hopf),
             "tolerance": self.tolerance,
             "trusted": self.trusted,
             "basis": [entry.to_json_dict() for entry in self.entries],

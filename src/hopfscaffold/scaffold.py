@@ -23,10 +23,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Union
 
-from .action import _action_of, _check_compat, monomial_images
+from .action import check_compat, generator_actions, monomial_images
 from .base_arith import LaurentPoly, padic_digits, res_mod
 from .field_tower import ExtensionParams, LElement, l_valuation
-from .hopf_dual import DualElement
 from .hopf_primal import HopfParams
 
 STATUS_OK = "ok"
@@ -42,7 +41,7 @@ def solve_a(b: int, pn: int) -> int:
 
 def tolerance(ext: ExtensionParams, hopf: HopfParams) -> Optional[int]:
     """p^n*v_K(f) - b*(p^{r+1} - 1), or None when v_K(f) < b*p^{r+1-n}."""
-    _check_compat(ext, hopf)
+    check_compat(ext, hopf)
     vf = hopf.f.valuation()
     pn = ext.degree
     pr1 = ext.p ** (hopf.r + 1)
@@ -79,10 +78,11 @@ def lambda_element(j: int, ctx: ScaffoldContext) -> LElement:
     """The scaffold element of valuation j, defined for every integer j."""
     ext = ctx.ext
     pn = ext.degree
+    # a*b = -1 mod p^n makes the T-exponent integral for every j
+    if (ctx.a * ext.b + 1) % pn:
+        raise ValueError(f"a = {ctx.a} does not solve a*b = -1 mod {pn}")
     res = res_mod(ctx.a * j, pn)
     num = j + ext.b * res
-    # a*b = -1 mod p^n forces integrality; a failure here is a bug
-    assert num % pn == 0, (j, res, num)
     return LElement.x_power(res, ext, LaurentPoly._from_reduced(ext.p, {num // pn: 1}))
 
 
@@ -149,8 +149,7 @@ def verify_scaffold(ctx: ScaffoldContext) -> ScaffoldReport:
     pn = ext.degree
     tol = ctx.tolerance
     checks = []
-    for s in range(ext.n):
-        z_act = _action_of(DualElement.z_basis(ext.p**s, hopf), ext, hopf)
+    for s, z_act in enumerate(generator_actions(ext, hopf)):
         step = ext.p**s * ext.b
         for j in range(pn):
             digit = res_mod(ctx.a * j, pn) // ext.p**s % ext.p
@@ -211,7 +210,7 @@ def integer_certificate_check(rho: LElement, ctx: ScaffoldContext) -> Certificat
     to an earlier image, p^n - 1 single-generator actions in all.
     """
     ext, hopf = ctx.ext, ctx.hopf
-    _check_compat(ext, hopf, rho)
+    check_compat(ext, hopf, rho)
     if l_valuation(rho, ext) != ext.b:
         raise ValueError(f"v_L(rho) = {l_valuation(rho, ext)} but the certificate needs {ext.b}")
     pn = ext.degree

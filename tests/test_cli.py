@@ -247,6 +247,16 @@ class TestAct:
         assert (code, out) == (2, "")
         assert f"argument {flag}: invalid int value: {value!r}" in err
 
+    def test_whitespace_inside_a_number_or_name_exits_2(self, capsys):
+        # dropping it would join "1 2" into 12 and "z_1 0" into z_10
+        for z, y in (("z_1", "x^1 2"), ("z_1 0", "x"), ("z _ 1", "x"), ("z_1", "(1 0)*x")):
+            code, out, err = run(capsys, "act", *BASE, z, y)
+            assert (code, out) == (2, "")
+            assert "error: whitespace inside a number or a name" in err
+        params = ["--p", "2", "--n", "2", "--r", "1", "--b", "1", "--f", "T ^ 4 + T^ 6"]
+        code, out, err = run(capsys, "act", *params, " z_1 ", "( T ^ -1 + 1 ) * x ^ 3")
+        assert code == 0 and err == ""
+
     def test_empty_field_element_term_exits_2(self, capsys):
         for text in ("x + ", "x ++ x^2", "+ x"):
             code, _, err = run(capsys, "act", *BASE, "z_1", text)

@@ -63,6 +63,14 @@ class TestMul:
         got = l_mul(LElement.x_power(3, ext221), LElement.x_power(3, ext221), ext221)
         assert got == LElement.x_power(2, ext221, LaurentPoly.monomial(2, -1))
 
+    def test_rejects_an_element_of_another_extension(self):
+        # the fold at degree 16 once took x^7 of the degree-8 extension as its own x^7
+        ext16, ext8 = ExtensionParams.monogenic(2, 4, 1), ExtensionParams.monogenic(2, 3, 1)
+        a, b = LElement.x_power(3, ext16), LElement.x_power(7, ext8)
+        for left, right in ((a, b), (b, a), (b, b)):
+            with pytest.raises(ValueError, match="field element does not belong to the extension"):
+                l_mul(left, right, ext16)
+
     def test_matches_schoolbook_oracle(self):
         rng = random.Random(23)
         for p, n, b in ((2, 2, 1), (3, 2, 2), (2, 3, 3)):

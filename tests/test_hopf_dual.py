@@ -170,6 +170,18 @@ class TestDualMult:
             assert image
             assert all(u + v - i in shifts for u, v in image)
 
+    def test_pairing_shifts_are_the_digit_sums(self):
+        # the closed form is the set of sums of k_s (p^{r+s+1} - p^s), 0 <= k_s < p, s < n - r
+        for p in (2, 3, 5, 7):
+            for n in range(2, 15):
+                for r in range((n + 1) // 2, n):
+                    if p**n > 20000:
+                        continue
+                    sums = {0}
+                    for s in range(n - r):
+                        sums = {x + k * (p ** (r + s + 1) - p**s) for x in sums for k in range(p)}
+                    assert set(hopf_dual._pairing_shifts(hp(p, n, r, "T"))) == sums
+
     def test_forms_kernel_images_only_for_reachable_indices(self, monkeypatch):
         # at (3,5,3,T^3) the z-monomial rows once formed 29,645 kernel images, 29,338 of them empty
         formed = []

@@ -410,3 +410,11 @@ def test_h_mul_truncates():
     t3 = HElement.t_power(3, params)
     assert h_mul(t3, HElement.t_power(1, params)).is_zero()
     assert h_mul(t3, HElement.t_power(0, params)) == t3
+
+
+def test_h_mul_refuses_an_element_of_another_degree():
+    # h_mul and l_mul share one fold product, which checks both operands
+    t3, t7 = HElement.t_power(3, hp(2, 2, 1)), HElement.t_power(7, hp(2, 3, 2))
+    for a, b in ((t3, t7), (t7, t3)):
+        with pytest.raises(ValueError, match="incompatible elements"):
+            h_mul(a, b)

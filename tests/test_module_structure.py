@@ -42,6 +42,19 @@ class TestNormalization:
             assert idx.h_norm == h and idx.m == 0
 
 
+    def test_index_of_another_window_is_normalized_again(self, ext221):
+        # an IdealIndex normalized for b = 3, or built by hand, is read by its h_raw
+        ext, ext_b3 = ExtensionParams.monogenic(2, 4, 1), ExtensionParams.monogenic(2, 4, 3)
+        for idx in (IdealIndex.normalize(2, ext_b3), IdealIndex(2, 2, 0)):
+            report = is_free(idx, ext)
+            assert report.h == IdealIndex.normalize(2, ext) == IdealIndex(2, -14, 1)
+            assert (report.d_table, report.witness_j) == (is_free(2, ext).d_table, 1)
+            assert report.d_table[:4] == (0, 1, 1, 1)
+            assert generator_count(idx, ext) == generator_count(2, ext)
+            assert [w_h(idx, j, ext) for j in range(16)] == list(report.w_table)
+        assert d_h(IdealIndex(5, 5, 0), 0, ext221) == d_h(5, 0, ext221) == 0
+
+
 class TestDTable:
     def test_h_zero(self, ext221):
         assert [d_h(0, j, ext221) for j in range(4)] == [0, 0, 0, 1]

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from hopfscaffold import (
     HopfParams,
     LaurentPoly,
     LElement,
+    ScaffoldContext,
     act,
     act_fast,
     dual_basis_rank,
@@ -91,6 +96,34 @@ class TestLambda:
             pn = p**n
             for j in range(pn):
                 assert (j + b * res_mod(ctx.a * j, pn)) % pn == 0
+
+    def test_rejects_a_that_does_not_solve_ab_minus_one(self):
+        ctx = ctx_for(2, 4, 2, 1, 3)
+        bad = ScaffoldContext(ctx.ext, ctx.hopf, 0, ctx.tolerance)
+        for j in (0, 1, 5):
+            with pytest.raises(ValueError, match=r"a = 0 does not solve a\*b = -1 mod 16"):
+                lambda_element(j, bad)
+        with pytest.raises(ValueError):
+            verify_scaffold(bad)
+
+    def test_bad_a_is_refused_under_python_O(self):
+        # under -O a bare assert vanished and verify_scaffold certified lambda_1 = 1 (v_L = 0)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+        script = (
+            "from hopfscaffold import *\n"
+            "ext = ExtensionParams.monogenic(2, 4, 1)\n"
+            "hopf = HopfParams(2, 4, 2, LaurentPoly.monomial(2, 3))\n"
+            "try:\n"
+            "    verify_scaffold(ScaffoldContext(ext, hopf, 0, tolerance(ext, hopf)))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        assert proc.stdout == "a = 0 does not solve a*b = -1 mod 16\n"
 
     def test_k_proportional_within_residue_class(self):
         # lambda_{j + p^n} = T * lambda_j, multiplicatively verified

@@ -47,10 +47,12 @@ CORPUS = [
     ("(T^-1)*x^0", "(T^-1)", REFUSED, REFUSED),
     ("x + (2)*x", "0", REFUSED, REFUSED),
     ("x^2 + (T^-1)*x^2", "(T^-1 + 1)*x^2", REFUSED, REFUSED),
-    # whitespace is dropped everywhere, inside coefficients and numbers too
+    # whitespace is dropped around + * ^ ( ) -, and refused inside a number or a name
     ("( T ^ -1 + 2 * T ^ 2 )*x^ 2", "(T^-1 + 2*T^2)*x^2", REFUSED, REFUSED),
-    ("( 2 * T ) * z _ 3", REFUSED, "(2*T)*z_3", REFUSED),
-    ("1 0", "1", REFUSED, "1"),
+    ("( 2 * T ) * z _ 3", REFUSED, REFUSED, REFUSED),
+    ("1 0", REFUSED, REFUSED, REFUSED),
+    ("x^1 2", REFUSED, REFUSED, REFUSED),
+    ("z_1 0", REFUSED, REFUSED, REFUSED),
     ("z_0", REFUSED, "z_0", REFUSED),
     ("z_8", REFUSED, "z_8", REFUSED),
     ("(T)*z_1", REFUSED, "(T)*z_1", REFUSED),
