@@ -84,10 +84,16 @@ def _text_terms(text: str) -> Iterator[tuple[int, int]]:
     """The (exponent, coefficient) pairs of the Laurent polynomial text."""
     for term in _split_terms(text):
         m = _TERM_RE.fullmatch(term)
-        if m is None:
+        pair = None
+        if m is not None:
+            coeff, exp, const = m.groups()
+            try:
+                pair = (0, int(const)) if const else (int(exp or 1), int(coeff or 1))
+            except ValueError:  # more digits than int() converts
+                pass
+        if pair is None:
             raise ValueError(f"malformed Laurent polynomial term: {term!r}")
-        coeff, exp, const = m.groups()
-        yield (0, int(const)) if const else (int(exp or 1), int(coeff or 1))
+        yield pair
 
 
 class LaurentPoly:
@@ -391,9 +397,12 @@ class CoeffVector:
             if m is None:
                 raise ValueError(f"malformed {cls._noun} term: {term!r}")
             coef, mono, idx = m.group("coef", "mono", "idx")
-            k = int(idx) if idx else 1 if mono else 0
+            try:
+                k = int(idx) if idx else 1 if mono else 0
+            except ValueError:  # more digits than int() converts, so above any degree
+                k = -1
             if not 0 <= k < params.degree:
-                raise ValueError(f"{cls._index_name} {k} out of range [0, {params.degree})")
+                raise ValueError(f"{cls._index_name} {idx if k < 0 else k} out of range [0, {params.degree})")
             _accumulate(acc.setdefault(k, {}), _text_terms(coef.strip("()") if coef else "1"), p)
         return cls._from_terms(p, params.degree, {k: LaurentPoly._from_reduced(p, c) for k, c in acc.items()})
 

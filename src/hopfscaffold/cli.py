@@ -85,10 +85,17 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _int(text: str) -> int:
-    """An integer in the digit rule of the text formats: ASCII digits after an optional -."""
-    if re.fullmatch(r"-?[0-9]+", text) is None:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    """An integer in the digit rule of the text formats: ASCII digits after an optional -.
+
+    Every refusal is ArgumentTypeError("invalid int value: ..."), also for
+    more digits than int() converts.
+    """
+    try:
+        if re.fullmatch(r"-?[0-9]+", text) is not None:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _parse_h_range(text: str) -> range:
@@ -198,7 +205,7 @@ def cmd_assoc_order(cfg: RunConfig, h: int) -> int:
     try:
         basis = assoc_order_basis(h, cfg.ext, cfg.hopf, force=cfg.force)
     except InsufficientToleranceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.reason}; pass --force to emit an untrusted listing", file=sys.stderr)
         return EXIT_HYPOTHESIS
     if cfg.output == "json":
         _emit_json(basis.to_json_dict(cfg.ext, cfg.hopf))

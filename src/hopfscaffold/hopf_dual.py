@@ -3,7 +3,10 @@
 z_j pairs with t^i as the Kronecker delta.  Multiplication is induced by
 the comultiplication upstairs: the z_i coefficient of a product pairs the
 factors against Delta(t^i), the image of u^i under hopf_primal's
-digit-factored kernel with beta = 0 (the kernel of the coaction of L).
+digit-factored kernel with beta = 0 (the kernel of the coaction of L),
+read on the second leg at the support of the right factor: for a
+generator z_{p^s} the kernel forms the images of the i mod p^{s+1} and
+shifts their first leg.
 The p^n monomials z_1^{j_0} z_p^{j_1} ... z_{p^{n-1}}^{j_{n-1}} (digit
 exponents of j) form a K-basis.  z_monomials builds them all along the
 digit trie: the digit-j monomial is the digit-(j - p^s) one times z_{p^s},

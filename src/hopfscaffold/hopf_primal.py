@@ -119,22 +119,34 @@ class DigitKernel:
     digit s are multiplied in, with s' the next nonzero digit of i (n if
     none), a partial term survives only if its t-exponent agrees mod p^{s'}
     with a read one; the t-exponent never falls, so no partial term above
-    the largest read t is formed either.  The generator image of digit s
-    and its powers are built when an image first needs them, and kept.
+    the largest read t is formed either.  With p^S the least power of p
+    above the largest read t (p^n at most), a digit d at a place q >= S
+    keeps only u^{d p^q}(x)1 of its factor, coefficient 1: its other terms
+    carry t-exponents of at least p^q.  So terms(i) is terms(i mod p^S)
+    with the A-leg shifted by i - (i mod p^S), a shifted exponent at or
+    above p^n folding once (dropped at beta = 0).  The instance keeps each
+    such low image, as it keeps the generator image of digit s and its
+    powers, built when an image first needs them.  It forms the read level
+    (p^k, read t mod p^k) when a product first prunes at place k, and the
+    twist coefficients 1/(l!(p-l)!) mod p with the first twist term.
     """
 
-    __slots__ = ("p", "n", "r", "pn", "f", "beta", "nil", "tmax", "levels", "powers", "scalars")
+    __slots__ = ("p", "n", "r", "pn", "f", "beta", "nil", "t_read", "tmax", "low", "levels", "twists", "powers", "images", "scalars")
 
     def __init__(self, hopf: HopfParams, beta: LaurentPoly, t_read: Collection[int]):
         p, n = hopf.p, hopf.n
         self.p, self.n, self.r, self.pn, self.f, self.beta = p, n, hopf.r, hopf.degree, hopf.f, beta
         self.nil = beta.is_zero()  # a term folded through beta = 0 vanishes
-        self.tmax = max(t_read, default=-1)
-        # levels[k] = (p^k, the read t-exponents mod p^k)
-        self.levels = [(p**k, {e % p**k for e in t_read}) for k in range(n + 1)]
+        self.t_read, self.tmax = t_read, max(t_read, default=-1)
+        self.low = 1  # p^S, the least power of p above tmax, at most p^n
+        while self.low <= self.tmax and self.low < self.pn:
+            self.low *= p
+        self.levels: dict[int, tuple[int, set[int]]] = {}  # k -> (p^k, the read t-exponents mod p^k)
+        self.twists: list[int] = []  # 1/(l!(p-l)!) mod p at index l - 1
         self.scalars: dict[tuple[int, int, int], LaurentPoly] = {}  # (m, k, c) -> c * f^m * beta^k
         # powers[s][d - 1] = image of u^{d p^s}; row s starts at the generator image on first use
         self.powers: list[list[Terms]] = [[] for _ in range(n)]
+        self.images: dict[int, Terms] = {}  # i < p^S -> terms(i)
 
     def mul(self, a: Terms, b: Terms, level: int = 0) -> Terms:
         """Product in A (x) H without the terms above the largest read t.
@@ -143,7 +155,7 @@ class DigitKernel:
         with no read one mod p^k.
         """
         p, pn, tmax, nil = self.p, self.pn, self.tmax, self.nil
-        mod, t_res = self.levels[level]
+        mod, t_res = self._level(level)
         out: Terms = {}
         for (ua, ta, ma, ka), ca in a.items():
             for (ub, tb, mb, kb), cb in b.items():
@@ -160,17 +172,23 @@ class DigitKernel:
         return {key: r for key, c in out.items() if (r := c % p)}
 
     def terms(self, i: int) -> Terms:
-        """The read terms of the image of u^i as integer terms {(u, t, m, k): c}."""
-        p, n = self.p, self.n
-        factors = [(s, d) for s in range(n) if (d := i // p**s % p)]  # (place, digit) of nonzero digits
-        terms = None if factors else self._read({(0, 0, 0, 0): 1}, n)
-        # the product through the factor for digit s is pruned mod p^(place of the next nonzero digit)
-        for (s, d), (level, _) in zip(factors, factors[1:] + [(n, 0)]):
-            power = self._power(s, d)
-            terms = self._read(power, level) if terms is None else self.mul(terms, power, level)
-            if not terms:
-                return {}
-        return terms
+        """The read terms of the image of u^i as integer terms {(u, t, m, k): c}; may be a kept map, so read only."""
+        low = i % self.low
+        terms = self.images.get(low)
+        if terms is None:
+            terms = self.images[low] = self._product(low)
+        shift = i - low
+        if not shift:
+            return terms
+        pn, nil, out = self.pn, self.nil, {}
+        for (u, t, m, k), c in terms.items():
+            u += shift
+            if u >= pn:
+                if nil:
+                    continue
+                u, k = u - pn, k + 1
+            out[(u, t, m, k)] = c
+        return out
 
     def coefficient(self, m: int, k: int, c: int) -> LaurentPoly:
         """The Laurent coefficient c * f^m * beta^k of a term, formed once per instance."""
@@ -184,22 +202,47 @@ class DigitKernel:
         coefficient = self.coefficient
         return {(u, t): coefficient(m, k, c) for (u, t, m, k), c in self.terms(i).items()}
 
+    def _product(self, i: int) -> Terms:
+        """terms(i) for i < p^S: the pruned product of the digit powers of i."""
+        p, n, s, factors = self.p, self.n, 0, []  # (place, digit) of the nonzero digits
+        while i:
+            i, d = divmod(i, p)
+            if d:
+                factors.append((s, d))
+            s += 1
+        terms = None if factors else self._read({(0, 0, 0, 0): 1}, n)
+        # the product through the factor for digit s is pruned mod p^(place of the next nonzero digit)
+        for (s, d), (level, _) in zip(factors, factors[1:] + [(n, 0)]):
+            power = self._power(s, d)
+            terms = self._read(power, level) if terms is None else self.mul(terms, power, level)
+            if not terms:
+                return {}
+        return terms
+
+    def _level(self, k: int) -> tuple[int, set[int]]:
+        """(p^k, the read t-exponents mod p^k), formed on first use."""
+        level = self.levels.get(k)
+        if level is None:
+            mod = self.p**k
+            level = self.levels[k] = (mod, {e % mod for e in self.t_read})
+        return level
+
     def _read(self, terms: Terms, level: int) -> Terms:
         """terms without those whose t-exponent agrees with no read one mod p^level."""
-        mod, t_res = self.levels[level]
+        mod, t_res = self._level(level)
         return {key: c for key, c in terms.items() if key[1] % mod in t_res}
 
     def _power(self, s: int, d: int) -> Terms:
-        """The image of u^{d p^s}, built on first use from the generator image of u^{p^s}."""
+        """The image of u^{d p^s} for p^s <= tmax, built on first use from the generator image of u^{p^s}."""
         row = self.powers[s]
         if not row:
             p, q, prs, tmax = self.p, self.p**s, self.p ** (self.r + s), self.tmax
-            gen: Terms = {(q, 0, 0, 0): 1}
-            if q <= tmax:
-                gen[(0, q, 0, 0)] = 1
-            for ell in range(1, p):
-                if prs * (p - ell) <= tmax:
-                    gen[(prs * ell, prs * (p - ell), q, 0)] = pow(math.factorial(ell) * math.factorial(p - ell), -1, p)
+            gen: Terms = {(q, 0, 0, 0): 1, (0, q, 0, 0): 1}
+            if prs <= tmax:  # the twist of l has t-exponent prs * (p - l), read for l >= p - tmax // prs
+                if not self.twists:
+                    self.twists = [pow(math.factorial(ell) * math.factorial(p - ell), -1, p) for ell in range(1, p)]
+                for ell in range(max(1, p - tmax // prs), p):
+                    gen[(prs * ell, prs * (p - ell), q, 0)] = self.twists[ell - 1]
             row.append(gen)
         while len(row) < d:
             row.append(self.mul(row[-1], row[0]))

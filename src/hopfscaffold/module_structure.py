@@ -54,7 +54,14 @@ from .scaffold import tolerance
 
 
 class InsufficientToleranceError(ValueError):
-    """Raised when a basis claim is requested below the licensing tolerance."""
+    """Raised when a basis claim is requested below the licensing tolerance.
+
+    reason says why without the remedy, which the message names as force=True.
+    """
+
+    def __init__(self, reason: str):
+        super().__init__(f"{reason}; pass force=True to emit an untrusted listing")
+        self.reason = reason
 
 
 class IdealIndex(NamedTuple):
@@ -280,9 +287,11 @@ def assoc_order_basis(
     tol = tolerance(ext, hopf)
     licensed = tol is not None and tol >= 2 * ext.degree - 1
     if not licensed and not force:
+        bound = f"2*p^n - 1 = {2 * ext.degree - 1}"
         raise InsufficientToleranceError(
-            f"tolerance {tol} below 2*p^n - 1 = {2 * ext.degree - 1}; "
-            "pass force=True to emit an untrusted listing"
+            f"scaffold hypothesis unmet, so no tolerance reaches {bound}"
+            if tol is None
+            else f"tolerance {tol} below {bound}"
         )
     return AssocOrderBasis(idx, is_free(idx, ext).basis, tol, licensed)
 

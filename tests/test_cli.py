@@ -247,6 +247,23 @@ class TestAct:
         assert (code, out) == (2, "")
         assert f"argument {flag}: invalid int value: {value!r}" in err
 
+    def test_integers_beyond_the_conversion_limit_exit_2_with_the_codec_message(self, capsys):
+        # int() refuses more than 4300 digits with advice to call sys.set_int_max_str_digits()
+        big = "9" * 4301
+        params = ["--p", "3", "--n", "2", "--r", "1", "--b", "1"]
+        for argv, message in (
+            ([*params, "--f-val", big, "z_1", "x"], f"argument --f-val: invalid int value: {big!r}"),
+            ([*params, "--f-val", "3", "z_1", f"x^{big}"], f"error: x-exponent {big} out of range [0, 9)"),
+            ([*params, "--f-val", "3", f"z_{big}", "x"], f"error: z-index {big} out of range [0, 9)"),
+            ([*params, "--f", f"T^{big}", "z_1", "x"], f"error: malformed Laurent polynomial term: 'T^{big}'"),
+            ([*params, "--f-val", "3", "z_1", f"({big})*x"], f"error: malformed Laurent polynomial term: '{big}'"),
+        ):
+            code, out, err = run(capsys, "act", *argv)
+            assert (code, out) == (2, "")
+            assert message in err and "_int" not in err and "set_int_max_str_digits" not in err
+        code, out, err = run(capsys, "freeness", *params, "--f-val", "3", "--h", big)
+        assert (code, out, err) == (2, "", f"error: invalid int value: {big!r}\n")
+
     def test_whitespace_inside_a_number_or_name_exits_2(self, capsys):
         # dropping it would join "1 2" into 12 and "z_1 0" into z_10
         for z, y in (("z_1", "x^1 2"), ("z_1 0", "x"), ("z _ 1", "x"), ("z_1", "(1 0)*x")):
@@ -286,6 +303,17 @@ class TestAssocOrder:
         code, _, err = run(capsys, "assoc-order", *args, "--h", "0")
         assert code == 3
         assert "tolerance" in err
+
+    @pytest.mark.parametrize("f_val, reason", [
+        ("2", "tolerance 5 below 2*p^n - 1 = 7"),
+        ("0", "scaffold hypothesis unmet, so no tolerance reaches 2*p^n - 1 = 7"),
+    ])
+    def test_refusal_names_the_force_flag(self, capsys, f_val, reason):
+        # the library's message names its force=True keyword; the CLI names its own --force flag
+        args = ["--p", "2", "--n", "2", "--r", "1", "--b", "1", "--f-val", f_val]
+        code, out, err = run(capsys, "assoc-order", *args, "--h", "0")
+        assert (code, out) == (3, "")
+        assert err == f"error: {reason}; pass --force to emit an untrusted listing\n"
 
     def test_force_below_tolerance(self, capsys):
         args = ["--p", "2", "--n", "2", "--r", "1", "--b", "1", "--f-val", "2"]

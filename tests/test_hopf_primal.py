@@ -320,6 +320,58 @@ class TestKernelImages:
                 assert delta_power(i, params) == expected
 
 
+def _low_read_sets(p, n):
+    """Read sets whose largest t lies below p^s, for each s = 0 ... n: single exponents and mixes."""
+    sets = [{0}, {1}]
+    for s in range(1, n + 1):
+        top = p**s - 1
+        sets += [{p ** (s - 1)}, {top}, {0, p ** (s - 1), top}, set(range(1, top + 1, max(1, top // 3)))]
+    return [set(t) for t in dict.fromkeys(frozenset(t) for t in sets)]
+
+
+# (p, n, r, f) with beta = 0, T^-b for b = 1 and a multi-term beta
+SHIFT_CASES = [(2, 4, 2, "T^-1 + T^2"), (3, 3, 2, "2*T^-1 + T^2"), (5, 2, 1, "T^3 + 4*T^5")]
+SHIFT_BETAS = ["0", "T^-1", "T^-3 + 2 + T"]
+
+
+class TestHighPlaceShift:
+    # a digit of i at a place p^q above every read t keeps only u^{d p^q} (x) 1 of its factor, so
+    # terms(i) is terms(i mod p^S) with the A-leg shifted, p^S the least power of p above the
+    # largest read t; a shifted exponent at or above p^n folds once, or vanishes at beta = 0
+    @staticmethod
+    def laurent(terms, params, beta):
+        """The {(u, t): coefficient} map of integer kernel terms, each c * f^m * beta^k formed here."""
+        assert len({(u, t) for u, t, _, _ in terms}) == len(terms)
+        return {(u, t): params.f**m * beta**k * c for (u, t, m, k), c in terms.items()}
+
+    @pytest.mark.parametrize("beta_text", SHIFT_BETAS)
+    def test_terms_match_the_expansion_on_the_read_set(self, beta_text):
+        over_pn = 0  # shifted low-image terms reaching p^n: they fold, or vanish at beta = 0
+        for p, n, r, f in SHIFT_CASES:
+            params, beta = hp(p, n, r, f), LaurentPoly.from_text(beta_text, p)
+            full = [image_by_expansion(i, params, beta) for i in range(params.degree)]
+            for t_read in _low_read_sets(p, n):
+                kernel = DigitKernel(params, beta, t_read)
+                low = next((p**s for s in range(n) if p**s > max(t_read)), p**n)
+                for i in range(params.degree):
+                    expected = {(u, t): c for (u, t), c in full[i].items() if t in t_read}
+                    assert self.laurent(kernel.terms(i), params, beta) == expected, (p, n, t_read, i)
+                    over_pn += sum(u + i - i % low >= p**n for u, t in full[i % low] if t in t_read)
+        # only (2,4,2) shifts a twist term, which alone can pass p^n: n = r + 1 at the other two
+        assert over_pn > 0
+
+    @pytest.mark.parametrize("p,n,r,f", SHIFT_CASES)
+    @pytest.mark.parametrize("beta", SHIFT_BETAS)
+    def test_kept_low_images_do_not_depend_on_call_order(self, p, n, r, f, beta):
+        params, beta = hp(p, n, r, f), LaurentPoly.from_text(beta, p)
+        order = list(range(params.degree)) * 2
+        random.Random(f"{p}{n}{beta}").shuffle(order)
+        for t_read in _low_read_sets(p, n):
+            kept = DigitKernel(params, beta, t_read)
+            for i in order:
+                assert kept.terms(i) == DigitKernel(params, beta, t_read).terms(i), (t_read, i)
+
+
 class TestExpansionOracle:
     @pytest.mark.parametrize("p,r,top", [(2, 1, 64), (2, 3, 64), (3, 2, 81), (5, 2, 27)])
     def test_digit_wise_expansion_matches_binomial_enumeration(self, p, r, top):

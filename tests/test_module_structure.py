@@ -341,6 +341,18 @@ class TestAssocOrder:
         with pytest.raises(InsufficientToleranceError):
             assoc_order_basis(0, ext, hopf)
 
+    @pytest.mark.parametrize("f_val, reason", [
+        (2, "tolerance 5 below 2*p^n - 1 = 7"),
+        (0, "scaffold hypothesis unmet, so no tolerance reaches 2*p^n - 1 = 7"),
+    ])
+    def test_refusal_names_force_keyword(self, f_val, reason):
+        ext = ExtensionParams.monogenic(2, 2, 1)
+        hopf = HopfParams(2, 2, 1, LaurentPoly.monomial(2, f_val))
+        with pytest.raises(InsufficientToleranceError) as info:
+            assoc_order_basis(0, ext, hopf)
+        assert info.value.reason == reason
+        assert str(info.value) == f"{reason}; pass force=True to emit an untrusted listing"
+
     def test_force_yields_untrusted(self):
         ext = ExtensionParams.monogenic(2, 2, 1)
         hopf = HopfParams(2, 2, 1, LaurentPoly.monomial(2, 2))
