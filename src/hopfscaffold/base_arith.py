@@ -17,8 +17,8 @@ the spelling of its monomials and the pattern of one term.  _accumulate
 adds (exponent, residue) pairs into Laurent terms for construction,
 addition and parsing; _fold_mul is the product of K[u]/(u^{p^n} - beta).
 
-All values are immutable and all operations are pure; instances may be
-shared freely between threads.
+All values are immutable, every slot set once at construction, and all
+operations are pure; instances may be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -109,14 +109,13 @@ class LaurentPoly:
     bare, e.g. ``T^-1 + 2*T^3`` or ``2 + T``.  Zero prints as ``0``.
     """
 
-    __slots__ = ("p", "_terms", "_hash")
+    __slots__ = ("p", "_terms")
 
     def __init__(self, p: int, terms: Union[dict[int, int], Iterable[tuple[int, int]]] = ()):
         _require_prime(p)
         acc = _accumulate({}, terms.items() if isinstance(terms, dict) else terms, p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_terms", acc)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _from_reduced(cls, p: int, terms: dict[int, int]) -> "LaurentPoly":
@@ -128,7 +127,6 @@ class LaurentPoly:
         out = object.__new__(cls)
         LaurentPoly.p.__set__(out, p)
         LaurentPoly._terms.__set__(out, terms)
-        LaurentPoly._hash.__set__(out, None)
         return out
 
     def __setattr__(self, *_):  # pragma: no cover
@@ -242,9 +240,7 @@ class LaurentPoly:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.p, tuple(sorted(self._terms.items())))))
-        return self._hash
+        return hash((self.p, tuple(sorted(self._terms.items()))))
 
     # -- text format -------------------------------------------------------
 
@@ -414,21 +410,20 @@ class CoeffVector:
 
 
 def _fold_mul(a: _V, b: _V, params, beta: LaurentPoly, message: str) -> _V:
-    """a*b in K[u]/(u^{p^n} - beta), p^n = params.degree: u^{p^n + k} folds to beta*u^k (to 0 for beta = 0).
+    """a*b in K[u]/(u^{p^n} - beta), p^n = params.degree: u^{p^n + k} folds to beta*u^k.
 
-    ValueError(message) unless both operands have the p and degree of params.
+    At beta = 0 a folded term is 0 and the result drops it.  ValueError(message)
+    unless both operands have the p and degree of params.
     """
     a._check(params, message)
     b._check(params, message)
-    pn, nil = params.degree, beta.is_zero()
+    pn = params.degree
     out: dict[int, LaurentPoly] = {}
     for i, ci in a._terms.items():
         for j, cj in b._terms.items():
             e = i + j
             if e < pn:
                 c = ci * cj
-            elif nil:
-                break  # the terms of b ascend, so the rest vanish too
             else:
                 e, c = e - pn, ci * cj * beta
             out[e] = out[e] + c if e in out else c

@@ -29,7 +29,7 @@ from .module_structure import (
     assoc_order_basis,
     is_free,
 )
-from .scaffold import STATUS_OK, scaffold_context, verify_scaffold
+from .scaffold import STATUS_OK, scaffold_context, tolerance, verify_scaffold
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -56,11 +56,11 @@ class RunConfig(NamedTuple):
 
 
 def _check_degree(p: int, n: int) -> None:
-    """Refuse n < 2 or p^n > MAX_DEGREE, multiplying p^n out only until it passes the cap."""
+    """Refuse n < 2, p < 2 or p^n > MAX_DEGREE, multiplying p^n out only until it passes the cap."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if p < 2:
-        return  # never grows; refused as not prime with the other parameters
+        raise ValueError(f"p = {p} is not prime")
     degree = 1
     for _ in range(n):
         degree *= p
@@ -81,6 +81,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         f = LaurentPoly.monomial(args.p, args.f_val)
     ext = ExtensionParams(args.p, args.n, args.b, beta)
     hopf = HopfParams(args.p, args.n, args.r, f)
+    if args.command in ("scaffold-verify", "assoc-order"):  # their reports carry the tolerance
+        tol, limit = tolerance(ext, hopf), sys.get_int_max_str_digits()
+        if tol is not None and limit and tol >= 10**limit:
+            raise ValueError(f"tolerance p^n*v_K(f) - b*(p^(r+1) - 1) exceeds the int-to-text limit of {limit} digits")
     return RunConfig(ext, hopf, getattr(args, "output", "tsv"), getattr(args, "force", False))
 
 
@@ -306,13 +310,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         h_values = _parse_h_range(args.h) if getattr(args, "h", None) is not None else None
         if h_values is not None and len(h_values) * cfg.ext.degree > MAX_FREENESS_ENTRIES:
             raise ValueError(f"{len(h_values)} h values times p^n = {cfg.ext.degree} exceed {MAX_FREENESS_ENTRIES}")
-    except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    if os.environ.get("SCAFFOLD_LOG", "").upper() in ("DEBUG", "NOTSET"):
-        print(f"DEBUG:hopfscaffold:dispatching {args.command}", file=sys.stderr)
-    try:
+        if os.environ.get("SCAFFOLD_LOG", "").upper() in ("DEBUG", "NOTSET"):
+            print(f"DEBUG:hopfscaffold:dispatching {args.command}", file=sys.stderr)
         if args.command == "scaffold-verify":
             return cmd_scaffold_verify(cfg)
         if args.command == "freeness":
@@ -321,12 +320,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_act(cfg, args.z, args.y)
         if args.command == "assoc-order":
             if len(h_values) != 1:
-                print("error: assoc-order takes a single --h value", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("assoc-order takes a single --h value")
             return cmd_assoc_order(cfg, h_values[0])
         if args.command == "atlas":
             return cmd_atlas(cfg)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover

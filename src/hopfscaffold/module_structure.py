@@ -80,9 +80,7 @@ class IdealIndex(NamedTuple):
     def normalize(cls, h: int, ext: ExtensionParams) -> "IdealIndex":
         pn = ext.degree
         h_norm = ext.b - res_mod(ext.b - h, pn)
-        m, check = divmod(h - h_norm, pn)
-        assert check == 0
-        return cls(h, h_norm, m)
+        return cls(h, h_norm, (h - h_norm) // pn)
 
 
 def _as_index(h: Union[int, IdealIndex], ext: ExtensionParams) -> IdealIndex:

@@ -8,7 +8,8 @@ ideal lambda_{j + p^s b} * {v_L >= F}, where a*b = -1 mod p^n.
 
 The concrete elements used are lambda_j = T^{(j + b*res(aj))/p^n} *
 x^{res(aj)} (the T-exponent is forced to be integral by the choice of a),
-with expected units u_{s,j} equal to the digit res(aj)_s itself.  The
+with expected units u_{s,j} equal to the digit res(aj)_s itself, which
+may be 0: then the image z_{p^s} lambda_j itself lies in the ideal.  The
 tolerance achieved by the action is F = p^n*v_K(f) - b*(p^{r+1} - 1),
 defined whenever p^n*v_K(f) >= b*p^{r+1}; below that bound no scaffold is
 guaranteed and verification reports that status instead of a number.
@@ -96,13 +97,7 @@ class ScaffoldCheck(NamedTuple):
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "j": self.j,
-            "digit": self.digit,
-            "unit": None if self.unit is None else self.unit.to_text(),
-            "passed": self.passed,
-        }
+        return {**self._asdict(), "unit": None if self.unit is None else self.unit.to_text()}
 
 
 class ScaffoldReport(NamedTuple):
@@ -138,10 +133,11 @@ class ScaffoldReport(NamedTuple):
 def verify_scaffold(ctx: ScaffoldContext) -> ScaffoldReport:
     """Check every scaffold congruence for s in [0, n) and j in [0, p^n).
 
-    For digit res(aj)_s > 0 the unit is taken to be the digit itself and
-    the difference from u * lambda_{j + p^s b} must lie in the depth-F
-    ideal over lambda_{j + p^s b}; for digit 0 the image itself must.
-    Failures are recorded per check, never raised.
+    The one rule: z_{p^s} lambda_j - u * lambda_{j + p^s b} lies in
+    lambda_{j + p^s b} * {v_L >= F}, with u the digit res(aj)_s, 0 included.
+    A check records u as a constant, or None when it is 0; the product
+    0 * lambda_{j + p^s b} is never formed.  Failures are recorded per
+    check, never raised.
     """
     ext, hopf = ctx.ext, ctx.hopf
     if ctx.tolerance is None or ctx.tolerance <= 1:
@@ -154,15 +150,9 @@ def verify_scaffold(ctx: ScaffoldContext) -> ScaffoldReport:
         for j in range(pn):
             digit = res_mod(ctx.a * j, pn) // ext.p**s % ext.p
             image = z_act(lambda_element(j, ctx))
-            threshold = j + step + tol
-            if digit > 0:
-                unit: Optional[LaurentPoly] = LaurentPoly._from_reduced(ext.p, {0: digit})
-                diff = image - lambda_element(j + step, ctx).scale(digit)
-                passed = l_valuation(diff, ext) >= threshold
-            else:
-                unit = None
-                passed = l_valuation(image, ext) >= threshold
-            checks.append(ScaffoldCheck(s, j, digit, unit, passed))
+            diff = image - lambda_element(j + step, ctx).scale(digit) if digit else image
+            unit = LaurentPoly._from_reduced(ext.p, {0: digit}) if digit else None
+            checks.append(ScaffoldCheck(s, j, digit, unit, l_valuation(diff, ext) >= j + step + tol))
     return ScaffoldReport(
         ext, hopf, ctx.a, tol, STATUS_OK, tuple(checks), all(c.passed for c in checks)
     )
@@ -187,11 +177,9 @@ class CertificateReport(NamedTuple):
         return {
             "records": [
                 {
+                    **rec._asdict(),
                     "digits": list(rec.digits),
-                    "j": rec.j,
                     "valuation": None if rec.valuation == math.inf else rec.valuation,
-                    "expected": rec.expected,
-                    "ok": rec.ok,
                 }
                 for rec in self.records
             ],

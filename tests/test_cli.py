@@ -577,3 +577,63 @@ def test_exit_code_contract_on_random_argv(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED, cli.EXIT_USAGE, cli.EXIT_HYPOTHESIS)
+
+
+# (parameters, freeness h range, act operands): digit-0 checks at (2,4,2,1); a multi-term f and beta at
+# (3,3,2,2), tolerance 29 below the 53 that licenses assoc-order; the no-scaffold exit 3 at (3,2,1,1)
+_CORPUS_TUPLES = (
+    (["--p", "2", "--n", "4", "--r", "2", "--b", "1", "--f", "T^3"], "-2..1", ("(T^2)*z_3 + z_1", "(T^-1)*x^2 + x^5")),
+    (["--p", "3", "--n", "3", "--r", "2", "--b", "2", "--f", "T^3 + 2*T^5", "--beta", "T^-2 + T"], "-3..2",
+     ("z_4 + (2*T^-1)*z_1", "(T^-1)*x^2 + x^13")),
+    (["--p", "3", "--n", "2", "--r", "1", "--b", "1", "--f-val", "0"], "-1..2", ("(T^2)*z_3 + z_1", "x^2 + (2)")),
+)
+
+
+def _corpus_argvs():
+    for params, h_range, (z, y) in _CORPUS_TUPLES:
+        for output in ("json", "tsv", "pretty"):
+            tail = ["--output", output]
+            yield ["scaffold-verify", *params, *tail]
+            yield ["freeness", *params, "--h", h_range, *tail]
+            yield ["assoc-order", *params, "--h", "0", *tail]
+            yield ["assoc-order", *params, "--h", "0", "--force", *tail]
+            yield ["act", *params, *tail, "z_1", "x"]
+            yield ["act", *params, *tail, z, y]
+
+
+def test_report_corpus_pinned(capsys):
+    # one digest over argv, exit code and stdout of verify, freeness, assoc-order and act in every format
+    digest = hashlib.sha256()
+    codes = []
+    for argv in _corpus_argvs():
+        code, out, _ = run(capsys, *argv)
+        codes.append(code)
+        digest.update(f"{argv!r}\n{code}\n{out}\x1e".encode())
+    assert set(codes) == {0, 3}
+    assert digest.hexdigest() == "e3fdaabb2d8e752b10c300d008f87d312e073f90d084d231b3b7662b5bcb5907"
+
+
+def test_p_below_2_exits_2_as_not_prime(capsys):
+    for p in ("0", "1", "-3"):
+        code, out, err = run(capsys, "act", "--p", p, "--n", "4", "--r", "2", "--b", "1", "--f-val", "3", "z_1", "x")
+        assert (code, out) == (2, "")
+        assert f"error: p = {p} is not prime" in err
+        assert "modulo by zero" not in err
+
+
+_NINES = "9" * 4300  # the most digits int() converts, so the tolerance p^n*v_K(f) - ... has more
+
+
+@pytest.mark.parametrize("output", ["json", "tsv", "pretty"])
+@pytest.mark.parametrize("command", [["scaffold-verify"], ["assoc-order", "--h", "0"]])
+@pytest.mark.parametrize("f", [["--f-val", _NINES], ["--f", f"T^{_NINES}"]])
+def test_tolerance_beyond_the_digit_limit_exits_2_before_any_check(capsys, monkeypatch, output, command, f):
+    def refuse(*_):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "verify_scaffold", refuse)
+    monkeypatch.setattr(cli, "assoc_order_basis", refuse)
+    code, out, err = run(capsys, *command, "--p", "2", "--n", "4", "--r", "2", "--b", "1", *f, "--output", output)
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: tolerance p^n*v_K(f) - b*(p^(r+1) - 1) exceeds the int-to-text limit of {limit} digits\n"

@@ -233,6 +233,23 @@ class TestCoeffVectorDiscipline:
             assert twin == a and hash(twin) == hash(a)
             assert twin + a == a.scale(2)
 
+    def test_equal_laurent_polys_hash_equal(self):
+        # the coefficients hash by value too, however each was built
+        a, b = LaurentPoly(5, {-1: 2, 3: 1}), LaurentPoly.from_text("4*T^2 + 1", 5)
+        twins = [
+            a,
+            LaurentPoly(5, [(3, 1), (-1, 7), (0, 5)]),
+            LaurentPoly.monomial(5, -1, 2) + LaurentPoly.monomial(5, 3),
+            LaurentPoly.from_text("2*T^-1 + T^3", 5),
+            a + b - b,
+            a * 1,
+            a * LaurentPoly.one(5),
+        ]
+        for twin in twins:
+            assert twin == a and hash(twin) == hash(a)
+        assert len(set(twins)) == 1
+        assert len({LaurentPoly.zero(5), a - a, b * 5, LaurentPoly(5, {2: 5})}) == 1
+
     def test_immutable_without_instance_dict(self, same_coeffs):
         for y in same_coeffs:
             assert not hasattr(y, "__dict__")
