@@ -16,10 +16,10 @@ import json
 import os
 import re
 import sys
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .action import act
-from .base_arith import LaurentPoly
+from .base_arith import LaurentPoly, is_prime
 from .field_tower import ExtensionParams, l_valuation, lelement_from_text, lelement_to_text
 from .hopf_dual import dual_from_text
 from .hopf_primal import HopfParams
@@ -46,17 +46,8 @@ MAX_FREENESS_ENTRIES = 1_000_000
 MAX_DEGREE = 10_000
 
 
-class RunConfig(NamedTuple):
-    """Validated parameter set shared by all subcommands."""
-
-    ext: ExtensionParams
-    hopf: HopfParams
-    output: str
-    force: bool
-
-
 def _check_degree(p: int, n: int) -> None:
-    """Refuse n < 2, p < 2 or p^n > MAX_DEGREE, multiplying p^n out only until it passes the cap."""
+    """Refuse n < 2, p < 2, p^n > MAX_DEGREE or a composite p, multiplying p^n out only until it passes the cap."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if p < 2:
@@ -66,9 +57,11 @@ def _check_degree(p: int, n: int) -> None:
         degree *= p
         if degree > MAX_DEGREE:
             raise ValueError(f"p^n = {p}^{n} exceeds {MAX_DEGREE}")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
+def _build_config(args: argparse.Namespace) -> tuple[ExtensionParams, HopfParams]:
     _check_degree(args.p, args.n)
     beta = (
         LaurentPoly.from_text(args.beta, args.p)
@@ -85,7 +78,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         tol, limit = tolerance(ext, hopf), sys.get_int_max_str_digits()
         if tol is not None and limit and tol >= 10**limit:
             raise ValueError(f"tolerance p^n*v_K(f) - b*(p^(r+1) - 1) exceeds the int-to-text limit of {limit} digits")
-    return RunConfig(ext, hopf, getattr(args, "output", "tsv"), getattr(args, "force", False))
+    return ext, hopf
 
 
 def _int(text: str) -> int:
@@ -124,20 +117,20 @@ def _emit_json_line(obj) -> None:
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_scaffold_verify(cfg: RunConfig) -> int:
-    ctx = scaffold_context(cfg.ext, cfg.hopf)
+def cmd_scaffold_verify(ext: ExtensionParams, hopf: HopfParams, args: argparse.Namespace) -> int:
+    ctx = scaffold_context(ext, hopf)
     report = verify_scaffold(ctx)
-    if cfg.output == "json":
+    if args.output == "json":
         _emit_json(report.to_json_dict())
-    elif cfg.output == "tsv":
+    elif args.output == "tsv":
         print("s\tj\tdigit\tunit\tpassed")
         for c in report.checks:
             unit = "" if c.unit is None else c.unit.to_text()
             print(f"{c.s}\t{c.j}\t{c.digit}\t{unit}\t{int(c.passed)}")
     else:
         head = (
-            f"p={cfg.ext.p} n={cfg.ext.n} r={cfg.hopf.r} b={cfg.ext.b} "
-            f"f={cfg.hopf.f} tolerance={report.tolerance} status={report.status}"
+            f"p={ext.p} n={ext.n} r={hopf.r} b={ext.b} "
+            f"f={hopf.f} tolerance={report.tolerance} status={report.status}"
         )
         print(head)
         for c in report.checks:
@@ -166,12 +159,12 @@ def _freeness_line_tsv(report: FreenessReport) -> str:
     )
 
 
-def cmd_freeness(cfg: RunConfig, h_values: Iterable[int]) -> int:
-    reports = (is_free(h, cfg.ext) for h in h_values)
-    if cfg.output == "json":
+def cmd_freeness(ext: ExtensionParams, hopf: HopfParams, args: argparse.Namespace) -> int:
+    reports = (is_free(h, ext) for h in args.h)
+    if args.output == "json":
         for report in reports:
-            _emit_json_line(report.to_json_dict(cfg.hopf))
-    elif cfg.output == "tsv":
+            _emit_json_line(report.to_json_dict(hopf))
+    elif args.output == "tsv":
         print("h_raw\th_norm\tm\tfree\twitness_j\tgenerator_count\td\tw")
         for report in reports:
             print(_freeness_line_tsv(report))
@@ -187,16 +180,16 @@ def cmd_freeness(cfg: RunConfig, h_values: Iterable[int]) -> int:
     return EXIT_OK
 
 
-def cmd_act(cfg: RunConfig, z_text: str, y_text: str) -> int:
-    z = dual_from_text(z_text, cfg.hopf)
-    y = lelement_from_text(y_text, cfg.ext)
-    result = act(z, y, cfg.ext, cfg.hopf)
-    val = l_valuation(result, cfg.ext)
+def cmd_act(ext: ExtensionParams, hopf: HopfParams, args: argparse.Namespace) -> int:
+    z = dual_from_text(args.z, hopf)
+    y = lelement_from_text(args.y, ext)
+    result = act(z, y, ext, hopf)
+    val = l_valuation(result, ext)
     val_out: Optional[int] = None if result.is_zero() else int(val)
     text = lelement_to_text(result)
-    if cfg.output == "json":
+    if args.output == "json":
         _emit_json({"result": text, "v_L": val_out})
-    elif cfg.output == "tsv":
+    elif args.output == "tsv":
         print("result\tv_L")
         print(f"{text}\t{'' if val_out is None else val_out}")
     else:
@@ -205,15 +198,17 @@ def cmd_act(cfg: RunConfig, z_text: str, y_text: str) -> int:
     return EXIT_OK
 
 
-def cmd_assoc_order(cfg: RunConfig, h: int) -> int:
+def cmd_assoc_order(ext: ExtensionParams, hopf: HopfParams, args: argparse.Namespace) -> int:
+    if len(args.h) != 1:
+        raise ValueError("assoc-order takes a single --h value")
     try:
-        basis = assoc_order_basis(h, cfg.ext, cfg.hopf, force=cfg.force)
+        basis = assoc_order_basis(args.h[0], ext, hopf, force=args.force)
     except InsufficientToleranceError as exc:
         print(f"error: {exc.reason}; pass --force to emit an untrusted listing", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    if cfg.output == "json":
-        _emit_json(basis.to_json_dict(cfg.ext, cfg.hopf))
-    elif cfg.output == "tsv":
+    if args.output == "json":
+        _emit_json(basis.to_json_dict(ext, hopf))
+    elif args.output == "tsv":
         print("digits\tshift")
         for entry in basis.entries:
             print(f"{','.join(map(str, entry.digits))}\t{entry.shift}")
@@ -226,11 +221,11 @@ def cmd_assoc_order(cfg: RunConfig, h: int) -> int:
     return EXIT_OK
 
 
-def cmd_atlas(cfg: RunConfig) -> int:
+def cmd_atlas(ext: ExtensionParams, hopf: HopfParams, args: argparse.Namespace) -> int:
     # one full period of ideal classes, in window order
     print("h\tfree\tgenerator_count\twitness_j")
-    for h in range(cfg.ext.b - cfg.ext.degree + 1, cfg.ext.b + 1):
-        report = is_free(h, cfg.ext)
+    for h in range(ext.b - ext.degree + 1, ext.b + 1):
+        report = is_free(h, ext)
         witness = "" if report.witness_j is None else str(report.witness_j)
         print(f"{report.h.h_norm}\t{int(report.free)}\t{report.generator_count}\t{witness}")
     return EXIT_OK
@@ -259,23 +254,28 @@ def _make_parser() -> argparse.ArgumentParser:
 
     sv = sub.add_parser("scaffold-verify", help="verify every scaffold congruence")
     _add_common(sv)
+    sv.set_defaults(run=cmd_scaffold_verify)
 
     fr = sub.add_parser("freeness", help="freeness reports over a range of ideal exponents")
     _add_common(fr)
     fr.add_argument("--h", type=str, required=True, help="ideal exponent or inclusive range a..b")
+    fr.set_defaults(run=cmd_freeness)
 
     ac = sub.add_parser("act", help="apply a dual element to a field element")
     _add_common(ac)
     ac.add_argument("z", type=str, help="dual element, e.g. z_1 or (T^2)*z_3")
     ac.add_argument("y", type=str, help="field element, e.g. x^3 or (T^-1)*x^2")
+    ac.set_defaults(run=cmd_act)
 
     ao = sub.add_parser("assoc-order", help="associated-order basis listing")
     _add_common(ao)
     ao.add_argument("--h", type=str, required=True, help="ideal exponent")
     ao.add_argument("--force", action="store_true", help="emit untrusted listing below tolerance")
+    ao.set_defaults(run=cmd_assoc_order)
 
     at = sub.add_parser("atlas", help="TSV freeness table over one full period of h")
     _add_common(at)
+    at.set_defaults(run=cmd_atlas)
     for reporting in (sv, fr, ac, ao):  # atlas prints TSV only
         reporting.add_argument("--output", choices=("json", "tsv", "pretty"), default="json")
 
@@ -306,28 +306,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        cfg = _build_config(args)
-        h_values = _parse_h_range(args.h) if getattr(args, "h", None) is not None else None
-        if h_values is not None and len(h_values) * cfg.ext.degree > MAX_FREENESS_ENTRIES:
-            raise ValueError(f"{len(h_values)} h values times p^n = {cfg.ext.degree} exceed {MAX_FREENESS_ENTRIES}")
+        ext, hopf = _build_config(args)
+        if getattr(args, "h", None) is not None:
+            args.h = _parse_h_range(args.h)
+            if len(args.h) * ext.degree > MAX_FREENESS_ENTRIES:
+                raise ValueError(f"{len(args.h)} h values times p^n = {ext.degree} exceed {MAX_FREENESS_ENTRIES}")
         if os.environ.get("SCAFFOLD_LOG", "").upper() in ("DEBUG", "NOTSET"):
             print(f"DEBUG:hopfscaffold:dispatching {args.command}", file=sys.stderr)
-        if args.command == "scaffold-verify":
-            return cmd_scaffold_verify(cfg)
-        if args.command == "freeness":
-            return cmd_freeness(cfg, h_values)
-        if args.command == "act":
-            return cmd_act(cfg, args.z, args.y)
-        if args.command == "assoc-order":
-            if len(h_values) != 1:
-                raise ValueError("assoc-order takes a single --h value")
-            return cmd_assoc_order(cfg, h_values[0])
-        if args.command == "atlas":
-            return cmd_atlas(cfg)
+        return args.run(ext, hopf, args)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 
 def entry() -> None:  # console script hook

@@ -327,6 +327,12 @@ class TestAssocOrder:
         b1, b2 = json.loads(out1), json.loads(out2)
         assert b1["basis"] == b2["basis"]
 
+    def test_refuses_an_h_range_after_the_dispatch_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCAFFOLD_LOG", "debug")
+        code, out, err = run(capsys, "assoc-order", *BASE, "--h", "0..1")
+        assert (code, out) == (2, "")
+        assert err == "DEBUG:hopfscaffold:dispatching assoc-order\nerror: assoc-order takes a single --h value\n"
+
 
 class TestAtlas:
     def test_full_period(self, capsys):
@@ -621,6 +627,15 @@ def test_p_below_2_exits_2_as_not_prime(capsys):
         assert "modulo by zero" not in err
 
 
+def test_composite_p_exits_2_as_not_prime(capsys):
+    # the CLI's own wording, as for p < 2, not the modulus message of the Laurent arithmetic
+    for p in ("4", "9"):
+        code, out, err = run(capsys, "act", "--p", p, "--n", "2", "--r", "1", "--b", "1", "--f-val", "3", "z_1", "x")
+        assert (code, out) == (2, "")
+        assert err == f"error: p = {p} is not prime\n"
+        assert "modulus" not in err
+
+
 _NINES = "9" * 4300  # the most digits int() converts, so the tolerance p^n*v_K(f) - ... has more
 
 
@@ -637,3 +652,16 @@ def test_tolerance_beyond_the_digit_limit_exits_2_before_any_check(capsys, monke
     assert (code, out) == (2, "")
     limit = sys.get_int_max_str_digits()
     assert err == f"error: tolerance p^n*v_K(f) - b*(p^(r+1) - 1) exceeds the int-to-text limit of {limit} digits\n"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digest recorded on Python 3.11; argparse's help layout is not fixed across versions")
+def test_help_text_pinned(capsys, monkeypatch):
+    # one digest over the top-level help and each command's help, wrapped at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    commands = ("act", "assoc-order", "atlas", "freeness", "scaffold-verify")
+    for argv in (["--help"], *([command, "--help"] for command in commands)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        digest.update(f"{argv!r}\n{out}\x1e".encode())
+    assert digest.hexdigest() == "bab49b07a595d21aea6da0b23fc8a7d45a34740776fa5ed2a33cf6b809546188"

@@ -28,7 +28,6 @@ from hopfscaffold import (
     verify_scaffold,
 )
 from hopfscaffold.base_arith import CoeffVector
-from hopfscaffold.cli import RunConfig
 
 _LOCK_TYPES = (type(threading.Lock()), type(threading.RLock()))
 
@@ -95,7 +94,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_logging():
 RECORD_TYPES = [
     "ExtensionParams", "HopfParams", "ScaffoldContext", "ScaffoldReport", "ScaffoldCheck",
     "CertificateReport", "CertificateRecord", "IdealIndex", "FreenessReport", "BasisEntry",
-    "AssocOrderBasis", "RunConfig",
+    "AssocOrderBasis",
 ]
 
 
@@ -110,7 +109,6 @@ def _records():
     records = [
         ext, hopf, ctx, report, report.checks[0], certificate, certificate.records[0],
         IdealIndex.normalize(0, ext), freeness, freeness.basis[0], assoc_order_basis(0, ext, hopf),
-        RunConfig(ext, hopf, "json", False),
     ]
     return {type(record).__name__: record for record in records}
 
