@@ -16,19 +16,14 @@ import json
 import os
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .action import act
 from .base_arith import LaurentPoly, is_prime
 from .field_tower import ExtensionParams, l_valuation, lelement_from_text, lelement_to_text
 from .hopf_dual import dual_from_text
 from .hopf_primal import HopfParams
-from .module_structure import (
-    FreenessReport,
-    InsufficientToleranceError,
-    assoc_order_basis,
-    is_free,
-)
+from .module_structure import InsufficientToleranceError, assoc_order_basis, is_free
 from .scaffold import STATUS_OK, scaffold_context, tolerance, verify_scaffold
 
 EXIT_OK = 0
@@ -114,6 +109,13 @@ def _emit_json_line(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
+def _emit_tsv(header: tuple[str, ...], rows: Iterable[tuple]) -> None:
+    """Print the header, then each row as it comes: fields tab-joined, None written empty, a bool 0 or 1."""
+    print("\t".join(header))
+    for row in rows:
+        print("\t".join("" if v is None else str(int(v) if isinstance(v, bool) else v) for v in row))
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -123,10 +125,7 @@ def cmd_scaffold_verify(ext: ExtensionParams, hopf: HopfParams, args: argparse.N
     if args.output == "json":
         _emit_json(report.to_json_dict())
     elif args.output == "tsv":
-        print("s\tj\tdigit\tunit\tpassed")
-        for c in report.checks:
-            unit = "" if c.unit is None else c.unit.to_text()
-            print(f"{c.s}\t{c.j}\t{c.digit}\t{unit}\t{int(c.passed)}")
+        _emit_tsv(("s", "j", "digit", "unit", "passed"), ((c.s, c.j, c.digit, c.unit, c.passed) for c in report.checks))
     else:
         head = (
             f"p={ext.p} n={ext.n} r={hopf.r} b={ext.b} "
@@ -143,31 +142,18 @@ def cmd_scaffold_verify(ext: ExtensionParams, hopf: HopfParams, args: argparse.N
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
 
-def _freeness_line_tsv(report: FreenessReport) -> str:
-    witness = "" if report.witness_j is None else str(report.witness_j)
-    return "\t".join(
-        [
-            str(report.h.h_raw),
-            str(report.h.h_norm),
-            str(report.h.m),
-            str(int(report.free)),
-            witness,
-            str(report.generator_count),
-            ",".join(map(str, report.d_table)),
-            ",".join(map(str, report.w_table)),
-        ]
-    )
-
-
 def cmd_freeness(ext: ExtensionParams, hopf: HopfParams, args: argparse.Namespace) -> int:
     reports = (is_free(h, ext) for h in args.h)
     if args.output == "json":
         for report in reports:
             _emit_json_line(report.to_json_dict(hopf))
     elif args.output == "tsv":
-        print("h_raw\th_norm\tm\tfree\twitness_j\tgenerator_count\td\tw")
-        for report in reports:
-            print(_freeness_line_tsv(report))
+        rows = (
+            (r.h.h_raw, r.h.h_norm, r.h.m, r.free, r.witness_j, r.generator_count,
+             ",".join(map(str, r.d_table)), ",".join(map(str, r.w_table)))
+            for r in reports
+        )
+        _emit_tsv(("h_raw", "h_norm", "m", "free", "witness_j", "generator_count", "d", "w"), rows)
     else:
         for report in reports:
             verdict = "free" if report.free else f"not free (witness j={report.witness_j})"
@@ -190,8 +176,7 @@ def cmd_act(ext: ExtensionParams, hopf: HopfParams, args: argparse.Namespace) ->
     if args.output == "json":
         _emit_json({"result": text, "v_L": val_out})
     elif args.output == "tsv":
-        print("result\tv_L")
-        print(f"{text}\t{'' if val_out is None else val_out}")
+        _emit_tsv(("result", "v_L"), [(text, val_out)])
     else:
         print(text)
         print(f"v_L = {'+inf' if val_out is None else val_out}")
@@ -209,9 +194,7 @@ def cmd_assoc_order(ext: ExtensionParams, hopf: HopfParams, args: argparse.Names
     if args.output == "json":
         _emit_json(basis.to_json_dict(ext, hopf))
     elif args.output == "tsv":
-        print("digits\tshift")
-        for entry in basis.entries:
-            print(f"{','.join(map(str, entry.digits))}\t{entry.shift}")
+        _emit_tsv(("digits", "shift"), ((",".join(map(str, e.digits)), e.shift) for e in basis.entries))
     else:
         idx = basis.h
         trust = "trusted" if basis.trusted else "UNTRUSTED (below licensing tolerance)"
@@ -223,11 +206,8 @@ def cmd_assoc_order(ext: ExtensionParams, hopf: HopfParams, args: argparse.Names
 
 def cmd_atlas(ext: ExtensionParams, hopf: HopfParams, args: argparse.Namespace) -> int:
     # one full period of ideal classes, in window order
-    print("h\tfree\tgenerator_count\twitness_j")
-    for h in range(ext.b - ext.degree + 1, ext.b + 1):
-        report = is_free(h, ext)
-        witness = "" if report.witness_j is None else str(report.witness_j)
-        print(f"{report.h.h_norm}\t{int(report.free)}\t{report.generator_count}\t{witness}")
+    reports = (is_free(h, ext) for h in range(ext.b - ext.degree + 1, ext.b + 1))
+    _emit_tsv(("h", "free", "generator_count", "witness_j"), ((r.h.h_norm, r.free, r.generator_count, r.witness_j) for r in reports))
     return EXIT_OK
 
 

@@ -128,10 +128,12 @@ class DigitKernel:
     such low image, as it keeps the generator image of digit s and its
     powers, built when an image first needs them.  It forms the read level
     (p^k, read t mod p^k) when a product first prunes at place k, and the
-    twist coefficients 1/(l!(p-l)!) mod p with the first twist term.
+    twist coefficients 1/(l!(p-l)!) mod p where a generator image reads
+    each twist.  Every product, the first factor's too, is formed by mul,
+    the one place a term is dropped for its read residue.
     """
 
-    __slots__ = ("p", "n", "r", "pn", "f", "beta", "nil", "t_read", "tmax", "low", "levels", "twists", "powers", "images", "scalars")
+    __slots__ = ("p", "n", "r", "pn", "f", "beta", "nil", "t_read", "tmax", "low", "levels", "powers", "images", "scalars")
 
     def __init__(self, hopf: HopfParams, beta: LaurentPoly, t_read: Collection[int]):
         p, n = hopf.p, hopf.n
@@ -142,7 +144,6 @@ class DigitKernel:
         while self.low <= self.tmax and self.low < self.pn:
             self.low *= p
         self.levels: dict[int, tuple[int, set[int]]] = {}  # k -> (p^k, the read t-exponents mod p^k)
-        self.twists: list[int] = []  # 1/(l!(p-l)!) mod p at index l - 1
         self.scalars: dict[tuple[int, int, int], LaurentPoly] = {}  # (m, k, c) -> c * f^m * beta^k
         # powers[s][d - 1] = image of u^{d p^s}; row s starts at the generator image on first use
         self.powers: list[list[Terms]] = [[] for _ in range(n)]
@@ -203,18 +204,19 @@ class DigitKernel:
         return {(u, t): coefficient(m, k, c) for (u, t, m, k), c in self.terms(i).items()}
 
     def _product(self, i: int) -> Terms:
-        """terms(i) for i < p^S: the pruned product of the digit powers of i."""
+        """terms(i) for i < p^S: the unit times each digit power of i, all through mul."""
         p, n, s, factors = self.p, self.n, 0, []  # (place, digit) of the nonzero digits
         while i:
             i, d = divmod(i, p)
             if d:
                 factors.append((s, d))
             s += 1
-        terms = None if factors else self._read({(0, 0, 0, 0): 1}, n)
+        terms = unit = {(0, 0, 0, 0): 1}
+        if not factors:  # u^0: the unit, if t = 0 is read
+            return self.mul(unit, unit, n)
         # the product through the factor for digit s is pruned mod p^(place of the next nonzero digit)
         for (s, d), (level, _) in zip(factors, factors[1:] + [(n, 0)]):
-            power = self._power(s, d)
-            terms = self._read(power, level) if terms is None else self.mul(terms, power, level)
+            terms = self.mul(terms, self._power(s, d), level)
             if not terms:
                 return {}
         return terms
@@ -227,11 +229,6 @@ class DigitKernel:
             level = self.levels[k] = (mod, {e % mod for e in self.t_read})
         return level
 
-    def _read(self, terms: Terms, level: int) -> Terms:
-        """terms without those whose t-exponent agrees with no read one mod p^level."""
-        mod, t_res = self._level(level)
-        return {key: c for key, c in terms.items() if key[1] % mod in t_res}
-
     def _power(self, s: int, d: int) -> Terms:
         """The image of u^{d p^s} for p^s <= tmax, built on first use from the generator image of u^{p^s}."""
         row = self.powers[s]
@@ -239,10 +236,8 @@ class DigitKernel:
             p, q, prs, tmax = self.p, self.p**s, self.p ** (self.r + s), self.tmax
             gen: Terms = {(q, 0, 0, 0): 1, (0, q, 0, 0): 1}
             if prs <= tmax:  # the twist of l has t-exponent prs * (p - l), read for l >= p - tmax // prs
-                if not self.twists:
-                    self.twists = [pow(math.factorial(ell) * math.factorial(p - ell), -1, p) for ell in range(1, p)]
                 for ell in range(max(1, p - tmax // prs), p):
-                    gen[(prs * ell, prs * (p - ell), q, 0)] = self.twists[ell - 1]
+                    gen[(prs * ell, prs * (p - ell), q, 0)] = pow(math.factorial(ell) * math.factorial(p - ell), -1, p)
             row.append(gen)
         while len(row) < d:
             row.append(self.mul(row[-1], row[0]))

@@ -117,7 +117,8 @@ def noether_criterion(ext: ExtensionParams) -> Optional[int]:
 
     When it exists the ring of integers is known to be free over its
     associated order; the converse direction goes through the h = 0
-    freeness test instead.
+    freeness test instead.  The converse fails, as at (p, n, b) =
+    (3, 5, 7), where 7 divides 3^m - 1 first at m = 6 > n.
     """
     rb = res_mod(ext.b, ext.degree)
     for m in range(1, ext.n + 1):

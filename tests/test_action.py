@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -211,6 +212,15 @@ class TestAct:
             for s in range(n):
                 z = DualElement.z_basis(p**s, hopf)
                 assert act(z, LElement.one(ext), ext, hopf).is_zero()
+
+    def test_large_p_twist_coefficients(self):
+        # z_{p(p-l)} reads the twist term f x^{p l} (x) t^{p(p-l)} / (l!(p-l)!) of the coaction of x, r = 1
+        p = 97
+        ext, hopf = ExtensionParams.monogenic(p, 2, 1), HopfParams(p, 2, 1, LaurentPoly.monomial(p, 3))
+        for ell in range(1, p):
+            coeff = hopf.f * pow(math.factorial(ell) * math.factorial(p - ell), -1, p)
+            got = act(DualElement.z_basis(p * (p - ell), hopf), LElement.x_power(1, ext), ext, hopf)
+            assert got == LElement.x_power(p * ell, ext, coeff), ell
 
     def test_z0_acts_as_identity(self, pair221):
         rng = random.Random(59)

@@ -619,6 +619,44 @@ def test_report_corpus_pinned(capsys):
     assert digest.hexdigest() == "e3fdaabb2d8e752b10c300d008f87d312e073f90d084d231b3b7662b5bcb5907"
 
 
+def _tsv_rows(capsys, *argv):
+    """The rows of a TSV report as {column: field}, after checking every line has the header's field count."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0, argv
+    header, *lines = (line.split("\t") for line in out.splitlines())
+    assert lines and all(len(fields) == len(header) for fields in lines), argv
+    return [dict(zip(header, fields)) for fields in lines]
+
+
+def _bit(value):
+    return str(int(value))
+
+
+def test_tsv_contract(capsys):
+    # field counts, empty fields and 0/1 bools of every TSV report, the bools read against the JSON
+    t = ["--p", "2", "--n", "4", "--r", "2", "--b", "1", "--f", "T^3"]
+    verify = _tsv_rows(capsys, "scaffold-verify", *t, "--output", "tsv")
+    checks = json.loads(run(capsys, "scaffold-verify", *t)[1])["checks"]
+    assert {(r["s"], r["j"], r["passed"]) for r in verify} == {(str(c["s"]), str(c["j"]), _bit(c["passed"])) for c in checks}
+    assert {r["digit"] for r in verify} == {"0", "1"}
+    assert all((r["unit"] == "") == (r["digit"] == "0") for r in verify)
+
+    freeness = _tsv_rows(capsys, "freeness", *t, "--h", "-20..20", "--output", "tsv")
+    reports = [json.loads(line) for line in run(capsys, "freeness", *t, "--h", "-20..20")[1].splitlines()]
+    assert [(r["h_raw"], r["free"]) for r in freeness] == [(str(j["h_raw"]), _bit(j["free"])) for j in reports]
+    atlas = _tsv_rows(capsys, "atlas", *t)  # the window b - p^n + 1 .. b = -14..1, in order
+    window = [json.loads(line) for line in run(capsys, "freeness", *t, "--h", "-14..1")[1].splitlines()]
+    assert [(r["h"], r["free"]) for r in atlas] == [(str(j["h_norm"]), _bit(j["free"])) for j in window]
+    for table in (freeness, atlas):
+        assert {r["free"] for r in table} == {"0", "1"}
+        assert all((r["witness_j"] == "") == (r["free"] == "1") for r in table)
+
+    _tsv_rows(capsys, "assoc-order", *t, "--h", "1", "--output", "tsv")
+    acts = [_tsv_rows(capsys, "act", *t, "--output", "tsv", z, y) for z, y in (("z_2", "x"), ("z_1", "x^3"))]
+    assert [r["result"] for (r,) in acts] == ["0", "x^2"]
+    assert all((r["v_L"] == "") == (r["result"] == "0") for (r,) in acts)
+
+
 def test_p_below_2_exits_2_as_not_prime(capsys):
     for p in ("0", "1", "-3"):
         code, out, err = run(capsys, "act", "--p", p, "--n", "4", "--r", "2", "--b", "1", "--f-val", "3", "z_1", "x")

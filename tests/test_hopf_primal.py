@@ -291,7 +291,7 @@ class TestKernelImages:
         params = hp(p, n, r, f)
         kernel = DigitKernel(params, LaurentPoly.from_text(beta, p), range(params.degree))
         formed = []
-        for name in ("mul", "_read"):
+        for name in ("mul",):
             real = getattr(DigitKernel, name)
 
             def spy(self, *args, real=real):

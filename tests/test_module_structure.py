@@ -321,6 +321,22 @@ class TestNoether:
             if noether_criterion(ext) is not None:
                 assert is_free(0, ext).free
 
+    def test_sufficient_everywhere_and_converse_fails_at_four_classes_up_to_729(self):
+        # every (p, n, b) with n >= 2, p^n <= 729 and 0 < b < p^n prime to p: 23 degrees, 3578 classes
+        degrees = [(p, n) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) for n in range(2, 10) if p**n <= 729]
+        classes = [(p, n, b) for p, n in degrees for b in range(1, p**n) if b % p]
+        assert (len(degrees), len(classes)) == (23, 3578)
+        converse_fails = []
+        for p, n, b in classes:
+            ext = ExtensionParams.monogenic(p, n, b)
+            free = is_free(0, ext).free
+            if noether_criterion(ext) is not None:
+                assert free, (p, n, b)
+            elif free:
+                converse_fails.append((p, n, b))
+        # e.g. 7 first divides 3^m - 1 at m = 6 > n = 5, yet O_L is free at (3, 5, 7)
+        assert converse_fails == [(2, 9, 11), (3, 5, 7), (5, 4, 7), (7, 3, 5)]
+
 
 class TestAssocOrder:
     def test_small_case_shifts(self):
