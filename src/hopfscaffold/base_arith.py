@@ -11,11 +11,12 @@ nonzero coefficients and the length p^n.  padic_digits and res_mod are
 the integer helpers.
 
 The text format of every element lives here: one splitter into top-level
-`+` terms serves LaurentPoly and CoeffVector, and CoeffVector parses and
-renders the terms of all three element types; each subclass supplies only
-the spelling of its monomials and the pattern of one term.  _accumulate
-adds (exponent, residue) pairs into Laurent terms for construction,
-addition and parsing; _fold_mul is the product of K[u]/(u^{p^n} - beta).
+`+` terms serves LaurentPoly and CoeffVector, and one reader of Laurent
+term texts (_read_terms) serves both.  CoeffVector parses and renders the
+terms of all three element types; each subclass supplies only the
+spelling of its monomials and the pattern of one term.  _accumulate adds
+(exponent, residue) pairs into Laurent terms for construction and
+addition; _fold_mul is the product of K[u]/(u^{p^n} - beta).
 
 All values are immutable, every slot set once at construction, and all
 operations are pure; instances may be shared freely between threads.
@@ -80,20 +81,23 @@ def _accumulate(acc: dict[int, int], terms: Iterable[tuple[int, int]], p: int) -
     return acc
 
 
-def _text_terms(text: str) -> Iterator[tuple[int, int]]:
-    """The (exponent, coefficient) pairs of the Laurent polynomial text."""
-    for term in _split_terms(text):
+def _read_terms(acc: dict[int, int], terms: Iterable[str], p: int) -> dict[int, int]:
+    """Add each Laurent term text of terms (c*T^e, c or T^e) into acc mod p, as _accumulate does; returns acc."""
+    for term in terms:
         m = _TERM_RE.fullmatch(term)
-        pair = None
-        if m is not None:
+        try:
+            if m is None:
+                raise ValueError
             coeff, exp, const = m.groups()
-            try:
-                pair = (0, int(const)) if const else (int(exp or 1), int(coeff or 1))
-            except ValueError:  # more digits than int() converts
-                pass
-        if pair is None:
-            raise ValueError(f"malformed Laurent polynomial term: {term!r}")
-        yield pair
+            e, c = (0, int(const)) if const else (int(exp or 1), int(coeff or 1))
+        except ValueError:  # no match, or more digits than int() converts
+            raise ValueError(f"malformed Laurent polynomial term: {term!r}") from None
+        c = (acc.get(e, 0) + c) % p
+        if c:
+            acc[e] = c
+        else:
+            acc.pop(e, None)
+    return acc
 
 
 class LaurentPoly:
@@ -260,7 +264,7 @@ class LaurentPoly:
     @classmethod
     def from_text(cls, text: str, p: int) -> "LaurentPoly":
         _require_prime(p)
-        return cls._from_reduced(p, _accumulate({}, _text_terms(text), p))
+        return cls._from_reduced(p, _read_terms({}, _split_terms(text), p))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -291,9 +295,11 @@ class CoeffVector:
     # c of a coefficient and the spelling m of its monomial, m bare when
     # c = 1.  A subclass spells the monomial of index k as _monomial(k), ""
     # for the x^0 of L (written (c), or 1).  A parsed subclass also matches
-    # one term with _term_re (group coef: the coefficient in its parentheses,
-    # None for 1; group mono: the monomial, None at x^0, with idx its index
-    # digits, None for x = x^1) and names its elements in errors by _noun.
+    # one term with _term_re, groups in order coef (the coefficient in its
+    # parentheses, None for 1), mono (the monomial, None at x^0) and idx (its
+    # index digits, None for x = x^1), and names its elements in errors by
+    # _noun.  _term_re admits no parentheses inside a coefficient, so from_text
+    # splits each coefficient at every + once _split_terms dropped whitespace.
 
     def __init__(self, coeffs: Sequence[LaurentPoly]):
         coeffs = tuple(coeffs)
@@ -392,14 +398,14 @@ class CoeffVector:
             m = cls._term_re.fullmatch(term)
             if m is None:
                 raise ValueError(f"malformed {cls._noun} term: {term!r}")
-            coef, mono, idx = m.group("coef", "mono", "idx")
+            coef, mono, idx = m.groups()
             try:
                 k = int(idx) if idx else 1 if mono else 0
             except ValueError:  # more digits than int() converts, so above any degree
                 k = -1
             if not 0 <= k < params.degree:
                 raise ValueError(f"{cls._index_name} {idx if k < 0 else k} out of range [0, {params.degree})")
-            _accumulate(acc.setdefault(k, {}), _text_terms(coef.strip("()") if coef else "1"), p)
+            _read_terms(acc.setdefault(k, {}), coef.strip("()").split("+") if coef else ("1",), p)
         return cls._from_terms(p, params.degree, {k: LaurentPoly._from_reduced(p, c) for k, c in acc.items()})
 
     def __str__(self) -> str:

@@ -117,20 +117,21 @@ class DigitKernel:
     the caller reads (t_read), the A-leg whole.  Each factor for digit s
     adds a multiple of p^s to the t-exponent, so once the factors up to
     digit s are multiplied in, with s' the next nonzero digit of i (n if
-    none), a partial term survives only if its t-exponent agrees mod p^{s'}
-    with a read one; the t-exponent never falls, so no partial term above
-    the largest read t is formed either.  With p^S the least power of p
-    above the largest read t (p^n at most), a digit d at a place q >= S
-    keeps only u^{d p^q}(x)1 of its factor, coefficient 1: its other terms
-    carry t-exponents of at least p^q.  So terms(i) is terms(i mod p^S)
-    with the A-leg shifted by i - (i mod p^S), a shifted exponent at or
-    above p^n folding once (dropped at beta = 0).  The instance keeps each
-    such low image, as it keeps the generator image of digit s and its
-    powers, built when an image first needs them.  It forms the read level
-    (p^k, read t mod p^k) when a product first prunes at place k, and the
-    twist coefficients 1/(l!(p-l)!) mod p where a generator image reads
-    each twist.  Every product, the first factor's too, is formed by mul,
-    the one place a term is dropped for its read residue.
+    none), the later factors add multiples of p^{s'}: a partial term
+    survives only if its t-exponent is at most the largest read t of its
+    class mod p^{s'}.  With p^S the least power of p above the largest
+    read t (p^n at most), a digit d at a place q >= S keeps only
+    u^{d p^q}(x)1 of its factor, coefficient 1: its other terms carry
+    t-exponents of at least p^q.  So terms(i) is terms(i mod p^S) with the
+    A-leg shifted by i - (i mod p^S), a shifted exponent at or above p^n
+    folding once (dropped at beta = 0).  The instance keeps each such low
+    image, as it keeps the generator image of digit s and its powers,
+    built when an image first needs them.  It forms the read level (p^k,
+    the largest read t of each class mod p^k) when a product first prunes
+    at place k, and the twist coefficients 1/(l!(p-l)!) mod p where a
+    generator image reads each twist.  Every product, the first factor's
+    too, is formed by mul, the one place a term is dropped for its read
+    residue.
     """
 
     __slots__ = ("p", "n", "r", "pn", "f", "beta", "nil", "t_read", "tmax", "low", "levels", "powers", "images", "scalars")
@@ -143,25 +144,24 @@ class DigitKernel:
         self.low = 1  # p^S, the least power of p above tmax, at most p^n
         while self.low <= self.tmax and self.low < self.pn:
             self.low *= p
-        self.levels: dict[int, tuple[int, set[int]]] = {}  # k -> (p^k, the read t-exponents mod p^k)
+        self.levels: dict[int, tuple[int, list[int]]] = {}  # k -> (p^k, largest read t of each class mod p^k)
         self.scalars: dict[tuple[int, int, int], LaurentPoly] = {}  # (m, k, c) -> c * f^m * beta^k
         # powers[s][d - 1] = image of u^{d p^s}; row s starts at the generator image on first use
         self.powers: list[list[Terms]] = [[] for _ in range(n)]
         self.images: dict[int, Terms] = {}  # i < p^S -> terms(i)
 
     def mul(self, a: Terms, b: Terms, level: int = 0) -> Terms:
-        """Product in A (x) H without the terms above the largest read t.
+        """Product in A (x) H without the terms above every read t of their class mod p^k, k = level.
 
-        With level k > 0 it also drops every term whose t-exponent agrees
-        with no read one mod p^k.
+        At level 0 that is every term above the largest read t.
         """
-        p, pn, tmax, nil = self.p, self.pn, self.tmax, self.nil
-        mod, t_res = self._level(level)
+        p, pn, nil = self.p, self.pn, self.nil
+        mod, top = self._level(level)
         out: Terms = {}
         for (ua, ta, ma, ka), ca in a.items():
             for (ub, tb, mb, kb), cb in b.items():
                 t = ta + tb
-                if t > tmax or t % mod not in t_res:
+                if t > top[t % mod]:
                     continue
                 u, k = ua + ub, ka + kb
                 if u >= pn:
@@ -221,12 +221,15 @@ class DigitKernel:
                 return {}
         return terms
 
-    def _level(self, k: int) -> tuple[int, set[int]]:
-        """(p^k, the read t-exponents mod p^k), formed on first use."""
+    def _level(self, k: int) -> tuple[int, list[int]]:
+        """(p^k, the largest read t of each class mod p^k, -1 for none), formed on first use."""
         level = self.levels.get(k)
         if level is None:
             mod = self.p**k
-            level = self.levels[k] = (mod, {e % mod for e in self.t_read})
+            top = [-1] * mod
+            for e in sorted(self.t_read):
+                top[e % mod] = e
+            level = self.levels[k] = (mod, top)
         return level
 
     def _power(self, s: int, d: int) -> Terms:

@@ -8,6 +8,7 @@ and never calls the code path it is checking.
 from __future__ import annotations
 
 import math
+import re
 
 from hopfscaffold import (
     ExtensionParams,
@@ -289,3 +290,74 @@ def standard_pair(p: int, n: int, r: int, b: int):
     ext = ExtensionParams.monogenic(p, n, b)
     v = min_f_valuation_for(2 * p**n - 1, ext, r)
     return ext, HopfParams(p, n, r, LaurentPoly.monomial(p, v))
+
+
+# The element text reader as it stood before coefficients were split at each +: every
+# coefficient went through the top-level splitter again, term by term.  Copied whole, so it
+# calls neither CoeffVector.from_text nor LaurentPoly.from_text nor their helpers.
+_TERM_RE = re.compile(r"(?:([0-9]+)\*)?T(?:\^(-?[0-9]+))?|([0-9]+)")
+_SPAN_RE = re.compile(r"(?:[^+(]+|\([^)]*\)?)*")
+_JOINING_SPACE_RE = re.compile(r"[0-9A-Za-z_]\s+(?=[0-9A-Za-z_])")
+
+
+def _split_terms(text: str) -> list[str]:
+    s = "".join(text.split())
+    if s != text and _JOINING_SPACE_RE.search(text):
+        raise ValueError(f"whitespace inside a number or a name: {text!r}")
+    if s in ("", "0"):
+        return []
+    terms, start = [], 0
+    while True:
+        end = _SPAN_RE.match(s, start).end()
+        terms.append(s[start:end])
+        if end == len(s):
+            return terms
+        start = end + 1
+
+
+def _accumulate(acc: dict[int, int], terms, p: int) -> dict[int, int]:
+    for e, c in terms:
+        c = (acc.get(e, 0) + c) % p
+        if c:
+            acc[e] = c
+        else:
+            acc.pop(e, None)
+    return acc
+
+
+def _text_terms(text: str):
+    for term in _split_terms(text):
+        m = _TERM_RE.fullmatch(term)
+        pair = None
+        if m is not None:
+            coeff, exp, const = m.groups()
+            try:
+                pair = (0, int(const)) if const else (int(exp or 1), int(coeff or 1))
+            except ValueError:
+                pass
+        if pair is None:
+            raise ValueError(f"malformed Laurent polynomial term: {term!r}")
+        yield pair
+
+
+def laurent_from_text_oracle(text: str, p: int) -> LaurentPoly:
+    """LaurentPoly.from_text(text, p) by the earlier reader, for a prime p."""
+    return LaurentPoly(p, _accumulate({}, _text_terms(text), p))
+
+
+def element_from_text_oracle(cls, text: str, params):
+    """cls.from_text(text, params) by the earlier reader, for a CoeffVector subclass cls."""
+    p, acc = params.p, {}
+    for term in _split_terms(text):
+        m = cls._term_re.fullmatch(term)
+        if m is None:
+            raise ValueError(f"malformed {cls._noun} term: {term!r}")
+        coef, mono, idx = m.group("coef", "mono", "idx")
+        try:
+            k = int(idx) if idx else 1 if mono else 0
+        except ValueError:
+            k = -1
+        if not 0 <= k < params.degree:
+            raise ValueError(f"{cls._index_name} {idx if k < 0 else k} out of range [0, {params.degree})")
+        _accumulate(acc.setdefault(k, {}), _text_terms(coef.strip("()") if coef else "1"), p)
+    return cls([LaurentPoly(p, acc.get(k, {})) for k in range(params.degree)])

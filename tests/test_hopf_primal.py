@@ -230,27 +230,38 @@ class TestReadPrune:
     )
     def test_partial_products_keep_read_residues_to_the_next_digit_place(self, monkeypatch, p, n, r, t_read):
         # the product through a digit of i keeps only terms agreeing with read t-exponents modulo
-        # p^(place of the next nonzero digit of i), p^n after the last digit
+        # p^(place of the next nonzero digit of i), p^n after the last digit, and no term above
+        # the largest read t of its class
         params = hp(p, n, r, "T^3 + T^5")
-        kernel = DigitKernel(params, LaurentPoly.from_text("T^-1 + T^2", p), t_read)
-        for i in range(params.degree):
-            kernel.image(i)  # builds every digit power, so later products are partial products only
-        products = []
+        beta = LaurentPoly.from_text("T^-1 + T^2", p)
         real_mul = DigitKernel.mul
+        products = []
 
         def spy(self, a, b, level=0):
             products.append(real_mul(self, a, b, level))
             return products[-1]
 
-        monkeypatch.setattr(DigitKernel, "mul", spy)
+        formed = 0
         for i in range(params.degree):
+            kernel = DigitKernel(params, beta, t_read)  # fresh, so image(i) forms its own products
+            for s in range(n):
+                if p**s <= kernel.tmax:
+                    kernel._power(s, p - 1)  # every digit power, so the spied products are partial products
+            monkeypatch.setattr(DigitKernel, "mul", spy)
             products.clear()
             kernel.image(i)
-            places = [s for s in range(n) if i // p**s % p]
-            assert len(products) <= max(len(places) - 1, 0)
-            for product, place in zip(products, places[2:] + [n]):
+            monkeypatch.setattr(DigitKernel, "mul", real_mul)
+            low = i % kernel.low
+            places = [s for s in range(n) if low // p**s % p]
+            assert 1 <= len(products) <= max(len(places), 1)
+            for product, place in zip(products, places[1:] + [n]):
                 m = p**place
-                assert all(t % m in {e % m for e in t_read} for _, t, _, _ in product)
+                top = {}
+                for e in t_read:
+                    top[e % m] = max(e, top.get(e % m, e))
+                assert all(t % m in top and t <= top[t % m] for _, t, _, _ in product)
+            formed += sum(map(len, products))
+        assert formed  # kept partial terms were checked
 
 
 # (p, n, r, f, beta, t_read): multi-term f and beta, beta = 0 among them; None reads every t

@@ -23,7 +23,15 @@ from hopfscaffold import (
 
 from hopfscaffold.hopf_primal import DigitKernel
 
-from oracles import coaction_by_expansion, dense, schoolbook_h_mul, schoolbook_l_mul, tensor_power_by_expansion
+from oracles import (
+    coaction_by_expansion,
+    dense,
+    element_from_text_oracle,
+    laurent_from_text_oracle,
+    schoolbook_h_mul,
+    schoolbook_l_mul,
+    tensor_power_by_expansion,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -107,6 +115,82 @@ def test_lelement_text_roundtrip(case):
 def test_dual_text_roundtrip(case):
     hopf, z = case
     assert dual_from_text(dual_to_text(z), hopf) == z
+
+
+# texts for the readers as token lists; whitespace goes between tokens, so around + * ^ ( ) -
+_WS = st.sampled_from(("", "", "", " ", "  ", "\t", " \n"))
+# mostly small, sometimes with a leading zero or more digits than int() converts
+_NUMBER = st.integers(0, 40).map(lambda v: "9" * 4301 if v == 40 else "00" if v == 39 else str(v % 13))
+
+
+@st.composite
+def _laurent_term(draw) -> list[str]:
+    c, e = draw(_NUMBER), draw(_NUMBER)
+    sign = ["-"] if draw(st.booleans()) else []
+    if draw(st.integers(0, 9)) == 0:  # malformed: empty (as in ++ or a + at either end), T^, 2**T
+        return draw(st.sampled_from(([], ["T", "^"], ["2", "*", "*", "T"])))
+    return draw(st.sampled_from(([c], ["T"], [c, "*", "T"], ["T", "^", *sign, e], [c, "*", "T", "^", *sign, e])))
+
+
+def _joined(parts: list[list[str]]) -> list[str]:
+    tokens = []
+    for j, part in enumerate(parts):
+        tokens += ["+"] * (j > 0) + part
+    return tokens
+
+
+@st.composite
+def _coefficient(draw) -> list[str]:
+    body = _joined(draw(st.lists(_laurent_term(), min_size=1, max_size=3)))
+    shape = draw(st.integers(0, 19))  # 0: a leading +, 1: a trailing +, 2: unclosed
+    return ["(", *["+"] * (shape == 0), *body, *["+"] * (shape == 1), *[")"] * (shape != 2)]
+
+
+@st.composite
+def _element_term(draw, family: str) -> list[str]:
+    k, coef = str(draw(st.integers(0, 10))), draw(_coefficient())  # degree 9: k = 9, 10 are out of range
+    if draw(st.integers(0, 9)) == 0:  # one term in ten from the other family
+        family = "xz".replace(family, "")
+    if family == "z":
+        return draw(st.sampled_from(([f"z_{k}"], [*coef, "*", f"z_{k}"])))
+    return draw(st.sampled_from((
+        ["x"], ["x", "^", k], [*coef, "*", "x", "^", k], [*coef, "*", "x"], coef, draw(_laurent_term()),
+    )))
+
+
+@st.composite
+def _reader_text(draw) -> str:
+    """A sum of terms of L (x), of the dual (z) or of a Laurent polynomial (T), whitespace between tokens."""
+    family = draw(st.sampled_from("xzT"))
+    term = _laurent_term() if family == "T" else _element_term(family)
+    tokens = _joined(draw(st.lists(term, max_size=4)))
+    spaces = draw(st.lists(_WS, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return "".join(w + t for w, t in zip(spaces, tokens + [""]))
+
+
+READER_EXT = ExtensionParams.monogenic(3, 2, 1)
+READER_HOPF = HopfParams(3, 2, 1, LaurentPoly.monomial(3, 3))
+
+
+def _outcome(read, text):
+    try:
+        value = read(text)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return str(value), value
+
+
+@settings(PROPERTY, max_examples=400)
+@given(_reader_text())
+def test_readers_match_the_reader_that_split_each_coefficient_again(text):
+    # the readers split a coefficient at each + and read its Laurent terms in one pass; the oracle
+    # sends each coefficient through the top-level splitter again: same value or same message
+    for read, oracle in (
+        (lambda t: lelement_from_text(t, READER_EXT), lambda t: element_from_text_oracle(LElement, t, READER_EXT)),
+        (lambda t: dual_from_text(t, READER_HOPF), lambda t: element_from_text_oracle(DualElement, t, READER_HOPF)),
+        (lambda t: LaurentPoly.from_text(t, 3), lambda t: laurent_from_text_oracle(t, 3)),
+    ):
+        assert _outcome(read, text) == _outcome(oracle, text)
 
 
 @PROPERTY

@@ -66,6 +66,14 @@ CORPUS = [
     ("x + ", REFUSED, REFUSED, REFUSED),
     ("+ x", REFUSED, REFUSED, REFUSED),
     ("x ++ x", REFUSED, REFUSED, REFUSED),
+    # a coefficient is split at each +, and each of its parts must be one Laurent term
+    ("(1++T)*x", REFUSED, REFUSED, REFUSED),
+    ("(+T)*x", REFUSED, REFUSED, REFUSED),
+    ("(T^+1)*x", REFUSED, REFUSED, REFUSED),
+    ("(2**T)*x", REFUSED, REFUSED, REFUSED),
+    ("(T)(T)*x", REFUSED, REFUSED, REFUSED),
+    ("T^-1 + 2 + T", "(T^-1 + 2 + T)", REFUSED, "T^-1 + 2 + T"),
+    ("(2*T^1+1*T^2)*z_1", REFUSED, "(2*T + T^2)*z_1", REFUSED),
     ("()", REFUSED, REFUSED, REFUSED),
     ("()*z_1", REFUSED, REFUSED, REFUSED),
     ("(T)*x + ()", REFUSED, REFUSED, REFUSED),
