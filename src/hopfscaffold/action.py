@@ -24,11 +24,10 @@ act reads the kernel's integer terms (terms(i), the x-leg whole, each
 c * f^m * beta^k) in the loop that scales them: y's coefficient of x^i
 times z's of t^k is formed once per k, a plain term (m = k = 0) scales it
 by the integer c, and a twist or fold term by c * f^m * beta^k from the
-kernel's memo (DigitKernel.coefficient).  generator_actions gives the
-actions of the z_{p^s}, one kernel each, which monomial_images walks
-along hopf_dual.trie_walk and verify_scaffold applies; z_{p^s} reads
-t^{p^s} only, so its kernel forms at most p^{s+1} images over any number
-of elements and shifts them.
+kernel's memo (DigitKernel.coefficient).  monomial_images walks the
+actions of the z_{p^s}, one kernel each, along hopf_dual.trie_walk;
+z_{p^s} reads t^{p^s} only, so its kernel forms at most p^{s+1} images
+over any number of elements and shifts them.
 
 For the generators z_{p^s} with s <= r the action on x-monomials has a
 closed form (act_fast), used as an independent cross-check of act.
@@ -85,12 +84,6 @@ def _action_of(z: DualElement, ext: ExtensionParams, hopf: HopfParams) -> Callab
     return apply
 
 
-def generator_actions(ext: ExtensionParams, hopf: HopfParams) -> list[Callable[[LElement], LElement]]:
-    """The maps y |-> act(z_{p^s}, y) for s = 0 ... n - 1 on elements y of ext, one digit kernel each."""
-    check_compat(ext, hopf)
-    return [_action_of(DualElement.z_basis(ext.p**s, hopf), ext, hopf) for s in range(ext.n)]
-
-
 def monomial_images(y: LElement, ext: ExtensionParams, hopf: HopfParams) -> list[LElement]:
     """The image of y under every z-monomial, the digit-j one at index j.
 
@@ -100,7 +93,8 @@ def monomial_images(y: LElement, ext: ExtensionParams, hopf: HopfParams) -> list
     is p^n - 1 single-generator actions, through one kernel per generator.
     """
     check_compat(ext, hopf, y)
-    return trie_walk(y, generator_actions(ext, hopf), ext.p)
+    actions = [_action_of(DualElement.z_basis(ext.p**s, hopf), ext, hopf) for s in range(ext.n)]
+    return trie_walk(y, actions, ext.p)
 
 
 def act_fast(s: int, i: int, ext: ExtensionParams, hopf: HopfParams) -> LElement:

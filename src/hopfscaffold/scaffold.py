@@ -14,9 +14,13 @@ tolerance achieved by the action is F = p^n*v_K(f) - b*(p^{r+1} - 1),
 defined whenever p^n*v_K(f) >= b*p^{r+1}; below that bound no scaffold is
 guaranteed and verification reports that status instead of a number.
 
-Congruences are decided purely by exact valuations: y is in
-lambda * {v_L >= F} iff v_L(y) >= v_L(lambda) + F.  No division in L
-is ever performed.
+Congruences are decided by exact valuations, y in lambda * {v_L >= F}
+iff v_L(y) >= v_L(lambda) + F, read off the digit kernel's integer terms
+with no element of L formed.  With res = res(aj), a term c f^m beta^k x^e
+of z_{p^s} lambda_j has v_L = j + b*res + p^n*m*v_K(f) - b*(e + k*p^n).
+Its one term with m = k = 0 is u * lambda_{j + p^s b} (C(res, p^s) = u
+mod p by Lucas); terms with distinct e cannot cancel, so v_L of the
+difference is the least over the others, +inf if there are none.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Union
 
-from .action import check_compat, generator_actions, monomial_images
-from .base_arith import LaurentPoly, padic_digits, res_mod
+from .action import check_compat, monomial_images
+from .base_arith import INF, LaurentPoly, padic_digits, res_mod
 from .field_tower import ExtensionParams, LElement, l_valuation
-from .hopf_primal import HopfParams
+from .hopf_primal import DigitKernel, HopfParams
 
 STATUS_OK = "ok"
 STATUS_NO_SCAFFOLD = "no scaffold guaranteed"
@@ -75,16 +79,18 @@ def scaffold_context(ext: ExtensionParams, hopf: HopfParams) -> ScaffoldContext:
     return ScaffoldContext(ext, hopf, solve_a(ext.b, ext.degree), tolerance(ext, hopf))
 
 
+def _check_a(ctx: ScaffoldContext) -> None:
+    """ValueError unless a*b = -1 mod p^n, which makes the T-exponent of every lambda_j integral."""
+    if (ctx.a * ctx.ext.b + 1) % ctx.ext.degree:
+        raise ValueError(f"a = {ctx.a} does not solve a*b = -1 mod {ctx.ext.degree}")
+
+
 def lambda_element(j: int, ctx: ScaffoldContext) -> LElement:
     """The scaffold element of valuation j, defined for every integer j."""
-    ext = ctx.ext
-    pn = ext.degree
-    # a*b = -1 mod p^n makes the T-exponent integral for every j
-    if (ctx.a * ext.b + 1) % pn:
-        raise ValueError(f"a = {ctx.a} does not solve a*b = -1 mod {pn}")
+    _check_a(ctx)
+    ext, pn = ctx.ext, ctx.ext.degree
     res = res_mod(ctx.a * j, pn)
-    num = j + ext.b * res
-    return LElement.x_power(res, ext, LaurentPoly._from_reduced(ext.p, {num // pn: 1}))
+    return LElement.x_power(res, ext, LaurentPoly._from_reduced(ext.p, {(j + ext.b * res) // pn: 1}))
 
 
 class ScaffoldCheck(NamedTuple):
@@ -135,27 +141,27 @@ def verify_scaffold(ctx: ScaffoldContext) -> ScaffoldReport:
 
     The one rule: z_{p^s} lambda_j - u * lambda_{j + p^s b} lies in
     lambda_{j + p^s b} * {v_L >= F}, with u the digit res(aj)_s, 0 included.
-    A check records u as a constant, or None when it is 0; the product
-    0 * lambda_{j + p^s b} is never formed.  Failures are recorded per
-    check, never raised.
+    It holds iff each term of DigitKernel(hopf, beta, (p^s,)).terms(res(aj))
+    with m or k nonzero has v_L >= j + p^s b + F (see the module docstring).
+    A check records u as a constant, or None when it is 0; failures are
+    recorded, never raised.
     """
     ext, hopf = ctx.ext, ctx.hopf
     if ctx.tolerance is None or ctx.tolerance <= 1:
         return ScaffoldReport(ext, hopf, ctx.a, ctx.tolerance, STATUS_NO_SCAFFOLD, (), False)
-    pn = ext.degree
-    tol = ctx.tolerance
+    check_compat(ext, hopf)
+    _check_a(ctx)
+    p, pn, b, tol, vf = ext.p, ext.degree, ext.b, ctx.tolerance, ext.degree * hopf.f.valuation()
+    units = [None] + [LaurentPoly._from_reduced(p, {0: d}) for d in range(1, p)]
     checks = []
-    for s, z_act in enumerate(generator_actions(ext, hopf)):
-        step = ext.p**s * ext.b
+    for s in range(ext.n):
+        kernel = DigitKernel(hopf, ext.beta, (p**s,))
         for j in range(pn):
-            digit = res_mod(ctx.a * j, pn) // ext.p**s % ext.p
-            image = z_act(lambda_element(j, ctx))
-            diff = image - lambda_element(j + step, ctx).scale(digit) if digit else image
-            unit = LaurentPoly._from_reduced(ext.p, {0: digit}) if digit else None
-            checks.append(ScaffoldCheck(s, j, digit, unit, l_valuation(diff, ext) >= j + step + tol))
-    return ScaffoldReport(
-        ext, hopf, ctx.a, tol, STATUS_OK, tuple(checks), all(c.passed for c in checks)
-    )
+            res = res_mod(ctx.a * j, pn)
+            v = min((m * vf - b * (e + k * pn) for (e, _, m, k) in kernel.terms(res) if m or k), default=INF)
+            digit = res // p**s % p
+            checks.append(ScaffoldCheck(s, j, digit, units[digit], j + b * res + v >= j + p**s * b + tol))
+    return ScaffoldReport(ext, hopf, ctx.a, tol, STATUS_OK, tuple(checks), all(c.passed for c in checks))
 
 
 class CertificateRecord(NamedTuple):

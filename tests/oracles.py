@@ -7,6 +7,7 @@ and never calls the code path it is checking.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -20,7 +21,10 @@ from hopfscaffold import (
     d_h,
     delta_power,
     h_mul,
+    l_valuation,
+    lambda_element,
     padic_digits,
+    res_mod,
 )
 
 
@@ -154,6 +158,37 @@ def coaction_by_expansion(i: int, ext: ExtensionParams, hopf: HopfParams) -> lis
         comps[b][a] = c
     zero = LaurentPoly.zero(ext.p)
     return [LElement([comp.get(a, zero) for a in range(ext.degree)]) for comp in comps]
+
+
+@functools.lru_cache(maxsize=1024)
+def _coaction_of_power(i: int, ext: ExtensionParams, hopf: HopfParams) -> tuple[LElement, ...]:
+    """coaction_by_expansion kept per (i, ext, hopf): verify_by_elements reads each x^i once per s, at each tolerance tried."""
+    return tuple(coaction_by_expansion(i, ext, hopf))
+
+
+def verify_by_elements(ctx) -> list[tuple]:
+    """verify_scaffold's checks as (s, j, digit, unit, passed), formed in L.
+
+    For every s < n and j < p^n: form lambda_j, take its z_{p^s}-image as
+    the t^{p^s} component of its coaction (coaction_by_expansion, term by
+    term in x), subtract digit * lambda_{j + p^s b} with digit = res(aj)_s,
+    and test l_valuation of the difference against j + p^s b + F.  It calls
+    neither the digit kernel nor act.  ctx.tolerance must be an integer.
+    """
+    ext, hopf = ctx.ext, ctx.hopf
+    p, pn = ext.p, ext.degree
+    checks = []
+    for s in range(ext.n):
+        step = p**s * ext.b
+        for j in range(pn):
+            digit = padic_digits(res_mod(ctx.a * j, pn), p, ext.n)[s]
+            image = LElement.zero(ext)
+            for i, c in lambda_element(j, ctx).nonzero_items():
+                image = image + _coaction_of_power(i, ext, hopf)[p**s].scale(c)
+            diff = image - lambda_element(j + step, ctx).scale(digit)
+            unit = LaurentPoly.constant(p, digit) if digit else None
+            checks.append((s, j, digit, unit, l_valuation(diff, ext) >= j + step + ctx.tolerance))
+    return checks
 
 
 def schoolbook_l_mul(a: LElement, b: LElement, ext: ExtensionParams) -> LElement:

@@ -33,9 +33,10 @@ from hopfscaffold import (
     verify_scaffold,
     z_monomial,
 )
+from hopfscaffold.hopf_primal import DigitKernel
 from hopfscaffold.scaffold import STATUS_NO_SCAFFOLD, STATUS_OK
 
-from oracles import acceptance_tuples, standard_pair
+from oracles import acceptance_tuples, standard_pair, verify_by_elements
 
 
 def ctx_for(p, n, r, b, f_val):
@@ -103,7 +104,7 @@ class TestLambda:
         for j in (0, 1, 5):
             with pytest.raises(ValueError, match=r"a = 0 does not solve a\*b = -1 mod 16"):
                 lambda_element(j, bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"a = 0 does not solve a\*b = -1 mod 16"):
             verify_scaffold(bad)
 
     def test_bad_a_is_refused_under_python_O(self):
@@ -189,11 +190,17 @@ class TestTolerance:
         # every entry point that takes both parameter sets rejects a mismatch
         ext = ExtensionParams.monogenic(2, 2, 1)
         hopf = HopfParams(2, 3, 2, LaurentPoly.monomial(2, 4))
+        # hand-built contexts skip scaffold_context's check; the second differs in p only
+        hand_built = ScaffoldContext(ext, hopf, solve_a(1, 4), 5)
+        other_p = ScaffoldContext(ExtensionParams.monogenic(3, 3, 1), hopf, solve_a(1, 27), 5)
         calls = [
             lambda: scaffold_context(ext, hopf),
             lambda: tolerance(ext, hopf),
             lambda: act(DualElement.z_basis(1, hopf), LElement.one(ext), ext, hopf),
             lambda: act_fast(0, 1, ext, hopf),
+            lambda: verify_scaffold(hand_built),
+            lambda: verify_scaffold(other_p),
+            lambda: integer_certificate_check(lambda_element(1, hand_built), hand_built),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="must share p and n"):
@@ -267,6 +274,48 @@ class TestVerify:
         hopf = HopfParams(2, 2, 1, LaurentPoly.from_text("T^4 + T^6", 2))
         report = verify_scaffold(scaffold_context(ext, hopf))
         assert report.all_passed
+
+    @pytest.mark.parametrize(
+        "p,n,r,b,f,beta",
+        [
+            (2, 4, 2, 1, "T^3", "T^-1"),
+            (2, 5, 3, 3, "T^2", "T^-3"),
+            (3, 4, 2, 1, "T^3", "T^-1"),
+            (5, 3, 2, 2, "T^4 + T^7", "2*T^-2 + T^3"),
+            (3, 3, 2, 2, "T^3 + 2*T^5", "T^-2 + T"),
+        ],
+    )
+    def test_matches_the_element_oracle_at_raised_tolerances(self, p, n, r, b, f, beta):
+        # verify reads each v_L off the kernel's integer terms; the oracle forms each difference in L
+        ext = ExtensionParams(p, n, b, LaurentPoly.from_text(beta, p))
+        ctx = scaffold_context(ext, HopfParams(p, n, r, LaurentPoly.from_text(f, p)))
+        failed = []
+        for d in (0, 1, 2, 5):
+            raised = ctx._replace(tolerance=ctx.tolerance + d)
+            got = [(c.s, c.j, c.digit, c.unit, c.passed) for c in verify_scaffold(raised).checks]
+            assert got == verify_by_elements(raised)
+            failed.append(sum(not passed for *_, passed in got))
+        assert failed[0] == 0 and failed[1] > 0
+        if (p, n, r, b) == (2, 4, 2, 1):
+            assert failed[1] == 12
+
+    @pytest.mark.parametrize(
+        "p,n,r,beta", [(2, 4, 2, "T^-1"), (2, 5, 3, "T^-3"), (3, 4, 2, "T^-1"), (5, 3, 2, "2*T^-2 + T^3")]
+    )
+    def test_generator_kernels_hold_the_terms_verify_reads(self, p, n, r, beta):
+        # every term of z_{p^s} x^res reads t = p^s, no two share an x-exponent, and the one
+        # plain (m = k = 0) term is digit * x^{res - p^s}, which verify drops as digit * lambda_{j + p^s b}
+        hopf = HopfParams(p, n, r, LaurentPoly.monomial(p, 3))
+        for s in range(n):
+            kernel = DigitKernel(hopf, LaurentPoly.from_text(beta, p), (p**s,))
+            for res in range(p**n):
+                terms = kernel.terms(res)
+                assert all(t == p**s for (_, t, _, _) in terms)
+                exponents = [u for (u, _, _, _) in terms]
+                assert len(exponents) == len(set(exponents))
+                digit = padic_digits(res, p, n)[s]
+                plain = [(key, c) for key, c in terms.items() if key[2] == key[3] == 0]
+                assert plain == ([((res - p**s, p**s, 0, 0), digit)] if digit else [])
 
     def test_json_shape_is_deterministic(self):
         ctx = ctx_for(2, 2, 1, 1, 4)
