@@ -4,14 +4,14 @@ z_j pairs with t^i as the Kronecker delta.  Multiplication is induced by
 the comultiplication upstairs: the z_i coefficient of a product pairs the
 factors against Delta(t^i), the image of u^i under hopf_primal's
 digit-factored kernel with beta = 0 (the kernel of the coaction of L),
-read on the second leg at the support of the right factor: for a
-generator z_{p^s} the kernel forms the images of the i mod p^{s+1} and
-shifts their first leg.
+read on the second leg at the support of the right factor: one kernel
+serves every product by a fixed right factor, and for a generator z_{p^s}
+it forms the images of the i mod p^{s+1} once and shifts their first leg.
 The p^n monomials z_1^{j_0} z_p^{j_1} ... z_{p^{n-1}}^{j_{n-1}} (digit
-exponents of j) form a K-basis.  z_monomials builds them all along the
-digit trie: the digit-j monomial is the digit-(j - p^s) one times z_{p^s},
-s the lowest nonzero digit of j (trie_step), so each costs one product.
-trie_walk is that walk; action.monomial_images takes it with the actions.
+exponents of j) form a K-basis.  z_monomials builds them along the digit
+trie (trie_walk): the digit-j monomial is the digit-(j - p^s) one times
+z_{p^s}, s the lowest nonzero digit of j (trie_step), and each generator's
+kernel is built once per walk.  action.monomial_images takes the walk too.
 dual_basis_rank certifies the basis by the shape of their evaluation
 matrix: lower triangular with the nonzero constants prod_s j_s! mod p on
 its diagonal.
@@ -28,7 +28,6 @@ The text format is base_arith's CoeffVector format with monomials z_j.
 from __future__ import annotations
 
 import re
-from functools import partial
 from typing import Callable, Sequence, Union
 
 from .base_arith import CoeffVector, LaurentPoly
@@ -77,26 +76,31 @@ def _pairing_shifts(hopf: HopfParams) -> range:
 
 
 def dual_mult(a: DualElement, b: DualElement, hopf: HopfParams) -> DualElement:
-    """Product in the dual algebra.
-
-    The z_i coefficient of a*b pairs a with the first and b with the
-    second tensor leg of Delta(t^i), the digit kernel's image of u^i with
-    beta = 0.  Only i = u + v - x with u, v in the supports of a, b and x
-    in _pairing_shifts can pair, so only those images are formed.  The
-    kernel reads v in the support of b; terms with u outside the support
-    of a are dropped as they are summed.
-    """
+    """Product in the dual algebra: _times(b, hopf) applied to a."""
     for z in (a, b):
         z._check(hopf, "dual element does not belong to the dual algebra")
-    ac, bc = dict(a.nonzero_items()), dict(b.nonzero_items())
-    pn, zero = hopf.degree, LaurentPoly._from_reduced(hopf.p, {})
-    shifts, sums = _pairing_shifts(hopf), {u + v for u in ac for v in bc}
-    reach = {s - x for s in sums for x in shifts if 0 <= s - x < pn}
-    kernel = DigitKernel(hopf, zero, bc)
-    out: dict[int, LaurentPoly] = {}
-    for i in reach:
-        out[i] = sum((ac[u] * bc[v] * c for (u, v), c in kernel.image(i).items() if u in ac), zero)
-    return DualElement._from_terms(hopf.p, pn, out)
+    return _times(b, hopf)(a)
+
+
+def _times(b: DualElement, hopf: HopfParams) -> Callable[[DualElement], DualElement]:
+    """a |-> a*b for dual elements a, with one digit kernel for every a.
+
+    The z_i coefficient of a*b pairs a and b with the legs of Delta(t^i),
+    the kernel's image of u^i with beta = 0, read at v in the support of b.
+    Only i = u + v - x with u, v in the supports and x in _pairing_shifts
+    can pair, so only those images are formed; terms with u outside the
+    support of a are dropped as they are summed.
+    """
+    bc, pn, zero = dict(b.nonzero_items()), hopf.degree, LaurentPoly._from_reduced(hopf.p, {})
+    shifts, kernel = _pairing_shifts(hopf), DigitKernel(hopf, zero, bc)
+
+    def apply(a: DualElement) -> DualElement:
+        ac = dict(a.nonzero_items())
+        reach = {s - x for s in {u + v for u in ac for v in bc} for x in shifts if 0 <= s - x < pn}
+        out = {i: sum((ac[u] * bc[v] * c for (u, v), c in kernel.image(i).items() if u in ac), zero) for i in reach}
+        return DualElement._from_terms(hopf.p, pn, out)
+
+    return apply
 
 
 def z_monomial(digits: Sequence[int], hopf: HopfParams) -> DualElement:
@@ -113,9 +117,9 @@ def z_monomial(digits: Sequence[int], hopf: HopfParams) -> DualElement:
         raise ValueError("digit out of range [0, p)")
     acc = DualElement.one(hopf)
     for s, d in enumerate(ds):
-        gen = DualElement.z_basis(hopf.p**s, hopf)
+        step = _times(DualElement.z_basis(hopf.p**s, hopf), hopf)
         for _ in range(d):
-            acc = dual_mult(acc, gen, hopf)
+            acc = step(acc)
     return acc
 
 
@@ -145,8 +149,8 @@ def trie_walk(first, steps: Sequence[Callable], p: int) -> list:
 
 
 def z_monomials(hopf: HopfParams) -> list[DualElement]:
-    """Every z-monomial, the digit-j one at index j, each one dual_mult from its trie parent."""
-    steps = [partial(dual_mult, b=DualElement.z_basis(hopf.p**s, hopf), hopf=hopf) for s in range(hopf.n)]
+    """Every z-monomial, the digit-j one at index j, each one product from its trie parent by its generator."""
+    steps = [_times(DualElement.z_basis(hopf.p**s, hopf), hopf) for s in range(hopf.n)]
     return trie_walk(DualElement.one(hopf), steps, hopf.p)
 
 

@@ -144,13 +144,14 @@ def verify_scaffold(ctx: ScaffoldContext) -> ScaffoldReport:
     It holds iff each term of DigitKernel(hopf, beta, (p^s,)).terms(res(aj))
     with m or k nonzero has v_L >= j + p^s b + F (see the module docstring).
     A check records u as a constant, or None when it is 0; failures are
-    recorded, never raised.
+    recorded, never raised.  A context whose ext and hopf differ, or whose
+    a does not solve a*b = -1, raises ValueError at any tolerance.
     """
     ext, hopf = ctx.ext, ctx.hopf
-    if ctx.tolerance is None or ctx.tolerance <= 1:
-        return ScaffoldReport(ext, hopf, ctx.a, ctx.tolerance, STATUS_NO_SCAFFOLD, (), False)
     check_compat(ext, hopf)
     _check_a(ctx)
+    if ctx.tolerance is None or ctx.tolerance <= 1:
+        return ScaffoldReport(ext, hopf, ctx.a, ctx.tolerance, STATUS_NO_SCAFFOLD, (), False)
     p, pn, b, tol, vf = ext.p, ext.degree, ext.b, ctx.tolerance, ext.degree * hopf.f.valuation()
     units = [None] + [LaurentPoly._from_reduced(p, {0: d}) for d in range(1, p)]
     checks = []

@@ -140,6 +140,31 @@ def tensor_power_by_expansion(i: int, hopf: HopfParams) -> dict:
     return image_by_expansion(i, hopf, LaurentPoly.zero(hopf.p))
 
 
+def z_monomials_by_expansion(hopf: HopfParams) -> list[dict]:
+    """Every z-monomial as {z-index: nonzero coefficient}, the digit-j one at index j.
+
+    The z_i coefficient of a*b is sum_{u,v} a_u b_v Delta(t^i)[u, v], with
+    Delta(t^i) from tensor_power_by_expansion; the digit-j monomial is the
+    digit-(j - p^s) one times z_{p^s}, s the lowest nonzero digit of j.
+    """
+    p, pn = hopf.p, hopf.degree
+    deltas = [tensor_power_by_expansion(i, hopf) for i in range(pn)]
+    rows = [{0: LaurentPoly.one(p)}]
+    for j in range(1, pn):
+        q = 1
+        while j // q % p == 0:
+            q *= p
+        row = {}
+        for i, delta in enumerate(deltas):
+            total = LaurentPoly.zero(p)
+            for u, c in rows[j - q].items():
+                total = total + c * delta.get((u, q), LaurentPoly.zero(p))
+            if not total.is_zero():
+                row[i] = total
+        rows.append(row)
+    return rows
+
+
 def tensor_product(a: dict, b: dict, dim: int) -> dict:
     """Schoolbook product in H (x) H of two {(a, b): coefficient} maps; exponents >= dim vanish."""
     acc: dict[tuple[int, int], LaurentPoly] = {}

@@ -24,7 +24,7 @@ from hopfscaffold import hopf_dual
 from hopfscaffold.hopf_dual import trie_step
 from hopfscaffold.hopf_primal import DigitKernel
 
-from oracles import rand_laurent, tensor_power_by_expansion
+from oracles import rand_laurent, tensor_power_by_expansion, z_monomials_by_expansion
 
 
 def hp(p, n, r, f_text):
@@ -193,7 +193,21 @@ class TestDualMult:
 
         monkeypatch.setattr(DigitKernel, "image", spy)
         assert dual_basis_rank(hp(3, 5, 3, "T^3")) == 243
-        assert len(formed) < 1000
+        # each of the 242 products forms at least one image, so the spy sees every product
+        assert 242 <= len(formed) < 1000
+
+    def test_builds_one_kernel_per_generator(self, monkeypatch):
+        # one kernel per generator z_{3^s}, reading t = 3^s, for all 242 products
+        read = []
+        real_init = DigitKernel.__init__
+
+        def spy(self, hopf, beta, t_read):
+            read.append(sorted(t_read))
+            real_init(self, hopf, beta, t_read)
+
+        monkeypatch.setattr(DigitKernel, "__init__", spy)
+        assert dual_basis_rank(hp(3, 5, 3, "T^3")) == 243
+        assert read == [[3**s] for s in range(5)]
 
     def test_rejects_operands_of_another_degree(self):
         params8, params16 = hp(2, 3, 2, "T^5"), hp(2, 4, 2, "T^5")
@@ -242,6 +256,17 @@ class TestZMonomial:
         assert trie_step(9, 3) == (0, 2)
         with pytest.raises(ValueError):
             trie_step(0, 3)
+
+    @pytest.mark.parametrize("p,n,r,f_text", [(2, 4, 2, "T^3 + T^5"), (3, 3, 2, "T^-2 + 2*T"), (5, 2, 1, "T^3")])
+    def test_rows_match_the_expansion_oracle(self, monkeypatch, p, n, r, f_text):
+        params = hp(p, n, r, f_text)
+        rows = [dict(mono.nonzero_items()) for mono in z_monomials(params)]
+
+        def refuse(self, *args):
+            raise AssertionError("the oracle built a DigitKernel")
+
+        monkeypatch.setattr(DigitKernel, "__init__", refuse)
+        assert rows == z_monomials_by_expansion(params)
 
     @pytest.mark.parametrize("p,n,r,f_text", [(2, 4, 2, "T^3"), (3, 3, 2, "T^4")])
     def test_trie_rows_match_z_monomial(self, p, n, r, f_text):

@@ -337,6 +337,30 @@ class TestNoether:
         # e.g. 7 first divides 3^m - 1 at m = 6 > n = 5, yet O_L is free at (3, 5, 7)
         assert converse_fails == [(2, 9, 11), (3, 5, 7), (5, 4, 7), (7, 3, 5)]
 
+    def test_ring_of_integers_free_exactly_when_carry_free_alpha_sums_reach_b(self):
+        # with alpha_i = b(i + 1) mod p^n, O_L is free iff alpha_i + alpha_j >= b for
+        # every pair i, j >= 1 whose base-p sum carries nowhere
+        degrees = [(2, n) for n in range(2, 8)] + [(3, n) for n in range(2, 6)] + [(5, 2), (5, 3), (7, 2), (11, 2)]
+        checked = free_count = 0
+        for p, n in degrees:
+            pn = p**n
+            digit_sum = [sum(padic_digits(k, p, n)) for k in range(pn)]
+            pairs = [
+                (i, j)
+                for i in range(1, pn)
+                for j in range(i, pn - i)
+                if digit_sum[i + j] == digit_sum[i] + digit_sum[j]
+            ]
+            for b in range(1, pn):
+                if b % p:
+                    alpha = [b * (i + 1) % pn for i in range(pn)]
+                    reduced = all(alpha[i] + alpha[j] >= b for i, j in pairs)
+                    free = is_free(0, ExtensionParams.monogenic(p, n, b)).free
+                    assert reduced == free, (p, n, b)
+                    checked, free_count = checked + 1, free_count + free
+        assert checked == 638
+        assert 0 < free_count < checked
+
 
 class TestAssocOrder:
     def test_small_case_shifts(self):

@@ -206,6 +206,17 @@ class TestTolerance:
             with pytest.raises(ValueError, match="must share p and n"):
                 call()
 
+    def test_refusals_fire_at_every_tolerance(self):
+        # both refusals come before the tolerance is read, so they fire where no scaffold is guaranteed
+        ext = ExtensionParams.monogenic(2, 2, 1)
+        hopf = HopfParams(2, 2, 1, LaurentPoly.monomial(2, 4))
+        mismatched = ScaffoldContext(ext, HopfParams(2, 3, 2, LaurentPoly.monomial(2, 4)), 3, None)
+        with pytest.raises(ValueError, match="must share p and n"):
+            verify_scaffold(mismatched)
+        with pytest.raises(ValueError, match=r"a = 0 does not solve a\*b = -1 mod 4"):
+            verify_scaffold(ScaffoldContext(ext, hopf, 0, 1))
+        assert verify_scaffold(ScaffoldContext(ext, hopf, solve_a(1, 4), 1)).status == STATUS_NO_SCAFFOLD
+
 
 class TestMinFValuation:
     def test_full_structure_target(self):
