@@ -64,7 +64,6 @@ from .module_structure import (
     assoc_order_basis,
     d_h,
     freeness_b1,
-    generator_count,
     is_free,
     materialize_basis_entry,
     noether_criterion,

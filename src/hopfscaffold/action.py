@@ -18,16 +18,17 @@ kernel that gives Delta(t^i) with beta = 0.  act reads the t-exponents in
 the support of z, and the kernel prunes every partial product by its
 t-residue against them, so only the t-components z pairs with are formed.
 A digit of x^i at a place p^q above every read t contributes x^{d p^q}(x)1
-alone, so the kernel forms the image of x^{i mod p^S} once (p^S the least
-power of p above the read t) and shifts its x-leg for every such i.
-act reads the kernel's integer terms (terms(i), the x-leg whole, each
-c * f^m * beta^k) in the loop that scales them: y's coefficient of x^i
-times z's of t^k is formed once per k, a plain term (m = k = 0) scales it
-by the integer c, and a twist or fold term by c * f^m * beta^k from the
-kernel's memo (DigitKernel.coefficient).  monomial_images walks the
+alone, so the image of x^i has the (t, m) keys of the image of
+x^{i mod p^S} (p^S the least power of p above the read t), which the
+kernel forms once; terms(i) derives each x-exponent and fold count k
+from i, t and m.  act reads the kernel's integer terms (terms(i), the
+x-leg whole, each c * f^m * beta^k) in the loop that scales them: y's
+coefficient of x^i times z's of t^k is formed once per k, a plain term
+(m = k = 0) scales it by the integer c, and a twist or fold term by
+c * f^m * beta^k from the kernel's memo (DigitKernel.coefficient).  monomial_images walks the
 actions of the z_{p^s}, one kernel each, along hopf_dual.trie_walk;
 z_{p^s} reads t^{p^s} only, so its kernel forms at most p^{s+1} images
-over any number of elements and shifts them.
+over any number of elements and reads every x^i off one of them.
 
 For the generators z_{p^s} with s <= r the action on x-monomials has a
 closed form (act_fast), used as an independent cross-check of act.

@@ -136,7 +136,7 @@ def cmd_scaffold_verify(ext: ExtensionParams, hopf: HopfParams, args: argparse.N
             unit = "-" if c.unit is None else c.unit.to_text()
             verdict = "ok" if c.passed else "FAIL"
             print(f"  s={c.s} j={c.j} digit={c.digit} unit={unit} {verdict}")
-        print("all passed" if report.all_passed else "FAILURES PRESENT")
+        print("all passed" if report.all_passed else "FAILURES PRESENT" if report.checks else "no check ran")
     if report.status != STATUS_OK:
         return EXIT_HYPOTHESIS
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED

@@ -6,7 +6,7 @@ factors against Delta(t^i), the image of u^i under hopf_primal's
 digit-factored kernel with beta = 0 (the kernel of the coaction of L),
 read on the second leg at the support of the right factor: one kernel
 serves every product by a fixed right factor, and for a generator z_{p^s}
-it forms the images of the i mod p^{s+1} once and shifts their first leg.
+it forms the images of the i mod p^{s+1} once and reads every i off them.
 The p^n monomials z_1^{j_0} z_p^{j_1} ... z_{p^{n-1}}^{j_{n-1}} (digit
 exponents of j) form a K-basis.  z_monomials builds them along the digit
 trie (trie_walk): the digit-j monomial is the digit-(j - p^s) one times
@@ -67,9 +67,10 @@ def dual_eval(z: DualElement, h: HElement) -> LaurentPoly:
 def _pairing_shifts(hopf: HopfParams) -> range:
     """The u + v - i of the terms u (x) t^v of Delta(t^i): (p^{r+1} - 1)*m for 0 <= m < p^{n-r}.
 
-    A digit-kernel term c f^m beta^k u^u (x) t^v of u^i has u + k p^n + v =
-    i + (p^{r+1} - 1) m, with k = 0 at beta = 0, and m = sum_{s < n-r} k_s p^s
-    for its k_s < p twists of digit s (none for s >= n - r): every m < p^{n-r}.
+    DigitKernel.terms(i) derives the first leg of its term keyed (v, m) from
+    u + k p^n = i - v + (p^{r+1} - 1) m and keeps only k = 0 at beta = 0;
+    m = sum_{s < n-r} k_s p^s for its k_s < p twists of digit s (none for
+    s >= n - r): every m < p^{n-r}.
     """
     step = hopf.p ** (hopf.r + 1) - 1
     return range(0, step * hopf.p ** (hopf.n - hopf.r), step)

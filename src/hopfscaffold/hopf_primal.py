@@ -87,8 +87,8 @@ def antipode(h: HElement) -> HElement:
 
 # An element of A (x) H as {(A-exponent, t-exponent): nonzero coefficient}.
 Sparse = dict[tuple[int, int], LaurentPoly]
-# The kernel's terms c * f^m * beta^k * u^a (x) t^b as {(a, b, m, k): c}, c in [1, p).
-Terms = dict[tuple[int, int, int, int], int]
+# Terms c * f^m * u^a (x) t^b of a product of digit powers as {(b, m): c}, c in [1, p); a is implied (see DigitKernel).
+Terms = dict[tuple[int, int], int]
 
 
 class DigitKernel:
@@ -100,18 +100,23 @@ class DigitKernel:
     u^{p^s}(x)1 + 1(x)t^{p^s} plus the twist terms with exponents scaled by
     p^s and coefficients raised to the p^s; the image of u^i is the product
     of the digit powers of those generator images over the nonzero base-p
-    digits of i.  A-exponents at or above p^n fold through beta.
+    digits of i.
 
-    Every coefficient formed is c * f^m * beta^k with c in F_p: the twist
+    Every coefficient is c * f^m * beta^k with c in F_p: the twist
     coefficient of digit s is (f/(l!(p-l)!))^{p^s} = f^{p^s}/(l!(p-l)!), as
-    Frobenius fixes F_p, and each fold multiplies by beta.  So digit powers
-    and partial products are Terms, multiplied in integers; terms(i) returns
-    them, and coefficient(m, k, c) forms each c * f^m * beta^k once per
-    instance, for image(i) and for the action's loop over terms(i).  No
-    two terms share (u, t), so none cancel: a twist at digit s adds
-    p^{r+s+1} to u + t and p^s to m where a plain factor adds p^s, so
-    u + k p^n + t = i + (p^{r+1} - 1) m, and k < p as t_read < p^n keeps
-    unfolded A-exponents below p^{n+1}; so (u, t) fixes k, then m.
+    Frobenius fixes F_p.  A twist at digit s adds p^{r+s+1} to the
+    unfolded A-exponent plus t and p^s to m, where a plain factor adds
+    p^s, so every term of the image of u^i has unfolded A-exponent
+    i - t + (p^{r+1} - 1) m.  Digit powers, partial products and kept
+    images are therefore Terms keyed by (t, m), multiplied in integers by
+    a plain convolution (mul), and terms(i) alone derives the rest:
+    (k, u) = divmod(i - t + (p^{r+1} - 1) m, p^n) folds u^{p^n} = beta
+    k times, and a term with k >= 1 vanishes at beta = 0.  The keys are
+    distinct, so no two terms cancel, and no two share (u, t): two
+    terms on one t differ in m by less than p^{n-r} (m p^r <= t < p^n),
+    and p^{r+1} - 1 is a unit mod p^n.  coefficient(m, k, c) forms each
+    c * f^m * beta^k once per instance, for image(i) and for the action's
+    loop over terms(i).
 
     terms(i) holds exactly the terms of the image of u^i whose t-exponent
     the caller reads (t_read), the A-leg whole.  Each factor for digit s
@@ -122,16 +127,14 @@ class DigitKernel:
     class mod p^{s'}.  With p^S the least power of p above the largest
     read t (p^n at most), a digit d at a place q >= S keeps only
     u^{d p^q}(x)1 of its factor, coefficient 1: its other terms carry
-    t-exponents of at least p^q.  So terms(i) is terms(i mod p^S) with the
-    A-leg shifted by i - (i mod p^S), a shifted exponent at or above p^n
-    folding once (dropped at beta = 0).  The instance keeps each such low
-    image, as it keeps the generator image of digit s and its powers,
-    built when an image first needs them.  It forms the read level (p^k,
-    the largest read t of each class mod p^k) when a product first prunes
-    at place k, and the twist coefficients 1/(l!(p-l)!) mod p where a
-    generator image reads each twist.  Every product, the first factor's
-    too, is formed by mul, the one place a term is dropped for its read
-    residue.
+    t-exponents of at least p^q.  So the image of u^i has the keys of
+    the image of u^{i mod p^S}, which the instance keeps, as it keeps the
+    generator image of digit s and its powers, built when an image first
+    needs them.  It forms the read level (p^k, the largest read t of each
+    class mod p^k) when a product first prunes at place k, and the twist
+    coefficients 1/(l!(p-l)!) mod p where a generator image reads each
+    twist.  Every product, the first factor's too, is formed by mul, the
+    one place a term is dropped for its read residue.
     """
 
     __slots__ = ("p", "n", "r", "pn", "f", "beta", "nil", "t_read", "tmax", "low", "levels", "powers", "images", "scalars")
@@ -148,47 +151,34 @@ class DigitKernel:
         self.scalars: dict[tuple[int, int, int], LaurentPoly] = {}  # (m, k, c) -> c * f^m * beta^k
         # powers[s][d - 1] = image of u^{d p^s}; row s starts at the generator image on first use
         self.powers: list[list[Terms]] = [[] for _ in range(n)]
-        self.images: dict[int, Terms] = {}  # i < p^S -> terms(i)
+        self.images: dict[int, Terms] = {}  # i < p^S -> the image of u^i
 
     def mul(self, a: Terms, b: Terms, level: int = 0) -> Terms:
         """Product in A (x) H without the terms above every read t of their class mod p^k, k = level.
 
         At level 0 that is every term above the largest read t.
         """
-        p, pn, nil = self.p, self.pn, self.nil
-        mod, top = self._level(level)
+        p, (mod, top) = self.p, self._level(level)
         out: Terms = {}
-        for (ua, ta, ma, ka), ca in a.items():
-            for (ub, tb, mb, kb), cb in b.items():
+        for (ta, ma), ca in a.items():
+            for (tb, mb), cb in b.items():
                 t = ta + tb
-                if t > top[t % mod]:
-                    continue
-                u, k = ua + ub, ka + kb
-                if u >= pn:
-                    if nil:
-                        continue
-                    u, k = u - pn, k + 1
-                key = (u, t, ma + mb, k)
-                out[key] = out.get(key, 0) + ca * cb
+                if t <= top[t % mod]:
+                    key = (t, ma + mb)
+                    out[key] = out.get(key, 0) + ca * cb
         return {key: r for key, c in out.items() if (r := c % p)}
 
-    def terms(self, i: int) -> Terms:
-        """The read terms of the image of u^i as integer terms {(u, t, m, k): c}; may be a kept map, so read only."""
+    def terms(self, i: int) -> dict[tuple[int, int, int, int], int]:
+        """The read terms c * f^m * beta^k * u^u (x) t^t of the image of u^i as a fresh {(u, t, m, k): c}."""
         low = i % self.low
         terms = self.images.get(low)
         if terms is None:
             terms = self.images[low] = self._product(low)
-        shift = i - low
-        if not shift:
-            return terms
-        pn, nil, out = self.pn, self.nil, {}
-        for (u, t, m, k), c in terms.items():
-            u += shift
-            if u >= pn:
-                if nil:
-                    continue
-                u, k = u - pn, k + 1
-            out[(u, t, m, k)] = c
+        pn, step, nil, out = self.pn, self.p ** (self.r + 1) - 1, self.nil, {}
+        for (t, m), c in terms.items():
+            k, u = divmod(i - t + step * m, pn)
+            if not (k and nil):
+                out[(u, t, m, k)] = c
         return out
 
     def coefficient(self, m: int, k: int, c: int) -> LaurentPoly:
@@ -204,14 +194,14 @@ class DigitKernel:
         return {(u, t): coefficient(m, k, c) for (u, t, m, k), c in self.terms(i).items()}
 
     def _product(self, i: int) -> Terms:
-        """terms(i) for i < p^S: the unit times each digit power of i, all through mul."""
+        """The kept image of u^i for i < p^S: the unit times each digit power of i, all through mul."""
         p, n, s, factors = self.p, self.n, 0, []  # (place, digit) of the nonzero digits
         while i:
             i, d = divmod(i, p)
             if d:
                 factors.append((s, d))
             s += 1
-        terms = unit = {(0, 0, 0, 0): 1}
+        terms = unit = {(0, 0): 1}
         if not factors:  # u^0: the unit, if t = 0 is read
             return self.mul(unit, unit, n)
         # the product through the factor for digit s is pruned mod p^(place of the next nonzero digit)
@@ -237,10 +227,10 @@ class DigitKernel:
         row = self.powers[s]
         if not row:
             p, q, prs, tmax = self.p, self.p**s, self.p ** (self.r + s), self.tmax
-            gen: Terms = {(q, 0, 0, 0): 1, (0, q, 0, 0): 1}
+            gen: Terms = {(0, 0): 1, (q, 0): 1}  # u^q (x) 1 and 1 (x) t^q
             if prs <= tmax:  # the twist of l has t-exponent prs * (p - l), read for l >= p - tmax // prs
                 for ell in range(max(1, p - tmax // prs), p):
-                    gen[(prs * ell, prs * (p - ell), q, 0)] = pow(math.factorial(ell) * math.factorial(p - ell), -1, p)
+                    gen[(prs * (p - ell), q)] = pow(math.factorial(ell) * math.factorial(p - ell), -1, p)
             row.append(gen)
         while len(row) < d:
             row.append(self.mul(row[-1], row[0]))

@@ -134,20 +134,6 @@ def freeness_b1(h: int, ext: ExtensionParams) -> bool:
     return 2 * res_mod(h - 2, ext.degree) > ext.degree - 3
 
 
-def generator_count(h: Union[int, IdealIndex], ext: ExtensionParams) -> int:
-    """Number of generators of the ideal over its associated order.
-
-    Free ideals need one.  Otherwise counts the indices i in [0, p^n)
-    such that d_h(i) > d_h(i-j) + w_h(j) for every j > 0 with digitwise
-    j_s <= i_s.  The j-range is interpreted as (0, p^n - 1] with the
-    digit condition; the count and its witnesses are exposed so the
-    interpretation can be audited.  With alpha, beta and Q as in the
-    module docstring, i counts iff w_h(j) = Q_j and beta_j > alpha(i)
-    for each such j; i = 0 always counts.
-    """
-    return is_free(h, ext).generator_count
-
-
 def _submask_min(values: list[int], ext: ExtensionParams) -> list[int]:
     """values[k] replaced by the minimum of values over the digit-submasks of k.
 
@@ -169,6 +155,11 @@ def _submask_min(values: list[int], ext: ExtensionParams) -> list[int]:
 
 def _generator_witnesses(idx: IdealIndex, ext: ExtensionParams, w_tab: tuple[int, ...]) -> list[int]:
     """The i with d_h(i) > d_h(i-j) + w_h(j) for every nonzero digit-submask j of i.
+
+    A non-free ideal's generator count is their number; a free one needs
+    one generator.  The j-range is read as (0, p^n - 1] with the digit
+    condition j_s <= i_s, and the witnesses are exposed so that reading
+    can be audited.
 
     With b*i + c = A_i*p^n + alpha(i) and b*j = Q_j*p^n + beta_j, the pair
     (i, j) passes iff w_h(j) = Q_j and beta_j > alpha(i) (see the module

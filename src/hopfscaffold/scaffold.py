@@ -143,6 +143,10 @@ def verify_scaffold(ctx: ScaffoldContext) -> ScaffoldReport:
     lambda_{j + p^s b} * {v_L >= F}, with u the digit res(aj)_s, 0 included.
     It holds iff each term of DigitKernel(hopf, beta, (p^s,)).terms(res(aj))
     with m or k nonzero has v_L >= j + p^s b + F (see the module docstring).
+    Such a term has m >= 1 (m = 0 forces k = 0), and the kernel's
+    e + k p^n = res - p^s + (p^{r+1} - 1) m puts it at v_L = j + p^s b + m F:
+    each such term sits m F deeper than lambda_{j + p^s b}, so at F > 1
+    every check passes, by F times the least twist count it reads.
     A check records u as a constant, or None when it is 0; failures are
     recorded, never raised.  A context whose ext and hopf differ, or whose
     a does not solve a*b = -1, raises ValueError at any tolerance.

@@ -187,22 +187,22 @@ def coaction_by_expansion(i: int, ext: ExtensionParams, hopf: HopfParams) -> lis
 
 @functools.lru_cache(maxsize=1024)
 def _coaction_of_power(i: int, ext: ExtensionParams, hopf: HopfParams) -> tuple[LElement, ...]:
-    """coaction_by_expansion kept per (i, ext, hopf): verify_by_elements reads each x^i once per s, at each tolerance tried."""
+    """coaction_by_expansion kept per (i, ext, hopf): scaffold_margins reads each x^i once per s, at each tolerance verify_by_elements tries."""
     return tuple(coaction_by_expansion(i, ext, hopf))
 
 
-def verify_by_elements(ctx) -> list[tuple]:
-    """verify_scaffold's checks as (s, j, digit, unit, passed), formed in L.
+def scaffold_margins(ctx) -> list[tuple]:
+    """(s, j, digit, margin) for every s < n and j < p^n, formed in L.
 
-    For every s < n and j < p^n: form lambda_j, take its z_{p^s}-image as
-    the t^{p^s} component of its coaction (coaction_by_expansion, term by
-    term in x), subtract digit * lambda_{j + p^s b} with digit = res(aj)_s,
-    and test l_valuation of the difference against j + p^s b + F.  It calls
-    neither the digit kernel nor act.  ctx.tolerance must be an integer.
+    Form lambda_j, take its z_{p^s}-image as the t^{p^s} component of its
+    coaction (coaction_by_expansion, term by term in x), subtract
+    digit * lambda_{j + p^s b} with digit = res(aj)_s, and take l_valuation
+    of the difference minus j + p^s b, the valuation of lambda_{j + p^s b}
+    (INF when the difference is 0).  It calls neither the digit kernel nor act.
     """
     ext, hopf = ctx.ext, ctx.hopf
     p, pn = ext.p, ext.degree
-    checks = []
+    margins = []
     for s in range(ext.n):
         step = p**s * ext.b
         for j in range(pn):
@@ -211,9 +211,20 @@ def verify_by_elements(ctx) -> list[tuple]:
             for i, c in lambda_element(j, ctx).nonzero_items():
                 image = image + _coaction_of_power(i, ext, hopf)[p**s].scale(c)
             diff = image - lambda_element(j + step, ctx).scale(digit)
-            unit = LaurentPoly.constant(p, digit) if digit else None
-            checks.append((s, j, digit, unit, l_valuation(diff, ext) >= j + step + ctx.tolerance))
-    return checks
+            margins.append((s, j, digit, l_valuation(diff, ext) - (j + step)))
+    return margins
+
+
+def verify_by_elements(ctx) -> list[tuple]:
+    """verify_scaffold's checks as (s, j, digit, unit, passed): each scaffold_margins margin against F.
+
+    ctx.tolerance must be an integer.
+    """
+    p = ctx.ext.p
+    return [
+        (s, j, digit, LaurentPoly.constant(p, digit) if digit else None, margin >= ctx.tolerance)
+        for s, j, digit, margin in scaffold_margins(ctx)
+    ]
 
 
 def schoolbook_l_mul(a: LElement, b: LElement, ext: ExtensionParams) -> LElement:

@@ -71,6 +71,14 @@ class TestScaffoldVerify:
         assert code == 0
         assert "all passed" in out
 
+    def test_pretty_output_without_a_scaffold_says_no_check_ran(self, capsys):
+        # below the hypothesis no congruence is checked, so none failed either
+        argv = ["--p", "3", "--n", "2", "--r", "1", "--b", "1", "--f", "T^3 + T^-900", "--output", "pretty"]
+        code, out, _ = run(capsys, "scaffold-verify", *argv)
+        assert code == 3
+        assert out.splitlines()[1:] == ["no check ran"]
+        assert "status=no scaffold guaranteed" in out.splitlines()[0]
+
     def test_tsv_output(self, capsys):
         code, out, _ = run(capsys, "scaffold-verify", *BASE, "--output", "tsv")
         assert code == 0
@@ -616,7 +624,7 @@ def test_report_corpus_pinned(capsys):
         codes.append(code)
         digest.update(f"{argv!r}\n{code}\n{out}\x1e".encode())
     assert set(codes) == {0, 3}
-    assert digest.hexdigest() == "e3fdaabb2d8e752b10c300d008f87d312e073f90d084d231b3b7662b5bcb5907"
+    assert digest.hexdigest() == "e30c0fa0480801a4e8c0323c3130f31bcc965912df90d69c331790947f161b8b"
 
 
 def _tsv_rows(capsys, *argv):

@@ -85,40 +85,54 @@ class TestDeltaT:
 
 class TestTensorMul:
     # the product of H (x) H is DigitKernel.mul with beta = 0, reading every t-exponent, on integer
-    # terms {(a, b, m, k): c} standing for c * f^m * beta^k * t^a (x) t^b; the schoolbook product
-    # of oracles.tensor_product checks it on the Laurent maps the terms stand for
+    # terms {(b, m): c} standing for c * f^m * t^a (x) t^b in the image of t^i, where
+    # a = i - b + (p^(r+1) - 1) m; the schoolbook product of oracles.tensor_product checks it on the
+    # Laurent maps the terms stand for
     @staticmethod
     def kernel(params):
         return DigitKernel(params, LaurentPoly.zero(params.p), range(params.degree))
 
     @staticmethod
-    def laurent(terms, params):
-        """The {(a, b): coefficient} map of beta-free integer kernel terms."""
-        acc = {}
-        for (a, b, m, k), c in terms.items():
-            assert k == 0 and 0 < c < params.p
-            acc[(a, b)] = acc.get((a, b), LaurentPoly.zero(params.p)) + params.f**m * c
+    def laurent(terms, i, params):
+        """The {(a, b): coefficient} map of integer kernel terms of the image of t^i, a < p^n."""
+        acc, step = {}, params.p ** (params.r + 1) - 1
+        for (b, m), c in terms.items():
+            assert 0 < c < params.p
+            a = i - b + step * m
+            if a < params.degree:
+                acc[(a, b)] = acc.get((a, b), LaurentPoly.zero(params.p)) + params.f**m * c
         return {key: c for key, c in acc.items() if not c.is_zero()}
 
     def test_unit(self):
         params = hp(2, 2, 1)
-        gen = {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (2, 2, 1, 0): 1}  # Delta(t) at p = 2
-        assert self.kernel(params).mul({(0, 0, 0, 0): 1}, gen) == gen
+        gen = {(0, 0): 1, (1, 0): 1, (2, 1): 1}  # Delta(t) at p = 2: t (x) 1, 1 (x) t, f t^2 (x) t^2
+        assert self.kernel(params).mul({(0, 0): 1}, gen) == gen
         d = delta_power(1, params)
-        assert self.laurent(gen, params) == d == tensor_product(unit(2), d, params.degree)
+        assert self.laurent(gen, 1, params) == d == tensor_product(unit(2), d, params.degree)
 
     def test_simple_tensor_product(self):
         params = hp(2, 2, 1)
         one = LaurentPoly.one(2)
-        t_left, t_right = {(1, 0, 0, 0): 1}, {(0, 1, 0, 0): 1}
-        assert self.kernel(params).mul(t_left, t_right) == {(1, 1, 0, 0): 1}
+        t_left, t_right = {(0, 0): 1}, {(1, 0): 1}  # t (x) 1 and 1 (x) t, each in the image of t^1
+        product = self.kernel(params).mul(t_left, t_right)
+        assert product == {(1, 0): 1} and self.laurent(product, 2, params) == {(1, 1): one}
         assert tensor_product({(1, 0): one}, {(0, 1): one}, params.degree) == {(1, 1): one}
 
     def test_kernel_product_drops_exponents_at_or_above_degree(self):
+        # a t-exponent at or above p^n lies above every read t, so mul drops it; an A-exponent there
+        # folds through beta = 0, so terms(i) drops it from the product mul keeps
         params = hp(2, 2, 1)
-        for a, b in (({(3, 0, 0, 0): 1}, {(1, 0, 0, 0): 1}), ({(0, 2, 0, 0): 1}, {(1, 2, 0, 0): 1})):
-            assert self.kernel(params).mul(a, b) == {}
-            assert tensor_product(self.laurent(a, params), self.laurent(b, params), params.degree) == {}
+        one, kernel = LaurentPoly.one(2), self.kernel(params)
+        assert kernel.mul({(2, 0): 1}, {(2, 0): 1}) == {}  # (1 (x) t^2)^2 = 1 (x) t^4
+        assert tensor_product({(0, 2): one}, {(0, 2): one}, params.degree) == {}
+        four = kernel.mul({(0, 0): 1}, {(0, 0): 1})  # t^3 (x) 1 times t (x) 1 = t^4 (x) 1
+        assert four == {(0, 0): 1} and self.laurent(four, 4, params) == {}
+        assert tensor_product({(3, 0): one}, {(1, 0): one}, params.degree) == {}
+        # Delta(t^3) = Delta(t^2) Delta(t) holds f t^4 (x) t^2, which folds once at beta != 0
+        folded = DigitKernel(params, LaurentPoly.from_text("T^-1", 2), range(params.degree)).terms(3)
+        assert (0, 2, 1, 1) in folded
+        assert kernel.terms(3) == {key: c for key, c in folded.items() if not key[3]}
+        assert self.laurent(kernel.images[3], 3, params) == kernel.image(3) == delta_power(3, params)
 
     @pytest.mark.parametrize("p,n,r", AXIOM_RANGE)
     def test_products_of_generator_images_reduce_mod_p(self, p, n, r):
@@ -130,9 +144,9 @@ class TestTensorMul:
         square = kernel.mul(gen, gen)
         cube = kernel.mul(square, gen)
         d1 = delta_power(1, params)
-        assert self.laurent(gen, params) == d1
-        assert self.laurent(square, params) == tensor_product(d1, d1, params.degree) == delta_power(2, params)
-        assert self.laurent(cube, params) == delta_power(3, params)
+        assert self.laurent(gen, 1, params) == d1
+        assert self.laurent(square, 2, params) == tensor_product(d1, d1, params.degree) == delta_power(2, params)
+        assert self.laurent(cube, 3, params) == delta_power(3, params)
 
     @pytest.mark.parametrize("p,n,r", AXIOM_RANGE)
     def test_nilpotency(self, p, n, r):
@@ -259,7 +273,7 @@ class TestReadPrune:
                 top = {}
                 for e in t_read:
                     top[e % m] = max(e, top.get(e % m, e))
-                assert all(t % m in top and t <= top[t % m] for _, t, _, _ in product)
+                assert all(t % m in top and t <= top[t % m] for t, _ in product)
             formed += sum(map(len, products))
         assert formed  # kept partial terms were checked
 
@@ -297,27 +311,27 @@ class TestKernelImages:
     )
     def test_no_two_terms_share_an_exponent_pair(self, monkeypatch, p, n, r, f, beta):
         # f = beta^2 here, so c f^m beta^k and c' f^(m+1) beta^(k-2) would cancel if they met on one
-        # (u, t); they never do: u + k p^n + t - i = (p^(r+1) - 1) m with k < p fixes (m, k).  So no
-        # partial product holds two terms on one (u, t) and no image holds a zero coefficient.
+        # (u, t); they never do: products are keyed by (t, m), and u + k p^n = i - t + (p^(r+1) - 1) m
+        # with m p^r <= t < p^n fixes m on each (u, t).  So no image holds a zero coefficient.
         params = hp(p, n, r, f)
         kernel = DigitKernel(params, LaurentPoly.from_text(beta, p), range(params.degree))
-        formed = []
-        for name in ("mul",):
-            real = getattr(DigitKernel, name)
+        formed, real = [], DigitKernel.mul
 
-            def spy(self, *args, real=real):
-                formed.append(real(self, *args))
-                return formed[-1]
+        def spy(self, *args):
+            formed.append(real(self, *args))
+            return formed[-1]
 
-            monkeypatch.setattr(DigitKernel, name, spy)
+        monkeypatch.setattr(DigitKernel, "mul", spy)
         for i in range(params.degree):
+            terms = kernel.terms(i)
+            assert len({(u, t) for u, t, _, _ in terms}) == len(terms)
+            assert all(m * p**r <= t for _, t, m, _ in terms)
             image = kernel.image(i)
             assert all(not c.is_zero() for c in image.values())
             assert image == image_by_expansion(i, params, kernel.beta)
         assert formed
         for terms in formed:
             assert all(0 < c < p for c in terms.values())
-            assert len({(u, t) for u, t, _, _ in terms}) == len(terms)
 
     @pytest.mark.parametrize("beta", ["0", "4*T^-1 + T^3"])
     def test_matches_expansion_at_p5_for_every_power(self, beta):

@@ -11,7 +11,6 @@ from hopfscaffold import (
     assoc_order_basis,
     d_h,
     freeness_b1,
-    generator_count,
     is_free,
     materialize_basis_entry,
     noether_criterion,
@@ -50,7 +49,7 @@ class TestNormalization:
             assert report.h == IdealIndex.normalize(2, ext) == IdealIndex(2, -14, 1)
             assert (report.d_table, report.witness_j) == (is_free(2, ext).d_table, 1)
             assert report.d_table[:4] == (0, 1, 1, 1)
-            assert generator_count(idx, ext) == generator_count(2, ext)
+            assert is_free(idx, ext).generator_count == is_free(2, ext).generator_count
             assert [w_h(idx, j, ext) for j in range(16)] == list(report.w_table)
         assert d_h(IdealIndex(5, 5, 0), 0, ext221) == d_h(5, 0, ext221) == 0
 
@@ -270,7 +269,7 @@ class TestFreenessB1:
 class TestGeneratorCount:
     def test_free_needs_one(self, ext221):
         for h in (-1, 0, 1):
-            assert generator_count(h, ext221) == 1
+            assert is_free(h, ext221).generator_count == 1
 
     def test_nonfree_small_case(self, ext221):
         # independent double loop over the interpreted criterion
@@ -290,12 +289,12 @@ class TestGeneratorCount:
                     break
             expected += good
         assert expected == 3
-        got = generator_count(-2, ext221)
+        got = is_free(-2, ext221).generator_count
         assert got == expected
         assert got >= 2
 
     def test_periodicity(self, ext221):
-        assert generator_count(-2, ext221) == generator_count(-2 + 4, ext221)
+        assert is_free(-2, ext221).generator_count == is_free(-2 + 4, ext221).generator_count
 
 
 class TestNoether:

@@ -59,7 +59,7 @@ PUBLIC_NAMES = {
     "LElement", "LaurentPoly", "ScaffoldCheck", "ScaffoldContext", "ScaffoldReport",
     "act", "act_fast", "antipode", "assoc_order_basis", "counit", "d_h", "delta_power",
     "dual_basis_rank", "dual_eval", "dual_from_text", "dual_mult", "dual_to_text", "freeness_b1",
-    "generator_count", "h_mul", "ideal_membership", "integer_certificate_check", "is_free",
+    "h_mul", "ideal_membership", "integer_certificate_check", "is_free",
     "l_mul", "l_valuation", "lambda_element", "lelement_from_text", "lelement_to_text",
     "materialize_basis_entry", "min_f_valuation_for", "monomial_images", "noether_criterion",
     "padic_digits", "res_mod", "scaffold_context", "solve_a", "tolerance", "verify_scaffold",

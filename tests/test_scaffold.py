@@ -12,6 +12,7 @@ from hopfscaffold import (
     DualElement,
     ExtensionParams,
     HopfParams,
+    INF,
     LaurentPoly,
     LElement,
     ScaffoldContext,
@@ -36,7 +37,7 @@ from hopfscaffold import (
 from hopfscaffold.hopf_primal import DigitKernel
 from hopfscaffold.scaffold import STATUS_NO_SCAFFOLD, STATUS_OK
 
-from oracles import acceptance_tuples, standard_pair, verify_by_elements
+from oracles import acceptance_tuples, scaffold_margins, standard_pair, verify_by_elements
 
 
 def ctx_for(p, n, r, b, f_val):
@@ -309,6 +310,28 @@ class TestVerify:
         assert failed[0] == 0 and failed[1] > 0
         if (p, n, r, b) == (2, 4, 2, 1):
             assert failed[1] == 12
+
+    @pytest.mark.parametrize(
+        "p,n,r,b,f,beta",
+        [
+            (2, 4, 2, 1, "T", "T^-1"),
+            (2, 4, 2, 1, "T^3", "T^-1"),
+            (2, 4, 2, 1, "T^5", "T^-1"),
+            (3, 3, 2, 2, "T^4", "T^-2"),
+            (2, 5, 3, 3, "T^4", "T^-3"),
+            (3, 4, 2, 1, "T^3", "T^-1"),
+            (2, 4, 2, 1, "T^3 + T^5", "T^-1 + T^2"),
+        ],
+    )
+    def test_margins_are_positive_multiples_of_the_tolerance(self, p, n, r, b, f, beta):
+        # a twisted term of z_{p^s} lambda_j with twist count m sits m*F above lambda_{j + p^s b},
+        # and distinct m differ in v_L, so every finite margin is a positive multiple of F; the
+        # least is F itself.  The margins are formed in L, with no digit kernel
+        ext = ExtensionParams(p, n, b, LaurentPoly.from_text(beta, p))
+        ctx = scaffold_context(ext, HopfParams(p, n, r, LaurentPoly.from_text(f, p)))
+        margins = [margin for *_, margin in scaffold_margins(ctx) if margin != INF]
+        assert margins and all(margin > 0 and margin % ctx.tolerance == 0 for margin in margins)
+        assert min(margins) == ctx.tolerance
 
     @pytest.mark.parametrize(
         "p,n,r,beta", [(2, 4, 2, "T^-1"), (2, 5, 3, "T^-3"), (3, 4, 2, "T^-1"), (5, 3, 2, "2*T^-2 + T^3")]
