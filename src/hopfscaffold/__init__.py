@@ -67,7 +67,6 @@ from .module_structure import (
     is_free,
     materialize_basis_entry,
     noether_criterion,
-    w_h,
 )
 
 __version__ = "0.1.0"

@@ -25,10 +25,10 @@ from i, t and m.  act reads the kernel's integer terms (terms(i), the
 x-leg whole, each c * f^m * beta^k) in the loop that scales them: y's
 coefficient of x^i times z's of t^k is formed once per k, a plain term
 (m = k = 0) scales it by the integer c, and a twist or fold term by
-c * f^m * beta^k from the kernel's memo (DigitKernel.coefficient).  monomial_images walks the
-actions of the z_{p^s}, one kernel each, along hopf_dual.trie_walk;
-z_{p^s} reads t^{p^s} only, so its kernel forms at most p^{s+1} images
-over any number of elements and reads every x^i off one of them.
+c * f^m * beta^k from the kernel's memo (DigitKernel.coefficient).
+monomial_images walks hopf_dual.trie_walk with one action, so one kernel,
+per generator z_{p^s}; z_{p^s} reads t^{p^s} only, so its kernel forms at
+most p^{s+1} images for any number of elements, each x^i read off one.
 
 For the generators z_{p^s} with s <= r the action on x-monomials has a
 closed form (act_fast), used as an independent cross-check of act.
@@ -49,7 +49,7 @@ def check_compat(ext: ExtensionParams, hopf: HopfParams, y: LElement | None = No
     if ext.p != hopf.p or ext.n != hopf.n:
         raise ValueError("extension and Hopf parameters must share p and n")
     if y is not None:
-        y._check(ext, "field element does not belong to the extension")
+        LElement._check(y, ext, "field element does not belong to the extension")
 
 
 def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> LElement:
@@ -61,7 +61,7 @@ def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> 
     pairs with are formed.
     """
     check_compat(ext, hopf, y)
-    z._check(ext, "dual element does not belong to the dual algebra")
+    DualElement._check(z, ext, "dual element does not belong to the dual algebra")
     return _action_of(z, ext, hopf)(y)
 
 
@@ -86,16 +86,9 @@ def _action_of(z: DualElement, ext: ExtensionParams, hopf: HopfParams) -> Callab
 
 
 def monomial_images(y: LElement, ext: ExtensionParams, hopf: HopfParams) -> list[LElement]:
-    """The image of y under every z-monomial, the digit-j one at index j.
-
-    Formed along hopf_dual.trie_walk: with (j - p^s, s) = trie_step(j),
-    the digit-j image is z_{p^s} applied to the stored digit-(j - p^s)
-    image, since (ab)y = a(by) and the dual algebra is commutative.  That
-    is p^n - 1 single-generator actions, through one kernel per generator.
-    """
+    """The image of y under every z-monomial, the digit-j one at index j: its generator on its trie parent's, as (ab)y = a(by)."""
     check_compat(ext, hopf, y)
-    actions = [_action_of(DualElement.z_basis(ext.p**s, hopf), ext, hopf) for s in range(ext.n)]
-    return trie_walk(y, actions, ext.p)
+    return trie_walk(y, lambda z: _action_of(z, ext, hopf), hopf)
 
 
 def act_fast(s: int, i: int, ext: ExtensionParams, hopf: HopfParams) -> LElement:

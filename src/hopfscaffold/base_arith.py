@@ -283,7 +283,8 @@ class CoeffVector:
     algebra in the powers of t, and its dual in the z_j.  Only the nonzero
     coefficients are stored, in ascending index, with the length
     ``degree`` = p^n.  Addition and equality only combine two vectors of
-    the same class, so elements of different spaces never mix.  Subclasses
+    the same class, and the entry points check each operand's class
+    (_check), so elements of different spaces never mix.  Subclasses
     add no per-instance dictionary.  The ``params`` argument of the
     constructors is any object with ``p`` and ``degree`` (ExtensionParams
     or HopfParams).
@@ -348,15 +349,16 @@ class CoeffVector:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def _check(self, other, message: str = "incompatible elements") -> None:
-        """Raise ValueError(message) unless other, a vector or params, has this p and degree."""
-        if self.p != other.p or self.degree != other.degree:
+    @classmethod
+    def _check(cls, x, params, message: str = "incompatible elements") -> None:
+        """Raise ValueError(message) unless x is of this very class and has the p and degree of params (a vector or params)."""
+        if type(x) is not cls or x.p != params.p or x.degree != params.degree:
             raise ValueError(message)
 
     def __add__(self: _V, other: _V) -> _V:
         if type(other) is not type(self):
             return NotImplemented
-        self._check(other)
+        self._check(other, self)
         terms = dict(self._terms)
         for k, c in other._terms.items():
             terms[k] = terms[k] + c if k in terms else c
@@ -415,14 +417,14 @@ class CoeffVector:
         return f"{type(self).__name__}({self.to_text()!r})"
 
 
-def _fold_mul(a: _V, b: _V, params, beta: LaurentPoly, message: str) -> _V:
+def _fold_mul(cls: type[_V], a: _V, b: _V, params, beta: LaurentPoly, message: str) -> _V:
     """a*b in K[u]/(u^{p^n} - beta), p^n = params.degree: u^{p^n + k} folds to beta*u^k.
 
     At beta = 0 a folded term is 0 and the result drops it.  ValueError(message)
-    unless both operands have the p and degree of params.
+    unless both operands are of class cls with the p and degree of params.
     """
-    a._check(params, message)
-    b._check(params, message)
+    cls._check(a, params, message)
+    cls._check(b, params, message)
     pn = params.degree
     out: dict[int, LaurentPoly] = {}
     for i, ci in a._terms.items():
@@ -433,7 +435,7 @@ def _fold_mul(a: _V, b: _V, params, beta: LaurentPoly, message: str) -> _V:
             else:
                 e, c = e - pn, ci * cj * beta
             out[e] = out[e] + c if e in out else c
-    return a._from_terms(a.p, pn, out)
+    return cls._from_terms(a.p, pn, out)
 
 
 def padic_digits(i: int, p: int, n: int) -> tuple[int, ...]:

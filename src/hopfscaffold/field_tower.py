@@ -81,12 +81,12 @@ class LElement(CoeffVector):
 
 def l_mul(a: LElement, b: LElement, ext: ExtensionParams) -> LElement:
     """Product in L: polynomial product with x^{p^n + k} folded to beta * x^k."""
-    return _fold_mul(a, b, ext, ext.beta, "field element does not belong to the extension")
+    return _fold_mul(LElement, a, b, ext, ext.beta, "field element does not belong to the extension")
 
 
 def l_valuation(y: LElement, ext: ExtensionParams) -> Union[int, float]:
     """v_L(y) = min over nonzero coefficients of p^n*v_K(c_i) - b*i; INF at 0."""
-    y._check(ext, "field element does not belong to the extension")
+    LElement._check(y, ext, "field element does not belong to the extension")
     best: Union[int, float] = INF
     pn = ext.degree
     for i, c in y.nonzero_items():

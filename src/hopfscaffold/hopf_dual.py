@@ -10,11 +10,11 @@ it forms the images of the i mod p^{s+1} once and reads every i off them.
 The p^n monomials z_1^{j_0} z_p^{j_1} ... z_{p^{n-1}}^{j_{n-1}} (digit
 exponents of j) form a K-basis.  z_monomials builds them along the digit
 trie (trie_walk): the digit-j monomial is the digit-(j - p^s) one times
-z_{p^s}, s the lowest nonzero digit of j (trie_step), and each generator's
-kernel is built once per walk.  action.monomial_images takes the walk too.
-dual_basis_rank certifies the basis by the shape of their evaluation
-matrix: lower triangular with the nonzero constants prod_s j_s! mod p on
-its diagonal.
+z_{p^s}, s the lowest nonzero digit of j (trie_step).  trie_walk builds
+each generator's step, so its kernel, once per walk; action.monomial_images
+walks the same trie.  dual_basis_rank certifies the basis by the shape of
+their evaluation matrix: lower triangular with the nonzero constants
+prod_s j_s! mod p on its diagonal.
 
 The dual side also carries a coalgebra structure, induced by the plain
 truncated-polynomial multiplication upstairs: z_j splits as the sum of
@@ -59,7 +59,8 @@ class DualElement(CoeffVector):
 
 def dual_eval(z: DualElement, h: HElement) -> LaurentPoly:
     """Pair a dual element against an element of K[t]/(t^{p^n})."""
-    z._check(h)
+    DualElement._check(z, h)
+    HElement._check(h, z)
     hc = dict(h.nonzero_items())
     return sum((c * hc[j] for j, c in z.nonzero_items() if j in hc), LaurentPoly._from_reduced(z.p, {}))
 
@@ -79,7 +80,7 @@ def _pairing_shifts(hopf: HopfParams) -> range:
 def dual_mult(a: DualElement, b: DualElement, hopf: HopfParams) -> DualElement:
     """Product in the dual algebra: _times(b, hopf) applied to a."""
     for z in (a, b):
-        z._check(hopf, "dual element does not belong to the dual algebra")
+        DualElement._check(z, hopf, "dual element does not belong to the dual algebra")
     return _times(b, hopf)(a)
 
 
@@ -140,19 +141,19 @@ def trie_step(j: int, p: int) -> tuple[int, int]:
     return j - q, s
 
 
-def trie_walk(first, steps: Sequence[Callable], p: int) -> list:
-    """[first] and, for 0 < j < p^len(steps), steps[s](entry j - p^s) with (j - p^s, s) = trie_step(j, p)."""
+def trie_walk(first, step: Callable[[DualElement], Callable], hopf: HopfParams) -> list:
+    """[first] and, for 0 < j < p^n, step(z_{p^s}) applied to entry j - p^s, (j - p^s, s) = trie_step(j, p); one step per s."""
+    steps = [step(DualElement.z_basis(hopf.p**s, hopf)) for s in range(hopf.n)]
     out = [first]
-    for j in range(1, p ** len(steps)):
-        parent, s = trie_step(j, p)
+    for j in range(1, hopf.degree):
+        parent, s = trie_step(j, hopf.p)
         out.append(steps[s](out[parent]))
     return out
 
 
 def z_monomials(hopf: HopfParams) -> list[DualElement]:
     """Every z-monomial, the digit-j one at index j, each one product from its trie parent by its generator."""
-    steps = [_times(DualElement.z_basis(hopf.p**s, hopf), hopf) for s in range(hopf.n)]
-    return trie_walk(DualElement.one(hopf), steps, hopf.p)
+    return trie_walk(DualElement.one(hopf), lambda z: _times(z, hopf), hopf)
 
 
 # -- basis certificate -------------------------------------------------------

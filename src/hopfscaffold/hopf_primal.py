@@ -67,7 +67,7 @@ class HElement(CoeffVector):
 
 def h_mul(a: HElement, b: HElement) -> HElement:
     """Product in K[t]/(t^{p^n}): convolution truncated by the nilpotent t."""
-    return _fold_mul(a, b, a, LaurentPoly._from_reduced(a.p, {}), "incompatible elements")
+    return _fold_mul(HElement, a, b, a, LaurentPoly._from_reduced(a.p, {}), "incompatible elements")
 
 
 def counit(h: HElement) -> LaurentPoly:

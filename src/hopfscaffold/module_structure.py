@@ -9,10 +9,10 @@ the break number and p^n the degree, define
 computed after normalizing h into the window 0 <= b - h <= p^n - 1 (the
 tables are wrong outside it; d_h(0) can go negative).  Only the
 prod_s (p - j_s) digit-compatible i enter the minimum, and i + j never
-carries; w_h lists them digit by digit (_compatible) as the definitional
-reference.  The submasks of i are the j with j_s <= i_s for every s.
+carries.  The submasks of i are the j with j_s <= i_s for every s.
 
-is_free instead uses closed forms.  Put c = b - h in [0, p^n) and write
+is_free builds the whole w table from closed forms: read w_h(j) as
+is_free(h, ext).w_table[j].  Put c = b - h in [0, p^n) and write
 
     b*k + c = A_k*p^n + alpha(k),    b*j = Q_j*p^n + beta_j,
 
@@ -92,24 +92,6 @@ def d_h(h: Union[int, IdealIndex], j: int, ext: ExtensionParams) -> int:
     """floor((b*j + b - h_norm)/p^n), floor toward -inf; b - h_norm is (b - h_raw) mod p^n for the window of ext."""
     pn = ext.degree
     return (ext.b * j + (ext.b - (h.h_raw if isinstance(h, IdealIndex) else h)) % pn) // pn
-
-
-def _compatible(j: int, ext: ExtensionParams) -> list[int]:
-    """The i in [0, p^n) with base-p digits i_s + j_s <= p - 1 for every s."""
-    out, q = [0], 1
-    for _ in range(ext.n):
-        j, d = divmod(j, ext.p)
-        out = [i + c * q for c in range(ext.p - d) for i in out]
-        q *= ext.p
-    return out
-
-
-def w_h(h: Union[int, IdealIndex], j: int, ext: ExtensionParams) -> int:
-    """Minimum of d_h(i+j) - d_h(i) over i with digitwise i_s + j_s <= p-1."""
-    idx = _as_index(h, ext)
-    if not 0 <= j < ext.degree:
-        raise ValueError(f"j = {j} out of range [0, {ext.degree})")
-    return min(d_h(idx, i + j, ext) - d_h(idx, i, ext) for i in _compatible(j, ext))
 
 
 def noether_criterion(ext: ExtensionParams) -> Optional[int]:

@@ -7,6 +7,7 @@ import pytest
 from hopfscaffold import (
     DualElement,
     ExtensionParams,
+    HElement,
     HopfParams,
     LaurentPoly,
     LElement,
@@ -185,11 +186,14 @@ class TestCoaction:
         too_long = LElement.x_power(20, ExtensionParams.monogenic(2, 5, 1))
         too_short = LElement.x_power(3, ExtensionParams.monogenic(2, 3, 1))
         wrong_prime = LElement([LaurentPoly.one(3)] * 16)
-        for y in (too_long, too_short, wrong_prime):
+        wrong_space = HElement.t_power(3, hopf)  # p and degree of ext, but an element of H
+        for y in (too_long, too_short, wrong_prime, wrong_space):
             with pytest.raises(ValueError):
                 act(z, y, ext, hopf)
             with pytest.raises(ValueError):
                 coaction(y, ext, hopf)
+        with pytest.raises(ValueError, match="dual element does not belong to the dual algebra"):
+            act(wrong_space, LElement.one(ext), ext, hopf)
 
 
 class TestAct:

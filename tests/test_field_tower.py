@@ -64,10 +64,12 @@ class TestMul:
         assert got == LElement.x_power(2, ext221, LaurentPoly.monomial(2, -1))
 
     def test_rejects_an_element_of_another_extension(self):
-        # the fold at degree 16 once took x^7 of the degree-8 extension as its own x^7
+        # the fold at degree 16 once took x^7 of the degree-8 extension as its own x^7,
+        # and t^7 of the Hopf algebra of degree 16 as x^7
         ext16, ext8 = ExtensionParams.monogenic(2, 4, 1), ExtensionParams.monogenic(2, 3, 1)
         a, b = LElement.x_power(3, ext16), LElement.x_power(7, ext8)
-        for left, right in ((a, b), (b, a), (b, b)):
+        t = HElement.t_power(7, HopfParams(2, 4, 2, LaurentPoly.monomial(2, 3)))
+        for left, right in ((a, b), (b, a), (b, b), (a, t), (t, a)):
             with pytest.raises(ValueError, match="field element does not belong to the extension"):
                 l_mul(left, right, ext16)
 
@@ -143,11 +145,14 @@ class TestIdealMembership:
             assert ideal_membership(LElement.zero(ext221), h, ext221)
 
     def test_rejects_an_element_of_another_extension(self, ext221):
-        # (T)*x^7 lives in the degree-8 extension; read against degree 4 it has no valuation
+        # (T)*x^7 lives in the degree-8 extension; read against degree 4 it has no
+        # valuation, and neither has t of the Hopf algebra of degree 4
         y = lelement_from_text("(T)*x^7", ExtensionParams.monogenic(2, 3, 1))
-        for check in (lambda: l_valuation(y, ext221), lambda: ideal_membership(y, 0, ext221)):
-            with pytest.raises(ValueError, match="does not belong to the extension"):
-                check()
+        t = HElement.t_power(1, HopfParams(2, 2, 1, LaurentPoly.monomial(2, 4)))
+        for v in (y, t):
+            for check in (lambda: l_valuation(v, ext221), lambda: ideal_membership(v, 0, ext221)):
+                with pytest.raises(ValueError, match="does not belong to the extension"):
+                    check()
 
     def test_period_is_multiplication_by_t(self):
         rng = random.Random(41)

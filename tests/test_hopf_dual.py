@@ -7,15 +7,18 @@ import pytest
 
 from hopfscaffold import (
     DualElement,
+    ExtensionParams,
     HElement,
     HopfParams,
     LaurentPoly,
+    LElement,
     dual_basis_rank,
     dual_eval,
     dual_from_text,
     dual_mult,
     dual_to_text,
     delta_power,
+    monomial_images,
     padic_digits,
     z_monomial,
     z_monomials,
@@ -44,6 +47,15 @@ class TestDualEval:
         params = hp(2, 2, 1, "T^4")
         assert dual_eval(DualElement.z_basis(3, params), HElement.t_power(3, params)) == LaurentPoly.one(2)
         assert dual_eval(DualElement.z_basis(3, params), HElement.t_power(2, params)).is_zero()
+
+    def test_rejects_an_element_of_another_space(self):
+        # x and t^3 have the p and degree of z_3, but live in L and in H
+        params = hp(2, 2, 1, "T^4")
+        z, t = DualElement.z_basis(3, params), HElement.t_power(3, params)
+        x = LElement.x_power(3, ExtensionParams.monogenic(2, 2, 1))
+        for a, b in ((z, x), (t, t), (x, t)):
+            with pytest.raises(ValueError, match="incompatible elements"):
+                dual_eval(a, b)
 
     def test_linearity(self):
         params = hp(2, 2, 1, "T^4")
@@ -198,6 +210,7 @@ class TestDualMult:
 
     def test_builds_one_kernel_per_generator(self, monkeypatch):
         # one kernel per generator z_{3^s}, reading t = 3^s, for all 242 products
+        # of the basis rank and for all 242 actions of the certificate's walk
         read = []
         real_init = DigitKernel.__init__
 
@@ -206,16 +219,21 @@ class TestDualMult:
             real_init(self, hopf, beta, t_read)
 
         monkeypatch.setattr(DigitKernel, "__init__", spy)
-        assert dual_basis_rank(hp(3, 5, 3, "T^3")) == 243
+        params = hp(3, 5, 3, "T^3")
+        assert dual_basis_rank(params) == 243
+        assert read == [[3**s] for s in range(5)]
+        read.clear()
+        ext = ExtensionParams.monogenic(3, 5, 1)
+        assert len(monomial_images(LElement.x_power(242, ext), ext, params)) == 243
         assert read == [[3**s] for s in range(5)]
 
     def test_rejects_operands_of_another_degree(self):
         params8, params16 = hp(2, 3, 2, "T^5"), hp(2, 4, 2, "T^5")
         z1, z9 = DualElement.z_basis(1, params8), DualElement.z_basis(9, params16)
-        with pytest.raises(ValueError):
-            dual_mult(z1, z9, params8)
-        with pytest.raises(ValueError):
-            dual_mult(z9, z9, params8)
+        x = LElement.x_power(1, ExtensionParams.monogenic(2, 3, 1))  # p and degree of params8
+        for a, b in ((z1, z9), (z9, z9), (x, z1), (z1, x)):
+            with pytest.raises(ValueError, match="dual element does not belong to the dual algebra"):
+                dual_mult(a, b, params8)
 
 
 class TestZMonomial:

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from hopfscaffold import (
+    DualElement,
     HElement,
     HopfParams,
     LaurentPoly,
@@ -490,8 +491,10 @@ def test_h_mul_truncates():
 
 
 def test_h_mul_refuses_an_element_of_another_degree():
-    # h_mul and l_mul share one fold product, which checks both operands
+    # h_mul and l_mul share one fold product, which checks both operands, and
+    # their class: z_1 of the dual algebra has the p and degree of t^3
     t3, t7 = HElement.t_power(3, hp(2, 2, 1)), HElement.t_power(7, hp(2, 3, 2))
-    for a, b in ((t3, t7), (t7, t3)):
+    z1 = DualElement.z_basis(1, hp(2, 2, 1))
+    for a, b in ((t3, t7), (t7, t3), (z1, z1), (t3, z1), (z1, t3)):
         with pytest.raises(ValueError, match="incompatible elements"):
             h_mul(a, b)

@@ -15,7 +15,6 @@ from hopfscaffold import (
     materialize_basis_entry,
     noether_criterion,
     padic_digits,
-    w_h,
 )
 from hopfscaffold import module_structure
 from hopfscaffold.module_structure import _generator_witnesses
@@ -50,7 +49,7 @@ class TestNormalization:
             assert (report.d_table, report.witness_j) == (is_free(2, ext).d_table, 1)
             assert report.d_table[:4] == (0, 1, 1, 1)
             assert is_free(idx, ext).generator_count == is_free(2, ext).generator_count
-            assert [w_h(idx, j, ext) for j in range(16)] == list(report.w_table)
+            assert [brute_w(idx, j, ext) for j in range(16)] == list(report.w_table)
         assert d_h(IdealIndex(5, 5, 0), 0, ext221) == d_h(5, 0, ext221) == 0
 
 
@@ -75,34 +74,33 @@ class TestDTable:
 
 
 class TestWTable:
+    # the w table is is_free's; brute_w is the definitional minimum
     def test_zero_at_zero(self):
         for p, n, b in ((2, 2, 1), (3, 2, 2), (2, 3, 3)):
             ext = ExtensionParams.monogenic(p, n, b)
             for h in range(-(p**n), p**n):
-                assert w_h(h, 0, ext) == 0
+                assert is_free(h, ext).w_table[0] == 0
 
     def test_free_case_matches_d(self, ext221):
-        for j in range(4):
-            assert w_h(0, j, ext221) == d_h(0, j, ext221)
+        assert list(is_free(0, ext221).w_table) == [d_h(0, j, ext221) for j in range(4)]
 
     def test_nonfree_witness(self, ext221):
         # h = -2: the pair i = 2, j = 1 drags w below d
-        assert w_h(-2, 1, ext221) == 0
+        assert is_free(-2, ext221).w_table[1] == 0
         assert d_h(-2, 1, ext221) == 1
 
     def test_matches_brute_force(self):
         for p, n, b in ((2, 2, 1), (2, 2, 3), (3, 2, 2)):
             ext = ExtensionParams.monogenic(p, n, b)
             for h in range(b - p**n + 1, b + 1):
-                for j in range(p**n):
-                    assert w_h(h, j, ext) == brute_w(h, j, ext)
+                assert list(is_free(h, ext).w_table) == [brute_w(h, j, ext) for j in range(p**n)]
 
     def test_never_exceeds_d(self):
         for p, n, b in ((2, 2, 1), (3, 2, 1), (2, 3, 3), (3, 3, 1)):
             ext = ExtensionParams.monogenic(p, n, b)
             for h in range(b - p**n + 1, b + 1):
-                for j in range(p**n):
-                    assert w_h(h, j, ext) <= d_h(h, j, ext)
+                for j, w in enumerate(is_free(h, ext).w_table):
+                    assert w <= d_h(h, j, ext)
 
 
 @st.composite
@@ -119,10 +117,10 @@ def _w_case(draw):
 @given(_w_case())
 def test_w_property(case):
     ext, h, j = case
-    w = w_h(h, j, ext)
-    assert w == brute_w(h, j, ext)
-    assert w <= d_h(h, j, ext)
-    assert w_h(h, 0, ext) == 0
+    w_tab = is_free(h, ext).w_table
+    assert w_tab[j] == brute_w(h, j, ext)
+    assert w_tab[j] <= d_h(h, j, ext)
+    assert w_tab[0] == 0
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2), (7, 2)])
@@ -173,33 +171,18 @@ def _report_case(draw):
     n = draw(st.integers(2, _MAX_N[p]))
     b = draw(st.integers(1, 2 * p**n).filter(lambda v: v % p))
     h = draw(st.integers(-3 * p**n, 3 * p**n))
-    j = draw(st.integers(0, p**n - 1))
-    return ExtensionParams.monogenic(p, n, b), h, j
+    return ExtensionParams.monogenic(p, n, b), h
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_report_case())
 def test_report_property(case):
-    # the whole report against the exhaustive oracles, and is_free's w
-    # table against the definitional w_h
-    ext, h, j = case
+    # the whole report against the exhaustive oracles
+    ext, h = case
     TestAgainstOracles.check(h, ext)
-    assert is_free(h, ext).w_table[j] == w_h(h, j, ext)
 
 
 class TestIsFree:
-    @pytest.mark.parametrize("p,n,b", [(3, 4, 1), (2, 5, 3)])
-    def test_tables_enumerate_no_compatible_sets(self, monkeypatch, p, n, b):
-        # the w table and the witnesses come from submask transforms over
-        # the whole digit lattice, never from a per-j list of compatible i
-        def forbidden(j, ext):
-            raise AssertionError(f"is_free listed the i compatible with j = {j}")
-
-        monkeypatch.setattr(module_structure, "_compatible", forbidden)
-        ext = ExtensionParams.monogenic(p, n, b)
-        reports = [is_free(h, ext) for h in range(b - p**n + 1, b + 1)]
-        assert any(not report.free for report in reports)
-
     def test_b1_small_classification(self, ext221):
         assert [is_free(h, ext221).free for h in (-2, -1, 0, 1)] == [False, True, True, True]
 
@@ -275,7 +258,7 @@ class TestGeneratorCount:
         # independent double loop over the interpreted criterion
         idx = IdealIndex.normalize(-2, ext221)
         d_tab = [d_h(idx, j, ext221) for j in range(4)]
-        w_tab = [w_h(idx, j, ext221) for j in range(4)]
+        w_tab = [brute_w(idx, j, ext221) for j in range(4)]
         expected = 0
         for i in range(4):
             idig = padic_digits(i, 2, 2)

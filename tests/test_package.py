@@ -63,7 +63,7 @@ PUBLIC_NAMES = {
     "l_mul", "l_valuation", "lambda_element", "lelement_from_text", "lelement_to_text",
     "materialize_basis_entry", "min_f_valuation_for", "monomial_images", "noether_criterion",
     "padic_digits", "res_mod", "scaffold_context", "solve_a", "tolerance", "verify_scaffold",
-    "w_h", "z_monomial", "z_monomials",
+    "z_monomial", "z_monomials",
 }
 
 
