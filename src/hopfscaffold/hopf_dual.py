@@ -7,6 +7,8 @@ digit-factored kernel with beta = 0 (the kernel of the coaction of L),
 read on the second leg at the support of the right factor: one kernel
 serves every product by a fixed right factor, and for a generator z_{p^s}
 it forms the images of the i mod p^{s+1} once and reads every i off them.
+Each term u (x) t^v of Delta(t^i) has u + v = i + (p^{r+1} - 1) m with
+m p^r <= v, so a product reads the integer terms of only those i.
 The p^n monomials z_1^{j_0} z_p^{j_1} ... z_{p^{n-1}}^{j_{n-1}} (digit
 exponents of j) form a K-basis.  z_monomials builds them along the digit
 trie (trie_walk): the digit-j monomial is the digit-(j - p^s) one times
@@ -65,18 +67,6 @@ def dual_eval(z: DualElement, h: HElement) -> LaurentPoly:
     return sum((c * hc[j] for j, c in z.nonzero_items() if j in hc), LaurentPoly._from_reduced(z.p, {}))
 
 
-def _pairing_shifts(hopf: HopfParams) -> range:
-    """The u + v - i of the terms u (x) t^v of Delta(t^i): (p^{r+1} - 1)*m for 0 <= m < p^{n-r}.
-
-    DigitKernel.terms(i) derives the first leg of its term keyed (v, m) from
-    u + k p^n = i - v + (p^{r+1} - 1) m and keeps only k = 0 at beta = 0;
-    m = sum_{s < n-r} k_s p^s for its k_s < p twists of digit s (none for
-    s >= n - r): every m < p^{n-r}.
-    """
-    step = hopf.p ** (hopf.r + 1) - 1
-    return range(0, step * hopf.p ** (hopf.n - hopf.r), step)
-
-
 def dual_mult(a: DualElement, b: DualElement, hopf: HopfParams) -> DualElement:
     """Product in the dual algebra: _times(b, hopf) applied to a."""
     for z in (a, b):
@@ -87,19 +77,27 @@ def dual_mult(a: DualElement, b: DualElement, hopf: HopfParams) -> DualElement:
 def _times(b: DualElement, hopf: HopfParams) -> Callable[[DualElement], DualElement]:
     """a |-> a*b for dual elements a, with one digit kernel for every a.
 
-    The z_i coefficient of a*b pairs a and b with the legs of Delta(t^i),
-    the kernel's image of u^i with beta = 0, read at v in the support of b.
-    Only i = u + v - x with u, v in the supports and x in _pairing_shifts
-    can pair, so only those images are formed; terms with u outside the
-    support of a are dropped as they are summed.
+    The z_i coefficient of a*b pairs a and b with the legs of the kernel's
+    integer terms (u, v, m) of Delta(t^i), read at v in the support of b.
+    As u + v = i + (p^{r+1} - 1) m with m p^r <= v, only i = u + v -
+    (p^{r+1} - 1) m with 0 <= m <= v // p^r is read (m = 0 alone for
+    z_{p^s}, s < r).  A term with u outside the support of a is skipped; a
+    plain term (m = 0) scales by its integer c, a twist by c * f^m.
     """
     bc, pn, zero = dict(b.nonzero_items()), hopf.degree, LaurentPoly._from_reduced(hopf.p, {})
-    shifts, kernel = _pairing_shifts(hopf), DigitKernel(hopf, zero, bc)
+    step, q = hopf.p ** (hopf.r + 1) - 1, hopf.p**hopf.r
+    kernel = DigitKernel(hopf, zero, bc)
+    coefficient = kernel.coefficient
 
     def apply(a: DualElement) -> DualElement:
         ac = dict(a.nonzero_items())
-        reach = {s - x for s in {u + v for u in ac for v in bc} for x in shifts if 0 <= s - x < pn}
-        out = {i: sum((ac[u] * bc[v] * c for (u, v), c in kernel.image(i).items() if u in ac), zero) for i in reach}
+        reach = {i for v in bc for x in range(0, step * (v // q) + 1, step) for u in ac if 0 <= (i := u + v - x) < pn}
+        out: dict[int, LaurentPoly] = {}
+        for i in reach:
+            for (u, v, m, _), c in kernel.terms(i).items():
+                if u in ac:
+                    term = ac[u] * bc[v] * (coefficient(m, 0, c) if m else c)
+                    out[i] = out[i] + term if i in out else term
         return DualElement._from_terms(hopf.p, pn, out)
 
     return apply

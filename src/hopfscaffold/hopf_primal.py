@@ -23,6 +23,7 @@ independently by the test suite as a differential oracle, not used here.
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
 from typing import Collection
 
@@ -55,6 +56,8 @@ class HElement(CoeffVector):
 
     __slots__ = ()
     _index_name = "t-exponent"
+    _noun = "Hopf element"
+    _term_re = re.compile(r"(?:(?P<coef>\([^()]+\))\*)?(?P<mono>t\^(?P<idx>[0-9]+))")
 
     @classmethod
     def t_power(cls, i: int, hopf: HopfParams, coeff: LaurentPoly | int = 1) -> "HElement":
@@ -72,6 +75,7 @@ def h_mul(a: HElement, b: HElement) -> HElement:
 
 def counit(h: HElement) -> LaurentPoly:
     """The counit, i.e. evaluation t -> 0: the constant coefficient."""
+    HElement._check(h, h, "counit needs an element of the Hopf algebra")
     return dict(h.nonzero_items()).get(0, LaurentPoly._from_reduced(h.p, {}))
 
 
@@ -82,6 +86,7 @@ def antipode(h: HElement) -> HElement:
     axiom; see the test suite, which records the defect f * t^{2^{r+1}}
     rather than adjusting the map.
     """
+    HElement._check(h, h, "antipode needs an element of the Hopf algebra")
     return HElement._from_terms(h.p, h.degree, {i: -c if i % 2 else c for i, c in h.nonzero_items()})
 
 
@@ -115,8 +120,8 @@ class DigitKernel:
     distinct, so no two terms cancel, and no two share (u, t): two
     terms on one t differ in m by less than p^{n-r} (m p^r <= t < p^n),
     and p^{r+1} - 1 is a unit mod p^n.  coefficient(m, k, c) forms each
-    c * f^m * beta^k once per instance, for image(i) and for the action's
-    loop over terms(i).
+    c * f^m * beta^k once per instance, for image(i) and for the loops of
+    the action and the dual product over terms(i).
 
     terms(i) holds exactly the terms of the image of u^i whose t-exponent
     the caller reads (t_read), the A-leg whole.  Each factor for digit s

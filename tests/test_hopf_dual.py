@@ -173,40 +173,34 @@ class TestDualMult:
 
     @pytest.mark.parametrize("p,n,r", [(2, 4, 2), (3, 3, 2), (3, 4, 3), (5, 3, 2)])
     def test_delta_terms_reach_their_index(self, p, n, r):
-        # dual_mult tries only i = u + v - x with x in _pairing_shifts: every term
-        # u (x) t^v of Delta(t^i), from the multinomial expansion, has u + v - i there
+        # dual_mult reads only i = u + v - (p^{r+1} - 1) m with 0 <= m <= v // p^r: every term
+        # u (x) t^v of Delta(t^i), from the multinomial expansion, has u + v - i of that form
         params = hp(p, n, r, "T^3 + T^5")
-        shifts = hopf_dual._pairing_shifts(params)
+        step = p ** (r + 1) - 1
         for i in range(params.degree):
             image = tensor_power_by_expansion(i, params)
             assert image
-            assert all(u + v - i in shifts for u, v in image)
-
-    def test_pairing_shifts_are_the_digit_sums(self):
-        # the closed form is the set of sums of k_s (p^{r+s+1} - p^s), 0 <= k_s < p, s < n - r
-        for p in (2, 3, 5, 7):
-            for n in range(2, 15):
-                for r in range((n + 1) // 2, n):
-                    if p**n > 20000:
-                        continue
-                    sums = {0}
-                    for s in range(n - r):
-                        sums = {x + k * (p ** (r + s + 1) - p**s) for x in sums for k in range(p)}
-                    assert set(hopf_dual._pairing_shifts(hp(p, n, r, "T"))) == sums
+            for u, v in image:
+                m, rest = divmod(u + v - i, step)
+                assert rest == 0 and 0 <= m <= v // p**r, (i, u, v)
 
     def test_forms_kernel_images_only_for_reachable_indices(self, monkeypatch):
-        # at (3,5,3,T^3) the z-monomial rows once formed 29,645 kernel images, 29,338 of them empty
+        # at (3,5,3,T^3) the z-monomial rows once formed 29,645 kernel images, 29,338 of them empty;
+        # reading i for every m < p^{n-r} took 491 kernel reads there and 135,695 at (2,13,7,T^3)
         formed = []
-        real_image = DigitKernel.image
+        real_terms = DigitKernel.terms
 
         def spy(self, i):
             formed.append(i)
-            return real_image(self, i)
+            return real_terms(self, i)
 
-        monkeypatch.setattr(DigitKernel, "image", spy)
+        monkeypatch.setattr(DigitKernel, "terms", spy)
         assert dual_basis_rank(hp(3, 5, 3, "T^3")) == 243
-        # each of the 242 products forms at least one image, so the spy sees every product
-        assert 242 <= len(formed) < 1000
+        # each of the 242 products reads at least one image, so the spy sees every product
+        assert 242 <= len(formed) <= 354
+        formed.clear()
+        assert dual_basis_rank(hp(2, 13, 7, "T^3")) == 8192
+        assert 8191 <= len(formed) <= 30072
 
     def test_builds_one_kernel_per_generator(self, monkeypatch):
         # one kernel per generator z_{3^s}, reading t = 3^s, for all 242 products
@@ -339,12 +333,20 @@ class TestBasisRank:
             assert top == j
             assert lead == LaurentPoly.constant(p, math.prod(map(math.factorial, padic_digits(j, p, n))) % p)
 
-    def test_degree_243_rows_pinned(self):
-        # SHA-256 of the z-monomial rows in text, one per line, at (p, n, r, f) = (3, 5, 3, T^3),
-        # recorded before dual_mult tried only the indices reachable from its operands
-        out = "".join(dual_to_text(mono) + "\n" for mono in z_monomials(hp(3, 5, 3, "T^3")))
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "10d9d1dcd39908ac77bc98703b56ff7bd876557a1ee42ed93b35505a35247008"
+    @pytest.mark.parametrize(
+        "p,n,r,digest",
+        [
+            pytest.param(3, 5, 3, "10d9d1dcd39908ac77bc98703b56ff7bd876557a1ee42ed93b35505a35247008", id="3-5-3"),
+            pytest.param(7, 4, 2, "0df1abf3f616d846aa0d084e6054beba2c7ffe31ab38a3b68a3c7252c696cb21", id="7-4-2"),
+            pytest.param(97, 2, 1, "c7c809ac4b80a9894729afca34d0455a886ad0bd1dd14d689c32cb50e64483a5", id="97-2-1"),
+        ],
+    )
+    def test_z_monomial_rows_pinned(self, p, n, r, digest):
+        # SHA-256 of the z-monomial rows in text, one per line, at f = T^3; 3-5-3 recorded before
+        # dual_mult tried only the indices reachable from its operands, 7-4-2 and 97-2-1 before
+        # it bounded m by v // p^r
+        out = "".join(dual_to_text(mono) + "\n" for mono in z_monomials(hp(p, n, r, "T^3")))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("fault", ["swap rows", "drop lead term"])
     def test_rejects_rows_off_the_triangular_shape(self, monkeypatch, fault):

@@ -7,9 +7,11 @@ import pytest
 
 from hopfscaffold import (
     DualElement,
+    ExtensionParams,
     HElement,
     HopfParams,
     LaurentPoly,
+    LElement,
     antipode,
     counit,
     delta_power,
@@ -498,3 +500,13 @@ def test_h_mul_refuses_an_element_of_another_degree():
     for a, b in ((t3, t7), (t7, t3), (z1, z1), (t3, z1), (z1, t3)):
         with pytest.raises(ValueError, match="incompatible elements"):
             h_mul(a, b)
+
+
+def test_counit_and_antipode_refuse_an_element_of_another_space():
+    # x of L and z_1 of the dual algebra have the p and degree of t at (2, 2, 1): the class decides
+    hopf, ext = hp(2, 2, 1), ExtensionParams.monogenic(2, 2, 1)
+    for h in (LElement.x_power(1, ext), DualElement.z_basis(1, hopf)):
+        with pytest.raises(ValueError, match="antipode needs an element of the Hopf algebra"):
+            antipode(h)
+    with pytest.raises(ValueError, match="counit needs an element of the Hopf algebra"):
+        counit(LElement.one(ext))

@@ -5,6 +5,8 @@ as a Laurent polynomial, all at (p, n, r) = (3, 2, 1), and gives the
 canonical text of the value read, or REFUSED.
 """
 
+import random
+
 import pytest
 
 from hopfscaffold import (
@@ -20,6 +22,8 @@ from hopfscaffold import (
     lelement_from_text,
     lelement_to_text,
 )
+
+from oracles import rand_laurent
 
 REFUSED = "refused"
 EXT = ExtensionParams.monogenic(3, 2, 1)
@@ -112,6 +116,23 @@ def test_corpus(text, field, dual, laurent):
 def test_helement_repr():
     t3 = HElement.t_power(3, HOPF, LaurentPoly.monomial(3, 1))
     assert repr(HElement.t_power(0, HOPF) + t3) == "HElement('t^0 + (T)*t^3')"
+
+
+@pytest.mark.parametrize("p,n,r", [(2, 4, 2), (3, 3, 2)])
+def test_helement_round_trip(p, n, r):
+    # HElement reads its own text through the shared CoeffVector codec, t^0 included
+    rng, hopf = random.Random(29 * p + n), HopfParams(p, n, r, LaurentPoly.monomial(p, 3))
+    samples = [HElement.t_power(0, hopf), HElement.t_power(0, hopf, LaurentPoly.from_text("T^-1 + T", p))]
+    samples += [HElement([rand_laurent(rng, p, -3, 4, 2) for _ in range(hopf.degree)]) for _ in range(20)]
+    for h in samples:
+        assert HElement.from_text(h.to_text(), hopf) == h
+
+
+def test_helement_text_errors():
+    with pytest.raises(ValueError, match=r"malformed Hopf element term: 't_1'"):
+        HElement.from_text("t^0 + t_1", HOPF)
+    with pytest.raises(ValueError, match=r"t-exponent 9 out of range \[0, 9\)"):
+        HElement.from_text("(T)*t^9", HOPF)
 
 
 def test_public_text_functions_are_the_element_methods():
