@@ -39,17 +39,9 @@ from __future__ import annotations
 from typing import Callable
 
 from .base_arith import LaurentPoly
-from .field_tower import ExtensionParams, LElement, l_mul
+from .field_tower import ExtensionParams, LElement, check_compat, l_mul
 from .hopf_dual import DualElement, trie_walk
 from .hopf_primal import DigitKernel, HopfParams
-
-
-def check_compat(ext: ExtensionParams, hopf: HopfParams, y: LElement | None = None) -> None:
-    """ValueError unless ext and hopf share p and n and y, when given, belongs to ext."""
-    if ext.p != hopf.p or ext.n != hopf.n:
-        raise ValueError("extension and Hopf parameters must share p and n")
-    if y is not None:
-        LElement._check(y, ext, "field element does not belong to the extension")
 
 
 def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> LElement:

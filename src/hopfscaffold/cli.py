@@ -7,6 +7,10 @@ as `seq | head` gives).  JSON output is deterministic: keys sorted, check
 records sorted, no timestamps.  With SCAFFOLD_LOG=DEBUG or NOTSET (any
 case), stderr gets the line `DEBUG:hopfscaffold:dispatching <command>`;
 any other value writes nothing.
+
+Each command imports the modules it runs when it runs: at import this
+module loads only what the parameter checks need (base_arith,
+field_tower, hopf_primal), so a job compiles no module its command skips.
 """
 
 from __future__ import annotations
@@ -18,13 +22,9 @@ import re
 import sys
 from typing import Iterable, Optional, Sequence
 
-from .action import act
 from .base_arith import LaurentPoly, is_prime
 from .field_tower import ExtensionParams, l_valuation, lelement_from_text, lelement_to_text
-from .hopf_dual import dual_from_text
 from .hopf_primal import HopfParams
-from .module_structure import InsufficientToleranceError, assoc_order_basis, is_free
-from .scaffold import STATUS_OK, scaffold_context, tolerance, verify_scaffold
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -70,6 +70,8 @@ def _build_config(args: argparse.Namespace) -> tuple[ExtensionParams, HopfParams
     ext = ExtensionParams(args.p, args.n, args.b, beta)
     hopf = HopfParams(args.p, args.n, args.r, f)
     if args.command in ("scaffold-verify", "assoc-order"):  # their reports carry the tolerance
+        from .scaffold import tolerance
+
         tol, limit = tolerance(ext, hopf), sys.get_int_max_str_digits()
         if tol is not None and limit and tol >= 10**limit:
             raise ValueError(f"tolerance p^n*v_K(f) - b*(p^(r+1) - 1) exceeds the int-to-text limit of {limit} digits")
@@ -120,6 +122,8 @@ def _emit_tsv(header: tuple[str, ...], rows: Iterable[tuple]) -> None:
 
 
 def cmd_scaffold_verify(ext: ExtensionParams, hopf: HopfParams, args: argparse.Namespace) -> int:
+    from .scaffold import STATUS_OK, scaffold_context, verify_scaffold
+
     ctx = scaffold_context(ext, hopf)
     report = verify_scaffold(ctx)
     if args.output == "json":
@@ -143,6 +147,8 @@ def cmd_scaffold_verify(ext: ExtensionParams, hopf: HopfParams, args: argparse.N
 
 
 def cmd_freeness(ext: ExtensionParams, hopf: HopfParams, args: argparse.Namespace) -> int:
+    from .module_structure import is_free
+
     reports = (is_free(h, ext) for h in args.h)
     if args.output == "json":
         for report in reports:
@@ -167,6 +173,9 @@ def cmd_freeness(ext: ExtensionParams, hopf: HopfParams, args: argparse.Namespac
 
 
 def cmd_act(ext: ExtensionParams, hopf: HopfParams, args: argparse.Namespace) -> int:
+    from .action import act
+    from .hopf_dual import dual_from_text
+
     z = dual_from_text(args.z, hopf)
     y = lelement_from_text(args.y, ext)
     result = act(z, y, ext, hopf)
@@ -184,6 +193,8 @@ def cmd_act(ext: ExtensionParams, hopf: HopfParams, args: argparse.Namespace) ->
 
 
 def cmd_assoc_order(ext: ExtensionParams, hopf: HopfParams, args: argparse.Namespace) -> int:
+    from .module_structure import InsufficientToleranceError, assoc_order_basis
+
     if len(args.h) != 1:
         raise ValueError("assoc-order takes a single --h value")
     try:
@@ -205,6 +216,8 @@ def cmd_assoc_order(ext: ExtensionParams, hopf: HopfParams, args: argparse.Names
 
 
 def cmd_atlas(ext: ExtensionParams, hopf: HopfParams, args: argparse.Namespace) -> int:
+    from .module_structure import is_free
+
     # one full period of ideal classes, in window order
     reports = (is_free(h, ext) for h in range(ext.b - ext.degree + 1, ext.b + 1))
     _emit_tsv(("h", "free", "generator_count", "witness_j"), ((r.h.h_norm, r.free, r.generator_count, r.witness_j) for r in reports))

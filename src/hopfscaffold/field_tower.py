@@ -7,6 +7,8 @@ of L are sparse coefficient vectors over K in the powers of x.  Their text
 format is base_arith's CoeffVector format with monomials x and x^i; this
 module adds only that spelling and the x^0 shorthands.  l_mul is
 base_arith's product of K[u]/(u^{p^n} - beta) at the beta of L.
+check_compat, the check that an extension and Hopf parameters share p
+and n, reads only those two fields of the Hopf side, so it lives here.
 
 Exactness of l_valuation rests on the p^n candidate values
 p^n*v_K(c_i) - b*i being pairwise incongruent mod p^n (as p does not
@@ -18,9 +20,12 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .base_arith import INF, CoeffVector, LaurentPoly, _fold_mul, is_prime
+
+if TYPE_CHECKING:
+    from .hopf_primal import HopfParams
 
 
 class ExtensionParams(namedtuple("ExtensionParams", "p n b beta")):
@@ -77,6 +82,14 @@ class LElement(CoeffVector):
     def scalar(cls, c: LaurentPoly, ext: ExtensionParams) -> "LElement":
         """The element of K <= L with constant coefficient c."""
         return cls.x_power(0, ext, c)
+
+
+def check_compat(ext: ExtensionParams, hopf: HopfParams, y: LElement | None = None) -> None:
+    """ValueError unless ext and hopf share p and n and y, when given, belongs to ext."""
+    if ext.p != hopf.p or ext.n != hopf.n:
+        raise ValueError("extension and Hopf parameters must share p and n")
+    if y is not None:
+        LElement._check(y, ext, "field element does not belong to the extension")
 
 
 def l_mul(a: LElement, b: LElement, ext: ExtensionParams) -> LElement:

@@ -81,13 +81,16 @@ def _times(b: DualElement, hopf: HopfParams) -> Callable[[DualElement], DualElem
     integer terms (u, v, m) of Delta(t^i), read at v in the support of b.
     As u + v = i + (p^{r+1} - 1) m with m p^r <= v, only i = u + v -
     (p^{r+1} - 1) m with 0 <= m <= v // p^r is read (m = 0 alone for
-    z_{p^s}, s < r).  A term with u outside the support of a is skipped; a
-    plain term (m = 0) scales by its integer c, a twist by c * f^m.
+    z_{p^s}, s < r).  A term with u outside the support of a is skipped; the
+    rest scale a's coefficient of z_u by b's of z_v times the kernel scalar
+    (c for a plain term, m = 0, and c * f^m for a twist), a factor formed
+    once per (v, m, c) for every a, so each term costs one product.
     """
     bc, pn, zero = dict(b.nonzero_items()), hopf.degree, LaurentPoly._from_reduced(hopf.p, {})
     step, q = hopf.p ** (hopf.r + 1) - 1, hopf.p**hopf.r
     kernel = DigitKernel(hopf, zero, bc)
     coefficient = kernel.coefficient
+    factors: dict[tuple[int, int, int], LaurentPoly] = {}  # (v, m, c) -> bc[v] * the kernel scalar
 
     def apply(a: DualElement) -> DualElement:
         ac = dict(a.nonzero_items())
@@ -96,7 +99,9 @@ def _times(b: DualElement, hopf: HopfParams) -> Callable[[DualElement], DualElem
         for i in reach:
             for (u, v, m, _), c in kernel.terms(i).items():
                 if u in ac:
-                    term = ac[u] * bc[v] * (coefficient(m, 0, c) if m else c)
+                    if (v, m, c) not in factors:
+                        factors[v, m, c] = bc[v] * (coefficient(m, 0, c) if m else c)
+                    term = ac[u] * factors[v, m, c]
                     out[i] = out[i] + term if i in out else term
         return DualElement._from_terms(hopf.p, pn, out)
 

@@ -39,18 +39,23 @@ then marks the output untrusted).
 
 All results are invariant under h -> h + p^n (the ideals differ by the
 unit T).
+
+is_free reads neither the dual algebra nor the scaffold: assoc_order_basis
+imports scaffold.tolerance and materialize_basis_entry hopf_dual.z_monomial
+when called, so a freeness or atlas job loads neither module.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .base_arith import LaurentPoly, res_mod
 from .field_tower import ExtensionParams
-from .hopf_dual import DualElement, z_monomial
 from .hopf_primal import HopfParams
-from .scaffold import tolerance
+
+if TYPE_CHECKING:
+    from .hopf_dual import DualElement
 
 
 class InsufficientToleranceError(ValueError):
@@ -255,6 +260,8 @@ def assoc_order_basis(
     is not a theorem and the call refuses unless force=True, in which
     case the result is marked untrusted.
     """
+    from .scaffold import tolerance
+
     idx = _as_index(h, ext)
     tol = tolerance(ext, hopf)
     licensed = tol is not None and tol >= 2 * ext.degree - 1
@@ -270,4 +277,6 @@ def assoc_order_basis(
 
 def materialize_basis_entry(entry: BasisEntry, hopf: HopfParams) -> DualElement:
     """The dual element T^{shift} * z_monomial(digits) for a basis record."""
+    from .hopf_dual import z_monomial
+
     return z_monomial(entry.digits, hopf).scale(LaurentPoly.monomial(hopf.p, entry.shift))

@@ -28,9 +28,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Union
 
-from .action import check_compat, monomial_images
 from .base_arith import INF, LaurentPoly, padic_digits, res_mod
-from .field_tower import ExtensionParams, LElement, l_valuation
+from .field_tower import ExtensionParams, LElement, check_compat, l_valuation
 from .hopf_primal import DigitKernel, HopfParams
 
 STATUS_OK = "ok"
@@ -208,6 +207,8 @@ def integer_certificate_check(rho: LElement, ctx: ScaffoldContext) -> Certificat
     forms them along the digit trie: each is one generator z_{p^s} applied
     to an earlier image, p^n - 1 single-generator actions in all.
     """
+    from .action import monomial_images  # imported here so that a scaffold-verify job loads no action
+
     ext, hopf = ctx.ext, ctx.hopf
     check_compat(ext, hopf, rho)
     if l_valuation(rho, ext) != ext.b:

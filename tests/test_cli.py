@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfscaffold import base_arith, cli, field_tower, hopf_primal
+from hopfscaffold import base_arith, cli, field_tower, hopf_primal, module_structure, scaffold
 from hopfscaffold.scaffold import ScaffoldReport
 
 
@@ -51,7 +51,7 @@ class TestScaffoldVerify:
     def test_verification_failure_exits_1(self, capsys, monkeypatch):
         # the mathematics never fails for valid parameters, so fabricate a
         # failing report to pin the exit-code contract
-        real = cli.verify_scaffold
+        real = scaffold.verify_scaffold
 
         def sabotaged(ctx):
             report = real(ctx)
@@ -62,7 +62,7 @@ class TestScaffoldVerify:
                 report.ext, report.hopf, report.a, report.tolerance, report.status, checks, False
             )
 
-        monkeypatch.setattr(cli, "verify_scaffold", sabotaged)
+        monkeypatch.setattr(scaffold, "verify_scaffold", sabotaged)  # the handler imports it when run
         code, _, _ = run(capsys, "scaffold-verify", *BASE)
         assert code == 1
 
@@ -692,8 +692,8 @@ def test_tolerance_beyond_the_digit_limit_exits_2_before_any_check(capsys, monke
     def refuse(*_):
         raise AssertionError("a check ran")
 
-    monkeypatch.setattr(cli, "verify_scaffold", refuse)
-    monkeypatch.setattr(cli, "assoc_order_basis", refuse)
+    monkeypatch.setattr(scaffold, "verify_scaffold", refuse)  # the handlers import them when run
+    monkeypatch.setattr(module_structure, "assoc_order_basis", refuse)
     code, out, err = run(capsys, *command, "--p", "2", "--n", "4", "--r", "2", "--b", "1", *f, "--output", output)
     assert (code, out) == (2, "")
     limit = sys.get_int_max_str_digits()

@@ -348,6 +348,21 @@ class TestBasisRank:
         out = "".join(dual_to_text(mono) + "\n" for mono in z_monomials(hp(p, n, r, "T^3")))
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_each_row_term_costs_one_laurent_product(self, monkeypatch):
+        # at (3, 5, 3) the walk reads 306 row terms, each one product with a factor formed once per
+        # (v, m, c) of its generator step: 17 factors, and 3 twist scalars c * f^m at two products
+        # each (two products per row term made 626)
+        params = hp(3, 5, 3, "T^3")
+        real, calls = LaurentPoly.__mul__, []
+
+        def counting(self, other):
+            calls.append(None)
+            return real(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        z_monomials(params)
+        assert len(calls) == 306 + 17 + 2 * 3
+
     @pytest.mark.parametrize("fault", ["swap rows", "drop lead term"])
     def test_rejects_rows_off_the_triangular_shape(self, monkeypatch, fault):
         params = hp(2, 4, 2, "T^-3")

@@ -68,27 +68,65 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
+    # names resolve on first use: resolve each one the package lists, then read what it has bound
+    for name in hopfscaffold.__all__:
+        getattr(hopfscaffold, name)
     exported = {
         name
         for name, value in vars(hopfscaffold).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
+    assert PUBLIC_NAMES <= set(dir(hopfscaffold))
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_logging():
-    # every CLI job is a fresh process, so each module the package imports is paid per job;
-    # the baseline is taken in the same interpreter, since a site .pth may preload modules
+def test_a_resolved_name_is_bound_in_the_package(monkeypatch):
+    # act-stream reads hopfscaffold.act per query: after the first read it is a plain attribute
+    monkeypatch.delitem(vars(hopfscaffold), "act", raising=False)
+    act = hopfscaffold.act
+    assert vars(hopfscaffold)["act"] is act is importlib.import_module("hopfscaffold.action").act
+
+
+def _modules_loaded_by(script):
+    """The modules a fresh interpreter loads running script, against this checkout's src/.
+
+    Every CLI job is a fresh process, so each module a job imports is paid per job; the
+    baseline is taken in the same interpreter, since a site .pth may preload modules.
+    """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
-    script = "import sys; bare = set(sys.modules); import hopfscaffold.cli; print(*sorted(set(sys.modules) - bare))"
+    script = f"import sys; bare = set(sys.modules)\n{script}\nprint(*sorted(set(sys.modules) - bare))"
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    added = set(proc.stdout.split())
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_logging():
+    added = _modules_loaded_by("import hopfscaffold.cli")
     assert "hopfscaffold.cli" in added
     assert added.isdisjoint({"dataclasses", "inspect", "logging"})
+
+
+def test_package_import_loads_no_submodule():
+    added = _modules_loaded_by("import hopfscaffold")
+    assert "hopfscaffold" in added
+    assert {name for name in added if name.startswith("hopfscaffold.")} == set()
+
+
+@pytest.mark.parametrize(
+    "command, runs, skips",
+    [
+        (["atlas"], "module_structure", ("scaffold", "action", "hopf_dual")),
+        (["scaffold-verify"], "scaffold", ("module_structure", "action", "hopf_dual")),
+    ],
+)
+def test_a_cli_job_loads_only_the_modules_its_command_runs(command, runs, skips):
+    argv = [*command, "--p", "2", "--n", "4", "--r", "2", "--b", "1", "--f-val", "3"]
+    added = _modules_loaded_by(f"import hopfscaffold.cli; assert hopfscaffold.cli.main({argv!r}) == 0")
+    assert f"hopfscaffold.{runs}" in added
+    assert added.isdisjoint(f"hopfscaffold.{name}" for name in skips)
 
 
 RECORD_TYPES = [
