@@ -15,8 +15,8 @@ callers realize those by substituting (beta, f).
 
 The images come from hopf_primal.DigitKernel with fold constant beta, the
 kernel that gives Delta(t^i) with beta = 0.  act reads the t-exponents in
-the support of z, and the kernel prunes every partial product by its
-t-residue against them, so only the t-components z pairs with are formed.
+the support of z, and the kernel walks the base-p digits of each of them
+against those of i, so only the t-components z pairs with are formed.
 A digit of x^i at a place p^q above every read t contributes x^{d p^q}(x)1
 alone, so the image of x^i has the (t, m) keys of the image of
 x^{i mod p^S} (p^S the least power of p above the read t), which the
@@ -47,9 +47,8 @@ from .hopf_primal import DigitKernel, HopfParams
 def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> LElement:
     """Action of a dual element: pair z against the t-components of the coaction.
 
-    The digit kernel reads t in the support of z: it drops each partial
-    product whose t-exponent matches no z-index modulo p to the place of
-    the next nonzero digit of the x-exponent, so only the t-components z
+    The digit kernel reads t in the support of z: it splits each such t
+    over the base-p digits of the x-exponent, so only the t-components z
     pairs with are formed.
     """
     check_compat(ext, hopf, y)

@@ -3,10 +3,11 @@
 z_j pairs with t^i as the Kronecker delta.  Multiplication is induced by
 the comultiplication upstairs: the z_i coefficient of a product pairs the
 factors against Delta(t^i), the image of u^i under hopf_primal's
-digit-factored kernel with beta = 0 (the kernel of the coaction of L),
-read on the second leg at the support of the right factor: one kernel
-serves every product by a fixed right factor, and for a generator z_{p^s}
-it forms the images of the i mod p^{s+1} once and reads every i off them.
+digit kernel with beta = 0 (the kernel of the coaction of L), which
+walks the digits of each t it reads, here the support of the right
+factor on the second leg: one kernel serves every product by a fixed
+right factor, and for a generator z_{p^s} it forms the images of the
+i mod p^{s+1} once and reads every i off them.
 Each term u (x) t^v of Delta(t^i) has u + v = i + (p^{r+1} - 1) m with
 m p^r <= v, so a product reads the integer terms of only those i.
 The p^n monomials z_1^{j_0} z_p^{j_1} ... z_{p^{n-1}}^{j_{n-1}} (digit

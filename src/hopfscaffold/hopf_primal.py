@@ -12,12 +12,13 @@ is base_arith's product of K[u]/(u^{p^n} - beta) at beta = 0.
 
 Elements of H (x) H are sparse maps {(a, b): coefficient of t^a (x) t^b}
 holding nonzero terms only.  Delta(t^i) is the image of u^i under
-DigitKernel with beta = 0, and Delta(t) is delta_power(1).  That
-digit-factored kernel is shared with the coaction of L (see action),
-which is the same formula with x^{p^n} = beta in place of u^{p^n} = 0.
-Its coefficients are all c * f^m * beta^k with c in F_p, so it multiplies
-integers only.  The closed multinomial expansion of the powers is exercised
-independently by the test suite as a differential oracle, not used here.
+DigitKernel with beta = 0, and Delta(t) is delta_power(1).  That kernel,
+which reads each t-exponent off its base-p digits against those of i, is
+shared with the coaction of L (see action), which is the same formula
+with x^{p^n} = beta in place of u^{p^n} = 0.  Its coefficients are all
+c * f^m * beta^k with c in F_p, so it works in integers only.  The closed
+multinomial expansion of the powers is exercised independently by the
+test suite as a differential oracle, not used here.
 """
 
 from __future__ import annotations
@@ -92,93 +93,80 @@ def antipode(h: HElement) -> HElement:
 
 # An element of A (x) H as {(A-exponent, t-exponent): nonzero coefficient}.
 Sparse = dict[tuple[int, int], LaurentPoly]
-# Terms c * f^m * u^a (x) t^b of a product of digit powers as {(b, m): c}, c in [1, p); a is implied (see DigitKernel).
+# Terms c * f^m * u^a (x) t^b of an image as {(b, m): c}, c in [1, p); a is implied (see DigitKernel).
 Terms = dict[tuple[int, int], int]
 
 
 class DigitKernel:
-    """Images of u^i in A (x) H under u |-> u(x)1 + 1(x)t + twist, by base-p digits.
+    """Images of u^i in A (x) H under u |-> u(x)1 + 1(x)t + twist, read off the base-p digits of each read t.
 
     A = K[u]/(u^{p^n} - beta): beta = ext.beta gives the coaction of L
     (u = x), beta = 0 gives the comultiplication of H (A = H).  A (x) H is
-    commutative of characteristic p, so the image of u^{p^s} is
-    u^{p^s}(x)1 + 1(x)t^{p^s} plus the twist terms with exponents scaled by
-    p^s and coefficients raised to the p^s; the image of u^i is the product
-    of the digit powers of those generator images over the nonzero base-p
-    digits of i.
+    commutative of characteristic p, so the image of u^i is the product
+    over the base-p digits i_s of i of (u^{p^s}(x)1 + 1(x)t^{p^s} +
+    f^{p^s} sum_l w_l u^{p^{r+s} l}(x)t^{p^{r+s}(p-l)})^{i_s}, with
+    w_l = 1/(l!(p-l)!) mod p (Frobenius fixes F_p).  A term of it takes,
+    at each digit s, a plain u-count a_s, a plain t-count b_s and C_s
+    twists whose t-exponents add up to W_s p^{r+s}: coefficient
+    i_s!/(a_s! b_s! C_s!) times the y^{W_s} coefficient of
+    (sum_l w_l y^{p-l})^{C_s}, one table serving every digit.  Its t-exponent
+    is the sum of b_s p^s + W_s p^{r+s}, and m = sum C_s p^s counts f.
 
-    Every coefficient is c * f^m * beta^k with c in F_p: the twist
-    coefficient of digit s is (f/(l!(p-l)!))^{p^s} = f^{p^s}/(l!(p-l)!), as
-    Frobenius fixes F_p.  A twist at digit s adds p^{r+s+1} to the
-    unfolded A-exponent plus t and p^s to m, where a plain factor adds
-    p^s, so every term of the image of u^i has unfolded A-exponent
-    i - t + (p^{r+1} - 1) m.  Digit powers, partial products and kept
-    images are therefore Terms keyed by (t, m), multiplied in integers by
-    a plain convolution (mul), and terms(i) alone derives the rest:
+    Every coefficient is c * f^m * beta^k with c in F_p.  A twist at digit
+    s adds p^{r+s+1} to the unfolded A-exponent plus t and p^s to m, where
+    a plain factor adds p^s, so every term of the image of u^i has
+    unfolded A-exponent i - t + (p^{r+1} - 1) m.  Kept images are
+    therefore Terms keyed by (t, m), and terms(i) alone derives the rest:
     (k, u) = divmod(i - t + (p^{r+1} - 1) m, p^n) folds u^{p^n} = beta
-    k times, and a term with k >= 1 vanishes at beta = 0.  The keys are
-    distinct, so no two terms cancel, and no two share (u, t): two
-    terms on one t differ in m by less than p^{n-r} (m p^r <= t < p^n),
-    and p^{r+1} - 1 is a unit mod p^n.  coefficient(m, k, c) forms each
-    c * f^m * beta^k once per instance, for image(i) and for the loops of
-    the action and the dual product over terms(i).
+    k times, and a term with k >= 1 vanishes at beta = 0.  Walks that
+    meet on one (t, m) add mod p, and a zero sum is dropped.  No two kept
+    terms share (u, t): two terms on one t differ in m by less than
+    p^{n-r} (m p^r <= t < p^n), and p^{r+1} - 1 is a unit mod p^n.
+    coefficient(m, k, c) forms each c * f^m * beta^k once per instance,
+    for image(i) and for the loops of the action and the dual product
+    over terms(i).
 
     terms(i) holds exactly the terms of the image of u^i whose t-exponent
-    the caller reads (t_read), the A-leg whole.  Each factor for digit s
-    adds a multiple of p^s to the t-exponent, so once the factors up to
-    digit s are multiplied in, with s' the next nonzero digit of i (n if
-    none), the later factors add multiples of p^{s'}: a partial term
-    survives only if its t-exponent is at most the largest read t of its
-    class mod p^{s'}.  With p^S the least power of p above the largest
-    read t (p^n at most), a digit d at a place q >= S keeps only
-    u^{d p^q}(x)1 of its factor, coefficient 1: its other terms carry
-    t-exponents of at least p^q.  So the image of u^i has the keys of
-    the image of u^{i mod p^S}, which the instance keeps, as it keeps the
-    generator image of digit s and its powers, built when an image first
-    needs them.  It forms the read level (p^k, the largest read t of each
-    class mod p^k) when a product first prunes at place k, and the twist
-    coefficients 1/(l!(p-l)!) mod p where a generator image reads each
-    twist.  Every product, the first factor's too, is formed by mul, the
-    one place a term is dropped for its read residue.
+    the caller reads (t_read), the A-leg whole.  Each read t is walked
+    from digit 0 up with a residual R = t: a twist of digit s adds a
+    multiple of p^{r+s} > p^s, so b_s = (R // p^s) mod p is forced, and
+    each split of the rest of i_s into C twists, C <= R // p^{r+s}, and
+    the y^W of the twist table with W p^{r+s} <= R branches with R
+    reduced by b_s p^s + W p^{r+s}.  No later twist reaches digit s + r,
+    so a read t with a digit below p^r above that of i is skipped, and a
+    branch whose digit s + r exceeds that of i is dropped: every b the
+    walk meets is at most its digit of i.  Once p^{r+s} > R no twist
+    fits, and the remaining b are the digits of R // p^s, with
+    coefficient the product of the C(i_s, b_s) (Lucas).  With p^S the
+    least power of p above the largest read t (p^n at most), a digit at
+    a place q >= S is walked only as u^{i_q p^q}(x)1, coefficient 1, so
+    the image of u^i has the keys of the image of u^{i mod p^S}, which
+    the instance keeps (images), as it keeps the twist table, each power
+    formed the first time a walk reaches it and truncated above the
+    largest read t.
     """
 
-    __slots__ = ("p", "n", "r", "pn", "f", "beta", "nil", "t_read", "tmax", "low", "levels", "powers", "images", "scalars")
+    __slots__ = ("p", "r", "pn", "f", "beta", "nil", "t_read", "tmax", "low", "twists", "images", "scalars")
 
     def __init__(self, hopf: HopfParams, beta: LaurentPoly, t_read: Collection[int]):
-        p, n = hopf.p, hopf.n
-        self.p, self.n, self.r, self.pn, self.f, self.beta = p, n, hopf.r, hopf.degree, hopf.f, beta
+        p = hopf.p
+        self.p, self.r, self.pn, self.f, self.beta = p, hopf.r, hopf.degree, hopf.f, beta
         self.nil = beta.is_zero()  # a term folded through beta = 0 vanishes
         self.t_read, self.tmax = t_read, max(t_read, default=-1)
         self.low = 1  # p^S, the least power of p above tmax, at most p^n
         while self.low <= self.tmax and self.low < self.pn:
             self.low *= p
-        self.levels: dict[int, tuple[int, list[int]]] = {}  # k -> (p^k, largest read t of each class mod p^k)
         self.scalars: dict[tuple[int, int, int], LaurentPoly] = {}  # (m, k, c) -> c * f^m * beta^k
-        # powers[s][d - 1] = image of u^{d p^s}; row s starts at the generator image on first use
-        self.powers: list[list[Terms]] = [[] for _ in range(n)]
+        # twists[C] = (sum_l w_l y^{p-l})^C as [(W, coefficient)] in ascending W <= tmax // p^r
+        self.twists: list[list[tuple[int, int]]] = [[(0, 1)]]
         self.images: dict[int, Terms] = {}  # i < p^S -> the image of u^i
-
-    def mul(self, a: Terms, b: Terms, level: int = 0) -> Terms:
-        """Product in A (x) H without the terms above every read t of their class mod p^k, k = level.
-
-        At level 0 that is every term above the largest read t.
-        """
-        p, (mod, top) = self.p, self._level(level)
-        out: Terms = {}
-        for (ta, ma), ca in a.items():
-            for (tb, mb), cb in b.items():
-                t = ta + tb
-                if t <= top[t % mod]:
-                    key = (t, ma + mb)
-                    out[key] = out.get(key, 0) + ca * cb
-        return {key: r for key, c in out.items() if (r := c % p)}
 
     def terms(self, i: int) -> dict[tuple[int, int, int, int], int]:
         """The read terms c * f^m * beta^k * u^u (x) t^t of the image of u^i as a fresh {(u, t, m, k): c}."""
         low = i % self.low
         terms = self.images.get(low)
         if terms is None:
-            terms = self.images[low] = self._product(low)
+            terms = self.images[low] = self._walk(low)
         pn, step, nil, out = self.pn, self.p ** (self.r + 1) - 1, self.nil, {}
         for (t, m), c in terms.items():
             k, u = divmod(i - t + step * m, pn)
@@ -198,48 +186,55 @@ class DigitKernel:
         coefficient = self.coefficient
         return {(u, t): coefficient(m, k, c) for (u, t, m, k), c in self.terms(i).items()}
 
-    def _product(self, i: int) -> Terms:
-        """The kept image of u^i for i < p^S: the unit times each digit power of i, all through mul."""
-        p, n, s, factors = self.p, self.n, 0, []  # (place, digit) of the nonzero digits
-        while i:
-            i, d = divmod(i, p)
-            if d:
-                factors.append((s, d))
-            s += 1
-        terms = unit = {(0, 0): 1}
-        if not factors:  # u^0: the unit, if t = 0 is read
-            return self.mul(unit, unit, n)
-        # the product through the factor for digit s is pruned mod p^(place of the next nonzero digit)
-        for (s, d), (level, _) in zip(factors, factors[1:] + [(n, 0)]):
-            terms = self.mul(terms, self._power(s, d), level)
-            if not terms:
-                return {}
-        return terms
+    def _walk(self, i: int) -> Terms:
+        """The kept image of u^i for i < p^S: every split of each read t over the digits of i."""
+        p, pr, comb, out = self.p, self.p**self.r, math.comb, {}
+        edge = pr // p  # p^(r-1): a branch to digit s + 1 makes digit s + r, r - 1 places up, final
+        for t in self.t_read:
+            low, j = t % pr, i
+            while low and low % p <= j % p:
+                low, j = low // p, j // p
+            if low:  # a digit of t below p^r, which no twist reaches, exceeds that of i
+                continue
+            stack = [(t, i, 1, 0, 1)]  # (R // p^s, i // p^s, p^s, m, coefficient) at digit s
+            while stack:
+                rest, j, q, m, c = stack.pop()
+                if rest < pr:  # no twist fits: the plain t-counts are the digits of rest (Lucas)
+                    while rest:
+                        rest, b = divmod(rest, p)
+                        j, d = divmod(j, p)
+                        c *= comb(d, b)
+                    out[t, m] = out.get((t, m), 0) + c
+                    continue
+                j, d = divmod(j, p)
+                b = rest % p
+                rest, c, cap = rest - b, c * comb(d, b) % p, j // edge % p
+                if (rest // p) // edge % p <= cap:
+                    stack.append((rest // p, j, q * p, m, c))  # no twist at digit s
+                top = rest // pr
+                for count in range(1, min(d - b, top) + 1):
+                    split = c * comb(d - b, count)
+                    for w, e in self._twist_power(count):
+                        if w > top:
+                            break
+                        if (nxt := (rest - w * pr) // p) // edge % p <= cap:
+                            stack.append((nxt, j, q * p, m + count * q, split * e % p))
+        return {key: r for key, c in out.items() if (r := c % p)}
 
-    def _level(self, k: int) -> tuple[int, list[int]]:
-        """(p^k, the largest read t of each class mod p^k, -1 for none), formed on first use."""
-        level = self.levels.get(k)
-        if level is None:
-            mod = self.p**k
-            top = [-1] * mod
-            for e in sorted(self.t_read):
-                top[e % mod] = e
-            level = self.levels[k] = (mod, top)
-        return level
-
-    def _power(self, s: int, d: int) -> Terms:
-        """The image of u^{d p^s} for p^s <= tmax, built on first use from the generator image of u^{p^s}."""
-        row = self.powers[s]
-        if not row:
-            p, q, prs, tmax = self.p, self.p**s, self.p ** (self.r + s), self.tmax
-            gen: Terms = {(0, 0): 1, (q, 0): 1}  # u^q (x) 1 and 1 (x) t^q
-            if prs <= tmax:  # the twist of l has t-exponent prs * (p - l), read for l >= p - tmax // prs
-                for ell in range(max(1, p - tmax // prs), p):
-                    gen[(prs * (p - ell), q)] = pow(math.factorial(ell) * math.factorial(p - ell), -1, p)
-            row.append(gen)
-        while len(row) < d:
-            row.append(self.mul(row[-1], row[0]))
-        return row[d - 1]
+    def _twist_power(self, count: int) -> list[tuple[int, int]]:
+        """(sum_l w_l y^{p-l})^count mod p up to y^{tmax // p^r}, each power formed on first use."""
+        rows, p = self.twists, self.p
+        if len(rows) <= count:
+            top = self.tmax // p**self.r
+            base = [(p - ell, pow(math.factorial(ell) * math.factorial(p - ell), -1, p)) for ell in range(1, p)]
+            while len(rows) <= count:
+                acc: dict[int, int] = {}
+                for w, c in rows[-1]:
+                    for v, e in base:
+                        if w + v <= top:
+                            acc[w + v] = acc.get(w + v, 0) + c * e
+                rows.append(sorted((w, r) for w, c in acc.items() if (r := c % p)))
+        return rows[count]
 
 
 def delta_power(i: int, hopf: HopfParams) -> Sparse:

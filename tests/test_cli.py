@@ -292,6 +292,18 @@ class TestAct:
             assert code == 0
             assert json.loads(out)["result"] == "0"
 
+    @pytest.mark.parametrize("p,z,y", [(53, "z_2808", "x^2808"), (97, "z_9408", "x^9408")])
+    def test_large_p_digits_run_in_well_under_two_seconds(self, capsys, p, z, y):
+        # every digit is p - 1 and z reads one t, so the kernel walks that t's digits against x's
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "act", "--p", str(p), "--n", "2", "--r", "1", "--b", "1", "--f-val", "3", z, y,
+                           "--output", "tsv")
+        elapsed = time.perf_counter() - start
+        assert code == 0 and out == "result\tv_L\n1\t0\n"
+        # the p = 53 digest, recorded when the kernel multiplied digit powers out (several seconds)
+        assert hashlib.sha256(out.encode()).hexdigest() == "10cfe89e2d12df584b17552d27239e46cceace86fe80e2ff6c2e458337cf84f5"
+        assert elapsed < 2.0
+
     def test_pretty(self, capsys):
         code, out, _ = run(capsys, "act", *BASE, "--output", "pretty", "z_1", "x^3")
         assert code == 0

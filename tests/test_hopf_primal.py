@@ -87,13 +87,19 @@ class TestDeltaT:
 
 
 class TestTensorMul:
-    # the product of H (x) H is DigitKernel.mul with beta = 0, reading every t-exponent, on integer
-    # terms {(b, m): c} standing for c * f^m * t^a (x) t^b in the image of t^i, where
-    # a = i - b + (p^(r+1) - 1) m; the schoolbook product of oracles.tensor_product checks it on the
-    # Laurent maps the terms stand for
+    # the product of H (x) H read through the kernel with beta = 0 and every t-exponent read: its kept
+    # images are integer terms {(b, m): c} standing for c * f^m * t^a (x) t^b in the image of t^i,
+    # where a = i - b + (p^(r+1) - 1) m; the schoolbook product of oracles.tensor_product checks them
+    # on the Laurent maps the terms stand for
     @staticmethod
     def kernel(params):
         return DigitKernel(params, LaurentPoly.zero(params.p), range(params.degree))
+
+    @staticmethod
+    def kept(kernel, i):
+        """The kept integer terms {(b, m): c} of the image of t^i, i < p^n."""
+        kernel.terms(i)
+        return kernel.images[i]
 
     @staticmethod
     def laurent(terms, i, params):
@@ -108,29 +114,34 @@ class TestTensorMul:
 
     def test_unit(self):
         params = hp(2, 2, 1)
+        kernel = self.kernel(params)
+        assert self.kept(kernel, 0) == {(0, 0): 1}  # 1 (x) 1
         gen = {(0, 0): 1, (1, 0): 1, (2, 1): 1}  # Delta(t) at p = 2: t (x) 1, 1 (x) t, f t^2 (x) t^2
-        assert self.kernel(params).mul({(0, 0): 1}, gen) == gen
+        assert self.kept(kernel, 1) == gen
         d = delta_power(1, params)
         assert self.laurent(gen, 1, params) == d == tensor_product(unit(2), d, params.degree)
 
     def test_simple_tensor_product(self):
-        params = hp(2, 2, 1)
+        # (t (x) 1 + 1 (x) t)^2 = t^2 (x) 1 + 2 t (x) t + 1 (x) t^2 below the twist: the cross term is
+        # 2 t (x) t at p = 3, read off the plain counts b = 1 of digit 0, and vanishes at p = 2
         one = LaurentPoly.one(2)
-        t_left, t_right = {(0, 0): 1}, {(1, 0): 1}  # t (x) 1 and 1 (x) t, each in the image of t^1
-        product = self.kernel(params).mul(t_left, t_right)
-        assert product == {(1, 0): 1} and self.laurent(product, 2, params) == {(1, 1): one}
-        assert tensor_product({(1, 0): one}, {(0, 1): one}, params.degree) == {(1, 1): one}
+        assert tensor_product({(1, 0): one}, {(0, 1): one}, 4) == {(1, 1): one}
+        for p, cross in ((2, None), (3, 2)):
+            params = hp(p, 3, 2)
+            kernel = self.kernel(params)
+            assert self.kept(kernel, 2).get((1, 0)) == cross
+            d1 = delta_power(1, params)
+            assert self.laurent(self.kept(kernel, 2), 2, params) == tensor_product(d1, d1, params.degree)
 
     def test_kernel_product_drops_exponents_at_or_above_degree(self):
-        # a t-exponent at or above p^n lies above every read t, so mul drops it; an A-exponent there
-        # folds through beta = 0, so terms(i) drops it from the product mul keeps
+        # no read t reaches p^n, so no kept term does; an A-exponent at or above p^n folds through
+        # beta = 0, so terms(i) drops it from the kept image
         params = hp(2, 2, 1)
-        one, kernel = LaurentPoly.one(2), self.kernel(params)
-        assert kernel.mul({(2, 0): 1}, {(2, 0): 1}) == {}  # (1 (x) t^2)^2 = 1 (x) t^4
-        assert tensor_product({(0, 2): one}, {(0, 2): one}, params.degree) == {}
-        four = kernel.mul({(0, 0): 1}, {(0, 0): 1})  # t^3 (x) 1 times t (x) 1 = t^4 (x) 1
-        assert four == {(0, 0): 1} and self.laurent(four, 4, params) == {}
-        assert tensor_product({(3, 0): one}, {(1, 0): one}, params.degree) == {}
+        kernel = self.kernel(params)
+        assert tensor_product(delta_power(2, params), delta_power(2, params), params.degree) == {}  # t^4 = 0
+        for i in range(params.degree):
+            assert all(0 <= t < params.degree for t, _ in self.kept(kernel, i))
+            assert all(u < params.degree and t < params.degree for u, t, _, _ in kernel.terms(i))
         # Delta(t^3) = Delta(t^2) Delta(t) holds f t^4 (x) t^2, which folds once at beta != 0
         folded = DigitKernel(params, LaurentPoly.from_text("T^-1", 2), range(params.degree)).terms(3)
         assert (0, 2, 1, 1) in folded
@@ -139,17 +150,17 @@ class TestTensorMul:
 
     @pytest.mark.parametrize("p,n,r", AXIOM_RANGE)
     def test_products_of_generator_images_reduce_mod_p(self, p, n, r):
-        # Delta(t)^2 and Delta(t)^3 as integer terms: coefficients add exponents of f, multiply
-        # residues, reduce mod p (at p = 2 the cross terms 2 t (x) t vanish) and drop zeros
+        # Delta(t)^2 and Delta(t)^3 as kept integer terms: walks that meet on one (t, m) add mod p
+        # (at p = 2 the cross terms 2 t (x) t vanish), zeros are dropped, and each matches the
+        # schoolbook product of the lower images
         params = hp(p, n, r, "T^-1 + T^2")
         kernel = self.kernel(params)
-        gen = kernel._power(0, 1)
-        square = kernel.mul(gen, gen)
-        cube = kernel.mul(square, gen)
+        gen, square, cube = (self.kept(kernel, i) for i in (1, 2, 3))
         d1 = delta_power(1, params)
         assert self.laurent(gen, 1, params) == d1
-        assert self.laurent(square, 2, params) == tensor_product(d1, d1, params.degree) == delta_power(2, params)
-        assert self.laurent(cube, 3, params) == delta_power(3, params)
+        d2 = self.laurent(square, 2, params)
+        assert d2 == tensor_product(d1, d1, params.degree) == delta_power(2, params)
+        assert self.laurent(cube, 3, params) == tensor_product(d2, d1, params.degree) == delta_power(3, params)
 
     @pytest.mark.parametrize("p,n,r", AXIOM_RANGE)
     def test_nilpotency(self, p, n, r):
@@ -234,7 +245,7 @@ class TestDeltaPower:
         assert all(rimage == results[0] for rimage in results)
 
 
-class TestReadPrune:
+class TestReadWalk:
     @pytest.mark.parametrize(
         "p,n,r,t_read",
         [
@@ -245,40 +256,21 @@ class TestReadPrune:
             (5, 2, 1, {7}),
         ],
     )
-    def test_partial_products_keep_read_residues_to_the_next_digit_place(self, monkeypatch, p, n, r, t_read):
-        # the product through a digit of i keeps only terms agreeing with read t-exponents modulo
-        # p^(place of the next nonzero digit of i), p^n after the last digit, and no term above
-        # the largest read t of its class
+    def test_walk_keeps_only_read_terms(self, p, n, r, t_read):
+        # each read t is walked on its own digits, so a kept image holds terms on read t only, each
+        # coefficient in [1, p), and terms(i) is the image read at every t restricted to t_read
         params = hp(p, n, r, "T^3 + T^5")
         beta = LaurentPoly.from_text("T^-1 + T^2", p)
-        real_mul = DigitKernel.mul
-        products = []
-
-        def spy(self, a, b, level=0):
-            products.append(real_mul(self, a, b, level))
-            return products[-1]
-
-        formed = 0
+        full = DigitKernel(params, beta, range(params.degree))
+        kernel = DigitKernel(params, beta, t_read)
+        kept = 0
         for i in range(params.degree):
-            kernel = DigitKernel(params, beta, t_read)  # fresh, so image(i) forms its own products
-            for s in range(n):
-                if p**s <= kernel.tmax:
-                    kernel._power(s, p - 1)  # every digit power, so the spied products are partial products
-            monkeypatch.setattr(DigitKernel, "mul", spy)
-            products.clear()
-            kernel.image(i)
-            monkeypatch.setattr(DigitKernel, "mul", real_mul)
-            low = i % kernel.low
-            places = [s for s in range(n) if low // p**s % p]
-            assert 1 <= len(products) <= max(len(places), 1)
-            for product, place in zip(products, places[1:] + [n]):
-                m = p**place
-                top = {}
-                for e in t_read:
-                    top[e % m] = max(e, top.get(e % m, e))
-                assert all(t % m in top and t <= top[t % m] for t, _ in product)
-            formed += sum(map(len, products))
-        assert formed  # kept partial terms were checked
+            terms = kernel.terms(i)
+            assert terms == {key: c for key, c in full.terms(i).items() if key[1] in t_read}, i
+            low = kernel.images[i % kernel.low]
+            assert all(t in t_read and 0 < c < p for (t, _), c in low.items())
+            kept += len(low)
+        assert kept  # some read t is reached
 
 
 # (p, n, r, f, beta, t_read): multi-term f and beta, beta = 0 among them; None reads every t
@@ -312,29 +304,20 @@ class TestKernelImages:
         "p,n,r,f,beta",
         [(2, 4, 2, "T^-2", "T^-1"), (3, 4, 2, "T^-2", "T^-1"), (2, 5, 3, "T^-2 + T", "T^-1"), (5, 2, 1, "T^-2", "T^-1")],
     )
-    def test_no_two_terms_share_an_exponent_pair(self, monkeypatch, p, n, r, f, beta):
+    def test_no_two_terms_share_an_exponent_pair(self, p, n, r, f, beta):
         # f = beta^2 here, so c f^m beta^k and c' f^(m+1) beta^(k-2) would cancel if they met on one
-        # (u, t); they never do: products are keyed by (t, m), and u + k p^n = i - t + (p^(r+1) - 1) m
+        # (u, t); they never do: kept images are keyed by (t, m), and u + k p^n = i - t + (p^(r+1) - 1) m
         # with m p^r <= t < p^n fixes m on each (u, t).  So no image holds a zero coefficient.
         params = hp(p, n, r, f)
         kernel = DigitKernel(params, LaurentPoly.from_text(beta, p), range(params.degree))
-        formed, real = [], DigitKernel.mul
-
-        def spy(self, *args):
-            formed.append(real(self, *args))
-            return formed[-1]
-
-        monkeypatch.setattr(DigitKernel, "mul", spy)
         for i in range(params.degree):
             terms = kernel.terms(i)
             assert len({(u, t) for u, t, _, _ in terms}) == len(terms)
-            assert all(m * p**r <= t for _, t, m, _ in terms)
+            assert all(m * p**r <= t and 0 < c < p for (_, t, m, _), c in terms.items())
             image = kernel.image(i)
             assert all(not c.is_zero() for c in image.values())
             assert image == image_by_expansion(i, params, kernel.beta)
-        assert formed
-        for terms in formed:
-            assert all(0 < c < p for c in terms.values())
+        assert all(0 < c < p for kept in kernel.images.values() for c in kept.values())
 
     @pytest.mark.parametrize("beta", ["0", "4*T^-1 + T^3"])
     def test_matches_expansion_at_p5_for_every_power(self, beta):
@@ -346,6 +329,20 @@ class TestKernelImages:
             assert kernel.image(i) == expected
             if beta.is_zero():
                 assert delta_power(i, params) == expected
+
+
+    @pytest.mark.parametrize(
+        "p,samples", [(7, (6, 27, 41, 45, 48)), (11, (6, 28, 50, 60, 72))]
+    )
+    @pytest.mark.parametrize("beta", ["0", "T^-1 + 2*T^2"])
+    def test_matches_the_lucas_expansion_at_large_digits(self, p, samples, beta):
+        # (p, 2, 1) at digits up to p - 1 (up to 6 at p = 11, where the expansion oracle slows),
+        # each image read at every t
+        params = hp(p, 2, 1, "2*T^-1 + T^3")
+        beta = LaurentPoly.from_text(beta, p)
+        kernel = DigitKernel(params, beta, range(params.degree))
+        for i in samples:
+            assert kernel.image(i) == image_by_expansion(i, params, beta), i
 
 
 def _low_read_sets(p, n):

@@ -1,5 +1,5 @@
 """Property tests: text round-trips, the products of L, H and the dual and the action against their
-oracles, and the read-set prune of the digit kernel."""
+oracles, and the read-set walk of the digit kernel."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +27,7 @@ from oracles import (
     coaction_by_expansion,
     dense,
     element_from_text_oracle,
+    image_by_expansion,
     laurent_from_text_oracle,
     schoolbook_h_mul,
     schoolbook_l_mul,
@@ -289,3 +290,23 @@ def test_kernel_image_is_the_read_part_of_the_full_image(case):
     pruned, full = DigitKernel(hopf, beta, t_read), DigitKernel(hopf, beta, range(hopf.degree))
     for i in range(hopf.degree):
         assert pruned.image(i) == {(u, t): c for (u, t), c in full.image(i).items() if t in t_read}
+
+
+@st.composite
+def _walk_case(draw):
+    p, n, r = draw(st.sampled_from(((2, 3, 2), (2, 4, 2), (3, 2, 1), (3, 3, 2), (5, 2, 1), (7, 2, 1))))
+    b = draw(st.integers(1, 2 * p).filter(lambda v: v % p))
+    beta = draw(st.sampled_from(((), ((-b, 1),), ((-b, 1), (2, p - 1)))))
+    hopf = HopfParams(p, n, r, LaurentPoly(p, [(-1, 1), (3, 1)]))
+    t_read = draw(st.sets(st.integers(0, p**n - 1), min_size=1, max_size=5))
+    return hopf, LaurentPoly(p, list(beta)), t_read, draw(st.integers(0, p**n - 1))
+
+
+@PROPERTY
+@given(_walk_case())
+def test_kernel_walk_matches_the_lucas_expansion_on_the_read_set(case):
+    # beta = 0, T^-b or T^-b - T^2, a random read set and power: the walk over each read t's digits
+    # against the digit-wise multinomial expansion, restricted to the read t
+    hopf, beta, t_read, i = case
+    expected = {(u, t): c for (u, t), c in image_by_expansion(i, hopf, beta).items() if t in t_read}
+    assert DigitKernel(hopf, beta, t_read).image(i) == expected
