@@ -24,7 +24,7 @@ _EXPORTS = (
         "field_tower",
         (
             "ExtensionParams", "LElement", "ideal_membership", "l_mul", "l_valuation",
-            "lelement_from_text", "lelement_to_text",
+            "lelement_from_text", "lelement_to_text", "min_f_valuation_for", "tolerance",
         ),
     ),
     ("hopf_primal", ("HElement", "HopfParams", "antipode", "counit", "delta_power", "h_mul")),
@@ -40,8 +40,8 @@ _EXPORTS = (
         "scaffold",
         (
             "CertificateReport", "ScaffoldCheck", "ScaffoldContext", "ScaffoldReport",
-            "integer_certificate_check", "lambda_element", "min_f_valuation_for",
-            "scaffold_context", "solve_a", "tolerance", "verify_scaffold",
+            "integer_certificate_check", "lambda_element", "scaffold_context", "solve_a",
+            "verify_scaffold",
         ),
     ),
     (

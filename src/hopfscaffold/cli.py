@@ -23,7 +23,7 @@ import sys
 from typing import Iterable, Optional, Sequence
 
 from .base_arith import LaurentPoly, is_prime
-from .field_tower import ExtensionParams, l_valuation, lelement_from_text, lelement_to_text
+from .field_tower import ExtensionParams, l_valuation, lelement_from_text, lelement_to_text, tolerance
 from .hopf_primal import HopfParams
 
 EXIT_OK = 0
@@ -70,8 +70,6 @@ def _build_config(args: argparse.Namespace) -> tuple[ExtensionParams, HopfParams
     ext = ExtensionParams(args.p, args.n, args.b, beta)
     hopf = HopfParams(args.p, args.n, args.r, f)
     if args.command in ("scaffold-verify", "assoc-order"):  # their reports carry the tolerance
-        from .scaffold import tolerance
-
         tol, limit = tolerance(ext, hopf), sys.get_int_max_str_digits()
         if tol is not None and limit and tol >= 10**limit:
             raise ValueError(f"tolerance p^n*v_K(f) - b*(p^(r+1) - 1) exceeds the int-to-text limit of {limit} digits")
@@ -203,7 +201,7 @@ def cmd_assoc_order(ext: ExtensionParams, hopf: HopfParams, args: argparse.Names
         print(f"error: {exc.reason}; pass --force to emit an untrusted listing", file=sys.stderr)
         return EXIT_HYPOTHESIS
     if args.output == "json":
-        _emit_json(basis.to_json_dict(ext, hopf))
+        _emit_json(basis.to_json_dict(hopf))
     elif args.output == "tsv":
         _emit_tsv(("digits", "shift"), ((",".join(map(str, e.digits)), e.shift) for e in basis.entries))
     else:

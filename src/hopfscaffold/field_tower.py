@@ -8,7 +8,9 @@ format is base_arith's CoeffVector format with monomials x and x^i; this
 module adds only that spelling and the x^0 shorthands.  l_mul is
 base_arith's product of K[u]/(u^{p^n} - beta) at the beta of L.
 check_compat, the check that an extension and Hopf parameters share p
-and n, reads only those two fields of the Hopf side, so it lives here.
+and n, and the tolerance rule F = p^n*v_K(f) - b*(p^{r+1} - 1) read only
+the scalars of the Hopf side, so they live here, where every job that
+checks a tolerance has loaded them.
 
 Exactness of l_valuation rests on the p^n candidate values
 p^n*v_K(c_i) - b*i being pairwise incongruent mod p^n (as p does not
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .base_arith import INF, CoeffVector, LaurentPoly, _fold_mul, is_prime
 
@@ -90,6 +92,28 @@ def check_compat(ext: ExtensionParams, hopf: HopfParams, y: LElement | None = No
         raise ValueError("extension and Hopf parameters must share p and n")
     if y is not None:
         LElement._check(y, ext, "field element does not belong to the extension")
+
+
+def tolerance(ext: ExtensionParams, hopf: HopfParams) -> Optional[int]:
+    """p^n*v_K(f) - b*(p^{r+1} - 1), or None when v_K(f) < b*p^{r+1-n}."""
+    check_compat(ext, hopf)
+    vf = hopf.f.valuation()
+    pn = ext.degree
+    pr1 = ext.p ** (hopf.r + 1)
+    if pn * vf < ext.b * pr1:
+        return None
+    return pn * vf - ext.b * (pr1 - 1)
+
+
+def min_f_valuation_for(target: int, ext: ExtensionParams, r: int) -> int:
+    """Least v_K(f) whose tolerance reaches the target (target >= 2)."""
+    if target < 2:
+        raise ValueError("target tolerance must be at least 2")
+    pn = ext.degree
+    pr1 = ext.p ** (r + 1)
+    need = -((target + ext.b * (pr1 - 1)) // -pn)
+    floor_hyp = -(ext.b * pr1 // -pn)
+    return max(need, floor_hyp)
 
 
 def l_mul(a: LElement, b: LElement, ext: ExtensionParams) -> LElement:

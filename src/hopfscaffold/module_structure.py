@@ -40,18 +40,19 @@ then marks the output untrusted).
 All results are invariant under h -> h + p^n (the ideals differ by the
 unit T).
 
-is_free reads neither the dual algebra nor the scaffold: assoc_order_basis
-imports scaffold.tolerance and materialize_basis_entry hopf_dual.z_monomial
-when called, so a freeness or atlas job loads neither module.
+No entry point here reads the scaffold: assoc_order_basis takes the
+tolerance from field_tower, and only materialize_basis_entry imports
+hopf_dual.z_monomial, when called, so a freeness, atlas or assoc-order
+job loads neither module.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import TYPE_CHECKING, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .base_arith import LaurentPoly, res_mod
-from .field_tower import ExtensionParams
+from .field_tower import ExtensionParams, check_compat, tolerance
 from .hopf_primal import HopfParams
 
 if TYPE_CHECKING:
@@ -88,15 +89,10 @@ class IdealIndex(NamedTuple):
         return cls(h, h_norm, (h - h_norm) // pn)
 
 
-def _as_index(h: Union[int, IdealIndex], ext: ExtensionParams) -> IdealIndex:
-    """h normalized into the window of ext; an IdealIndex is normalized again from its h_raw."""
-    return IdealIndex.normalize(h.h_raw if isinstance(h, IdealIndex) else h, ext)
-
-
-def d_h(h: Union[int, IdealIndex], j: int, ext: ExtensionParams) -> int:
-    """floor((b*j + b - h_norm)/p^n), floor toward -inf; b - h_norm is (b - h_raw) mod p^n for the window of ext."""
+def d_h(h: int, j: int, ext: ExtensionParams) -> int:
+    """floor((b*j + b - h_norm)/p^n), floor toward -inf; b - h_norm is (b - h) mod p^n for the window of ext."""
     pn = ext.degree
-    return (ext.b * j + (ext.b - (h.h_raw if isinstance(h, IdealIndex) else h)) % pn) // pn
+    return (ext.b * j + (ext.b - h) % pn) // pn
 
 
 def noether_criterion(ext: ExtensionParams) -> Optional[int]:
@@ -162,12 +158,13 @@ def _generator_witnesses(idx: IdealIndex, ext: ExtensionParams, w_tab: tuple[int
     return [i for i in range(pn) if low[i] > (b * i + c) % pn]
 
 
-def _json_header(idx: IdealIndex, ext: ExtensionParams, hopf: Optional[HopfParams]) -> dict:
-    """The fields p, n, b, h_raw, h_norm and m of an ideal report, and r and f_val when hopf is given."""
-    out = {"p": ext.p, "n": ext.n, "b": ext.b, "h_raw": idx.h_raw, "h_norm": idx.h_norm, "m": idx.m}
-    if hopf is not None:
-        out.update(r=hopf.r, f_val=hopf.f.valuation())
-    return out
+def _json_header(idx: IdealIndex, ext: ExtensionParams, hopf: HopfParams) -> dict:
+    """The fields p, n, b, h_raw, h_norm, m, r and f_val of an ideal report; ValueError unless ext and hopf share p and n."""
+    check_compat(ext, hopf)
+    return {
+        "p": ext.p, "n": ext.n, "b": ext.b, "h_raw": idx.h_raw, "h_norm": idx.h_norm, "m": idx.m,
+        "r": hopf.r, "f_val": hopf.f.valuation(),
+    }
 
 
 class BasisEntry(NamedTuple):
@@ -199,7 +196,7 @@ class FreenessReport(NamedTuple):
         digits = product(range(p), repeat=n)
         return tuple(BasisEntry(ds[::-1], -w) for ds, w in zip(digits, self.w_table))
 
-    def to_json_dict(self, hopf: Optional[HopfParams] = None) -> dict:
+    def to_json_dict(self, hopf: HopfParams) -> dict:
         return {
             **_json_header(self.h, self.ext, hopf),
             "d": list(self.d_table),
@@ -211,13 +208,13 @@ class FreenessReport(NamedTuple):
         }
 
 
-def is_free(h: Union[int, IdealIndex], ext: ExtensionParams) -> FreenessReport:
+def is_free(h: int, ext: ExtensionParams) -> FreenessReport:
     """Classify the ideal of exponent h: free iff the d and w tables agree.
 
     When free, a single generator of valuation b (shifted by T^m) does
     the job; when not, witness_j records the first disagreeing index.
     """
-    idx = _as_index(h, ext)
+    idx = IdealIndex.normalize(h, ext)
     pn, b = ext.degree, ext.b
     c = b - idx.h_norm
     numer = range(c, b * pn + c, b)  # b*k + c = A_k*p^n + alpha(k)
@@ -237,32 +234,24 @@ class AssocOrderBasis(NamedTuple):
     entries: tuple[BasisEntry, ...]
     tolerance: Optional[int]
     trusted: bool
+    ext: ExtensionParams
 
-    def to_json_dict(self, ext: ExtensionParams, hopf: HopfParams) -> dict:
+    def to_json_dict(self, hopf: HopfParams) -> dict:
         return {
-            **_json_header(self.h, ext, hopf),
+            **_json_header(self.h, self.ext, hopf),
             "tolerance": self.tolerance,
             "trusted": self.trusted,
             "basis": [entry.to_json_dict() for entry in self.entries],
         }
 
 
-def assoc_order_basis(
-    h: Union[int, IdealIndex],
-    ext: ExtensionParams,
-    hopf: HopfParams,
-    *,
-    force: bool = False,
-) -> AssocOrderBasis:
+def assoc_order_basis(h: int, ext: ExtensionParams, hopf: HopfParams, *, force: bool = False) -> AssocOrderBasis:
     """Basis records T^{-w_h(j)} * (digit-j z-monomial) for the associated order.
 
     Requires a scaffold of tolerance >= 2*p^n - 1; below that the listing
     is not a theorem and the call refuses unless force=True, in which
     case the result is marked untrusted.
     """
-    from .scaffold import tolerance
-
-    idx = _as_index(h, ext)
     tol = tolerance(ext, hopf)
     licensed = tol is not None and tol >= 2 * ext.degree - 1
     if not licensed and not force:
@@ -272,7 +261,8 @@ def assoc_order_basis(
             if tol is None
             else f"tolerance {tol} below {bound}"
         )
-    return AssocOrderBasis(idx, is_free(idx, ext).basis, tol, licensed)
+    report = is_free(h, ext)
+    return AssocOrderBasis(report.h, report.basis, tol, licensed, ext)
 
 
 def materialize_basis_entry(entry: BasisEntry, hopf: HopfParams) -> DualElement:

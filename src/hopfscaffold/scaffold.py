@@ -7,12 +7,14 @@ lambda_j to the digit res(a*j)_s times lambda_{j + p^s b} modulo the deep
 ideal lambda_{j + p^s b} * {v_L >= F}, where a*b = -1 mod p^n.
 
 The concrete elements used are lambda_j = T^{(j + b*res(aj))/p^n} *
-x^{res(aj)} (the T-exponent is forced to be integral by the choice of a),
-with expected units u_{s,j} equal to the digit res(aj)_s itself, which
-may be 0: then the image z_{p^s} lambda_j itself lies in the ideal.  The
-tolerance achieved by the action is F = p^n*v_K(f) - b*(p^{r+1} - 1),
-defined whenever p^n*v_K(f) >= b*p^{r+1}; below that bound no scaffold is
-guaranteed and verification reports that status instead of a number.
+x^{res(aj)} (the T-exponent is forced to be integral by the choice of a,
+which ScaffoldContext solves from b and p^n when read), with expected
+units u_{s,j} equal to the digit res(aj)_s itself, which may be 0: then
+the image z_{p^s} lambda_j itself lies in the ideal.  The tolerance
+achieved by the action is F = p^n*v_K(f) - b*(p^{r+1} - 1), defined
+whenever p^n*v_K(f) >= b*p^{r+1} (field_tower.tolerance); below that
+bound no scaffold is guaranteed and verification reports that status
+instead of a number.
 
 Congruences are decided by exact valuations, y in lambda * {v_L >= F}
 iff v_L(y) >= v_L(lambda) + F, read off the digit kernel's integer terms
@@ -29,7 +31,7 @@ import math
 from typing import NamedTuple, Optional, Union
 
 from .base_arith import INF, LaurentPoly, padic_digits, res_mod
-from .field_tower import ExtensionParams, LElement, check_compat, l_valuation
+from .field_tower import ExtensionParams, LElement, check_compat, l_valuation, tolerance
 from .hopf_primal import DigitKernel, HopfParams
 
 STATUS_OK = "ok"
@@ -43,50 +45,25 @@ def solve_a(b: int, pn: int) -> int:
     return (-pow(b, -1, pn)) % pn
 
 
-def tolerance(ext: ExtensionParams, hopf: HopfParams) -> Optional[int]:
-    """p^n*v_K(f) - b*(p^{r+1} - 1), or None when v_K(f) < b*p^{r+1-n}."""
-    check_compat(ext, hopf)
-    vf = hopf.f.valuation()
-    pn = ext.degree
-    pr1 = ext.p ** (hopf.r + 1)
-    if pn * vf < ext.b * pr1:
-        return None
-    return pn * vf - ext.b * (pr1 - 1)
-
-
-def min_f_valuation_for(target: int, ext: ExtensionParams, r: int) -> int:
-    """Least v_K(f) whose tolerance reaches the target (target >= 2)."""
-    if target < 2:
-        raise ValueError("target tolerance must be at least 2")
-    pn = ext.degree
-    pr1 = ext.p ** (r + 1)
-    need = -((target + ext.b * (pr1 - 1)) // -pn)
-    floor_hyp = -(ext.b * pr1 // -pn)
-    return max(need, floor_hyp)
-
-
 class ScaffoldContext(NamedTuple):
-    """Extension and Hopf parameters with the solved a and tolerance."""
+    """Extension and Hopf parameters with their tolerance; a is solved from them when read."""
 
     ext: ExtensionParams
     hopf: HopfParams
-    a: int
     tolerance: Optional[int]
+
+    @property
+    def a(self) -> int:
+        """The least nonnegative a with a*b = -1 mod p^n, which makes every lambda_j's T-exponent integral."""
+        return solve_a(self.ext.b, self.ext.degree)
 
 
 def scaffold_context(ext: ExtensionParams, hopf: HopfParams) -> ScaffoldContext:
-    return ScaffoldContext(ext, hopf, solve_a(ext.b, ext.degree), tolerance(ext, hopf))
-
-
-def _check_a(ctx: ScaffoldContext) -> None:
-    """ValueError unless a*b = -1 mod p^n, which makes the T-exponent of every lambda_j integral."""
-    if (ctx.a * ctx.ext.b + 1) % ctx.ext.degree:
-        raise ValueError(f"a = {ctx.a} does not solve a*b = -1 mod {ctx.ext.degree}")
+    return ScaffoldContext(ext, hopf, tolerance(ext, hopf))
 
 
 def lambda_element(j: int, ctx: ScaffoldContext) -> LElement:
     """The scaffold element of valuation j, defined for every integer j."""
-    _check_a(ctx)
     ext, pn = ctx.ext, ctx.ext.degree
     res = res_mod(ctx.a * j, pn)
     return LElement.x_power(res, ext, LaurentPoly._from_reduced(ext.p, {(j + ext.b * res) // pn: 1}))
@@ -147,25 +124,25 @@ def verify_scaffold(ctx: ScaffoldContext) -> ScaffoldReport:
     each such term sits m F deeper than lambda_{j + p^s b}, so at F > 1
     every check passes, by F times the least twist count it reads.
     A check records u as a constant, or None when it is 0; failures are
-    recorded, never raised.  A context whose ext and hopf differ, or whose
-    a does not solve a*b = -1, raises ValueError at any tolerance.
+    recorded, never raised.  A context whose ext and hopf differ raises
+    ValueError at any tolerance.
     """
     ext, hopf = ctx.ext, ctx.hopf
     check_compat(ext, hopf)
-    _check_a(ctx)
+    a = ctx.a
     if ctx.tolerance is None or ctx.tolerance <= 1:
-        return ScaffoldReport(ext, hopf, ctx.a, ctx.tolerance, STATUS_NO_SCAFFOLD, (), False)
+        return ScaffoldReport(ext, hopf, a, ctx.tolerance, STATUS_NO_SCAFFOLD, (), False)
     p, pn, b, tol, vf = ext.p, ext.degree, ext.b, ctx.tolerance, ext.degree * hopf.f.valuation()
     units = [None] + [LaurentPoly._from_reduced(p, {0: d}) for d in range(1, p)]
     checks = []
     for s in range(ext.n):
         kernel = DigitKernel(hopf, ext.beta, (p**s,))
         for j in range(pn):
-            res = res_mod(ctx.a * j, pn)
+            res = res_mod(a * j, pn)
             v = min((m * vf - b * (e + k * pn) for (e, _, m, k) in kernel.terms(res) if m or k), default=INF)
             digit = res // p**s % p
             checks.append(ScaffoldCheck(s, j, digit, units[digit], j + b * res + v >= j + p**s * b + tol))
-    return ScaffoldReport(ext, hopf, ctx.a, tol, STATUS_OK, tuple(checks), all(c.passed for c in checks))
+    return ScaffoldReport(ext, hopf, a, tol, STATUS_OK, tuple(checks), all(c.passed for c in checks))
 
 
 class CertificateRecord(NamedTuple):

@@ -40,17 +40,14 @@ class TestNormalization:
             assert idx.h_norm == h and idx.m == 0
 
 
-    def test_index_of_another_window_is_normalized_again(self, ext221):
-        # an IdealIndex normalized for b = 3, or built by hand, is read by its h_raw
-        ext, ext_b3 = ExtensionParams.monogenic(2, 4, 1), ExtensionParams.monogenic(2, 4, 3)
-        for idx in (IdealIndex.normalize(2, ext_b3), IdealIndex(2, 2, 0)):
-            report = is_free(idx, ext)
-            assert report.h == IdealIndex.normalize(2, ext) == IdealIndex(2, -14, 1)
-            assert (report.d_table, report.witness_j) == (is_free(2, ext).d_table, 1)
-            assert report.d_table[:4] == (0, 1, 1, 1)
-            assert is_free(idx, ext).generator_count == is_free(2, ext).generator_count
-            assert [brute_w(idx, j, ext) for j in range(16)] == list(report.w_table)
-        assert d_h(IdealIndex(5, 5, 0), 0, ext221) == d_h(5, 0, ext221) == 0
+    def test_h_above_the_window_is_shifted_into_it(self, ext221):
+        # h = 2 lies above b = 1: it is read as h_norm = 2 - 16 with one T-shift
+        ext = ExtensionParams.monogenic(2, 4, 1)
+        report = is_free(2, ext)
+        assert report.h == IdealIndex(2, -14, 1)
+        assert report.d_table[:4] == (0, 1, 1, 1) and report.witness_j == 1
+        assert [brute_w(2, j, ext) for j in range(16)] == list(report.w_table)
+        assert d_h(5, 0, ext221) == 0
 
 
 class TestDTable:
@@ -66,11 +63,11 @@ class TestDTable:
     def test_floor_toward_minus_infinity(self):
         # with b = 3 the window reaches negative numerators
         ext = ExtensionParams.monogenic(2, 2, 3)
-        idx = IdealIndex.normalize(3, ext)
-        assert d_h(idx, 0, ext) == 0  # floor(0/4), not of a positive value
+        h_norm = IdealIndex.normalize(3, ext).h_norm
+        assert d_h(3, 0, ext) == 0  # floor(0/4), not of a positive value
         for j in range(4):
-            num = ext.b * j + ext.b - idx.h_norm
-            assert d_h(idx, j, ext) == num // 4
+            num = ext.b * j + ext.b - h_norm
+            assert d_h(3, j, ext) == num // 4
 
 
 class TestWTable:
@@ -216,11 +213,19 @@ class TestIsFree:
 
     def test_json_reads_the_reports_own_extension(self):
         report = is_free(1, ExtensionParams.monogenic(3, 2, 2))
-        plain = report.to_json_dict()
-        assert (plain["p"], plain["n"], plain["b"]) == (3, 2, 2)
-        assert "r" not in plain and "f_val" not in plain
         full = report.to_json_dict(HopfParams(3, 2, 1, LaurentPoly.monomial(3, 5)))
         assert (full["p"], full["n"], full["b"], full["r"], full["f_val"]) == (3, 2, 2, 1, 5)
+
+    def test_json_header_refuses_hopf_parameters_of_another_extension(self):
+        # the header printed p = 3 with r = 2 over a report for p = 3, n = 2, and a p = 2 header over a p = 3 basis
+        ext = ExtensionParams.monogenic(3, 2, 2)
+        hopf = HopfParams(3, 2, 1, LaurentPoly.monomial(3, 9))
+        listing = assoc_order_basis(1, ext, hopf)
+        assert listing.ext == ext and listing.to_json_dict(hopf)["p"] == 3
+        for report in (is_free(1, ext), listing):
+            for other in (HopfParams(2, 3, 2, LaurentPoly.monomial(2, 4)), HopfParams(3, 3, 2, LaurentPoly.monomial(3, 9))):
+                with pytest.raises(ValueError, match="must share p and n"):
+                    report.to_json_dict(other)
 
 
 class TestFreenessB1:
@@ -256,9 +261,8 @@ class TestGeneratorCount:
 
     def test_nonfree_small_case(self, ext221):
         # independent double loop over the interpreted criterion
-        idx = IdealIndex.normalize(-2, ext221)
-        d_tab = [d_h(idx, j, ext221) for j in range(4)]
-        w_tab = [brute_w(idx, j, ext221) for j in range(4)]
+        d_tab = [d_h(-2, j, ext221) for j in range(4)]
+        w_tab = [brute_w(-2, j, ext221) for j in range(4)]
         expected = 0
         for i in range(4):
             idig = padic_digits(i, 2, 2)

@@ -1,5 +1,6 @@
 """Package-wide structural checks."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -45,6 +46,19 @@ def test_no_module_state():
     ]
     assert len(modules) > 1
     assert stateful == []
+
+
+def test_no_module_validates_with_assert():
+    # python -O strips assert statements, so a check made with one would pass anything there
+    sources = sorted(Path(hopfscaffold.__file__).parent.glob("*.py"))
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(sources) > 1
+    assert asserts == []
 
 
 def test_coeff_vector_subclasses_are_the_three_element_types():
@@ -120,6 +134,9 @@ def test_package_import_loads_no_submodule():
     [
         (["atlas"], "module_structure", ("scaffold", "action", "hopf_dual")),
         (["scaffold-verify"], "scaffold", ("module_structure", "action", "hopf_dual")),
+        # assoc-order reads the tolerance from field_tower, so it too loads no scaffold
+        (["assoc-order", "--h", "1"], "module_structure", ("scaffold", "action", "hopf_dual")),
+        (["freeness", "--h", "1"], "module_structure", ("scaffold", "action", "hopf_dual")),
     ],
 )
 def test_a_cli_job_loads_only_the_modules_its_command_runs(command, runs, skips):
