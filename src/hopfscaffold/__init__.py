@@ -23,11 +23,11 @@ _EXPORTS = (
     (
         "field_tower",
         (
-            "ExtensionParams", "LElement", "ideal_membership", "l_mul", "l_valuation",
+            "ExtensionParams", "HopfParams", "LElement", "ideal_membership", "l_mul", "l_valuation",
             "lelement_from_text", "lelement_to_text", "min_f_valuation_for", "tolerance",
         ),
     ),
-    ("hopf_primal", ("HElement", "HopfParams", "antipode", "counit", "delta_power", "h_mul")),
+    ("hopf_primal", ("HElement", "antipode", "counit", "delta_power", "h_mul")),
     (
         "hopf_dual",
         (

@@ -39,9 +39,9 @@ from __future__ import annotations
 from typing import Callable
 
 from .base_arith import LaurentPoly
-from .field_tower import ExtensionParams, LElement, check_compat, l_mul
+from .field_tower import ExtensionParams, HopfParams, LElement, check_compat, l_mul
 from .hopf_dual import DualElement, trie_walk
-from .hopf_primal import DigitKernel, HopfParams
+from .hopf_primal import DigitKernel
 
 
 def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> LElement:

@@ -9,8 +9,8 @@ case), stderr gets the line `DEBUG:hopfscaffold:dispatching <command>`;
 any other value writes nothing.
 
 Each command imports the modules it runs when it runs: at import this
-module loads only what the parameter checks need (base_arith,
-field_tower, hopf_primal), so a job compiles no module its command skips.
+module loads only what the parameter checks need (base_arith and
+field_tower), so a job compiles no module its command skips.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import sys
 from typing import Iterable, Optional, Sequence
 
 from .base_arith import LaurentPoly, is_prime
-from .field_tower import ExtensionParams, l_valuation, lelement_from_text, lelement_to_text, tolerance
-from .hopf_primal import HopfParams
+from .field_tower import ExtensionParams, HopfParams, l_valuation, lelement_from_text, lelement_to_text, tolerance
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -201,7 +200,7 @@ def cmd_assoc_order(ext: ExtensionParams, hopf: HopfParams, args: argparse.Names
         print(f"error: {exc.reason}; pass --force to emit an untrusted listing", file=sys.stderr)
         return EXIT_HYPOTHESIS
     if args.output == "json":
-        _emit_json(basis.to_json_dict(hopf))
+        _emit_json(basis.to_json_dict())
     elif args.output == "tsv":
         _emit_tsv(("digits", "shift"), ((",".join(map(str, e.digits)), e.shift) for e in basis.entries))
     else:

@@ -7,10 +7,10 @@ of L are sparse coefficient vectors over K in the powers of x.  Their text
 format is base_arith's CoeffVector format with monomials x and x^i; this
 module adds only that spelling and the x^0 shorthands.  l_mul is
 base_arith's product of K[u]/(u^{p^n} - beta) at the beta of L.
-check_compat, the check that an extension and Hopf parameters share p
-and n, and the tolerance rule F = p^n*v_K(f) - b*(p^{r+1} - 1) read only
-the scalars of the Hopf side, so they live here, where every job that
-checks a tolerance has loaded them.
+HopfParams live here too, beside the rules that read both parameter
+sets: check_compat, the tolerance F = p^n*v_K(f) - b*(p^{r+1} - 1) and
+the bound 2*p^n - 1 it must reach to license a freeness listing
+(Byott-Childs-Elder 2018), so no job loads H to check its parameters.
 
 Exactness of l_valuation rests on the p^n candidate values
 p^n*v_K(c_i) - b*i being pairwise incongruent mod p^n (as p does not
@@ -22,12 +22,9 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 from .base_arith import INF, CoeffVector, LaurentPoly, _fold_mul, is_prime
-
-if TYPE_CHECKING:
-    from .hopf_primal import HopfParams
 
 
 class ExtensionParams(namedtuple("ExtensionParams", "p n b beta")):
@@ -56,6 +53,25 @@ class ExtensionParams(namedtuple("ExtensionParams", "p n b beta")):
     def monogenic(cls, p: int, n: int, b: int) -> "ExtensionParams":
         """The default extension with beta = T^{-b}."""
         return cls(p, n, b, LaurentPoly.monomial(p, -b))
+
+
+class HopfParams(namedtuple("HopfParams", "p n r f")):
+    """Parameters (p, n, r, f) with 0 < r < n <= 2r and f nonzero in K."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, n: int, r: int, f: LaurentPoly) -> "HopfParams":
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if not 0 < r < n <= 2 * r:
+            raise ValueError(f"need 0 < r < n <= 2r, got r={r}, n={n}")
+        if f.p != p:
+            raise ValueError("f lives over the wrong prime field")
+        if f.is_zero():
+            raise ValueError("f must be nonzero")
+        return super().__new__(cls, p, n, r, f)
+
+    degree = ExtensionParams.degree  # p^n, read off p and n alone
 
 
 class LElement(CoeffVector):
@@ -103,6 +119,11 @@ def tolerance(ext: ExtensionParams, hopf: HopfParams) -> Optional[int]:
     if pn * vf < ext.b * pr1:
         return None
     return pn * vf - ext.b * (pr1 - 1)
+
+
+def licensing_bound(ext: ExtensionParams) -> int:
+    """2*p^n - 1, the least tolerance at which a scaffold licenses a freeness listing over ext."""
+    return 2 * ext.degree - 1
 
 
 def min_f_valuation_for(target: int, ext: ExtensionParams, r: int) -> int:

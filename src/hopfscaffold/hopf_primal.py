@@ -1,7 +1,7 @@
 """The monogenic Hopf algebra K[t]/(t^{p^n}) with twisted comultiplication.
 
-For parameters 0 < r < n <= 2r and a nonzero f in K the comultiplication
-on the generator is
+For HopfParams (p, n, r, f), defined in field_tower, with 0 < r < n <= 2r
+and f nonzero in K, the comultiplication on the generator is
 
     t |-> t(x)1 + 1(x)t + f * sum_{l=1}^{p-1} t^{p^r l} (x) t^{p^r (p-l)} / (l!(p-l)!)
 
@@ -25,31 +25,10 @@ from __future__ import annotations
 
 import math
 import re
-from collections import namedtuple
 from typing import Collection
 
-from .base_arith import CoeffVector, LaurentPoly, _fold_mul, is_prime
-
-
-class HopfParams(namedtuple("HopfParams", "p n r f")):
-    """Parameters (p, n, r, f) with 0 < r < n <= 2r and f nonzero in K."""
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, n: int, r: int, f: LaurentPoly) -> "HopfParams":
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if not 0 < r < n <= 2 * r:
-            raise ValueError(f"need 0 < r < n <= 2r, got r={r}, n={n}")
-        if f.p != p:
-            raise ValueError("f lives over the wrong prime field")
-        if f.is_zero():
-            raise ValueError("f must be nonzero")
-        return super().__new__(cls, p, n, r, f)
-
-    @property
-    def degree(self) -> int:
-        return self.p**self.n
+from .base_arith import CoeffVector, LaurentPoly, _fold_mul
+from .field_tower import HopfParams
 
 
 class HElement(CoeffVector):
@@ -105,10 +84,10 @@ class DigitKernel:
     commutative of characteristic p, so the image of u^i is the product
     over the base-p digits i_s of i of (u^{p^s}(x)1 + 1(x)t^{p^s} +
     f^{p^s} sum_l w_l u^{p^{r+s} l}(x)t^{p^{r+s}(p-l)})^{i_s}, with
-    w_l = 1/(l!(p-l)!) mod p (Frobenius fixes F_p).  A term of it takes,
-    at each digit s, a plain u-count a_s, a plain t-count b_s and C_s
-    twists whose t-exponents add up to W_s p^{r+s}: coefficient
-    i_s!/(a_s! b_s! C_s!) times the y^{W_s} coefficient of
+    w_l = 1/(l!(p-l)!) = (-1)^l/l mod p (Frobenius fixes F_p; Wilson's
+    theorem).  A term of it takes, at each digit s, a plain u-count a_s, a
+    plain t-count b_s and C_s twists whose t-exponents add up to W_s p^{r+s}:
+    coefficient i_s!/(a_s! b_s! C_s!) times the y^{W_s} coefficient of
     (sum_l w_l y^{p-l})^{C_s}, one table serving every digit.  Its t-exponent
     is the sum of b_s p^s + W_s p^{r+s}, and m = sum C_s p^s counts f.
 
@@ -226,7 +205,7 @@ class DigitKernel:
         rows, p = self.twists, self.p
         if len(rows) <= count:
             top = self.tmax // p**self.r
-            base = [(p - ell, pow(math.factorial(ell) * math.factorial(p - ell), -1, p)) for ell in range(1, p)]
+            base = [(p - ell, pow((-1) ** ell * ell, -1, p)) for ell in range(1, p)]
             while len(rows) <= count:
                 acc: dict[int, int] = {}
                 for w, c in rows[-1]:

@@ -34,16 +34,16 @@ The ideal of exponent h is free over its associated order iff w_h = d_h
 pointwise, and the order itself has the basis T^{-w_h(j)} times the
 digit-j generator monomial of the dual algebra.  Those basis statements
 are licensed only when the action has a scaffold of tolerance at least
-2*p^n - 1, so assoc_order_basis refuses below that unless forced (and
-then marks the output untrusted).
+licensing_bound(ext) = 2*p^n - 1, so assoc_order_basis refuses below
+that unless forced, and a listing reads trusted from its own (ext, hopf).
 
 All results are invariant under h -> h + p^n (the ideals differ by the
 unit T).
 
-No entry point here reads the scaffold: assoc_order_basis takes the
-tolerance from field_tower, and only materialize_basis_entry imports
+The module loads base_arith and field_tower only: the tolerance comes
+from field_tower, and only materialize_basis_entry imports
 hopf_dual.z_monomial, when called, so a freeness, atlas or assoc-order
-job loads neither module.
+job loads no scaffold, Hopf algebra or dual.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ from itertools import product
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .base_arith import LaurentPoly, res_mod
-from .field_tower import ExtensionParams, check_compat, tolerance
-from .hopf_primal import HopfParams
+from .field_tower import ExtensionParams, HopfParams, check_compat, licensing_bound, tolerance
 
 if TYPE_CHECKING:
     from .hopf_dual import DualElement
@@ -232,13 +231,20 @@ class AssocOrderBasis(NamedTuple):
 
     h: IdealIndex
     entries: tuple[BasisEntry, ...]
-    tolerance: Optional[int]
-    trusted: bool
     ext: ExtensionParams
+    hopf: HopfParams
 
-    def to_json_dict(self, hopf: HopfParams) -> dict:
+    @property
+    def tolerance(self) -> Optional[int]:
+        return tolerance(self.ext, self.hopf)
+
+    @property
+    def trusted(self) -> bool:
+        return self.tolerance is not None and self.tolerance >= licensing_bound(self.ext)
+
+    def to_json_dict(self) -> dict:
         return {
-            **_json_header(self.h, self.ext, hopf),
+            **_json_header(self.h, self.ext, self.hopf),
             "tolerance": self.tolerance,
             "trusted": self.trusted,
             "basis": [entry.to_json_dict() for entry in self.entries],
@@ -252,17 +258,12 @@ def assoc_order_basis(h: int, ext: ExtensionParams, hopf: HopfParams, *, force: 
     is not a theorem and the call refuses unless force=True, in which
     case the result is marked untrusted.
     """
-    tol = tolerance(ext, hopf)
-    licensed = tol is not None and tol >= 2 * ext.degree - 1
-    if not licensed and not force:
-        bound = f"2*p^n - 1 = {2 * ext.degree - 1}"
-        raise InsufficientToleranceError(
-            f"scaffold hypothesis unmet, so no tolerance reaches {bound}"
-            if tol is None
-            else f"tolerance {tol} below {bound}"
-        )
+    tol, bound = tolerance(ext, hopf), licensing_bound(ext)
+    if (tol is None or tol < bound) and not force:
+        shortfall = "scaffold hypothesis unmet, so no tolerance reaches" if tol is None else f"tolerance {tol} below"
+        raise InsufficientToleranceError(f"{shortfall} 2*p^n - 1 = {bound}")
     report = is_free(h, ext)
-    return AssocOrderBasis(report.h, report.basis, tol, licensed, ext)
+    return AssocOrderBasis(report.h, report.basis, ext, hopf)
 
 
 def materialize_basis_entry(entry: BasisEntry, hopf: HopfParams) -> DualElement:

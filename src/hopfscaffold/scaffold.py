@@ -31,8 +31,8 @@ import math
 from typing import NamedTuple, Optional, Union
 
 from .base_arith import INF, LaurentPoly, padic_digits, res_mod
-from .field_tower import ExtensionParams, LElement, check_compat, l_valuation, tolerance
-from .hopf_primal import DigitKernel, HopfParams
+from .field_tower import ExtensionParams, HopfParams, LElement, check_compat, l_valuation, tolerance
+from .hopf_primal import DigitKernel
 
 STATUS_OK = "ok"
 STATUS_NO_SCAFFOLD = "no scaffold guaranteed"

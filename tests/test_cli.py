@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfscaffold import base_arith, cli, field_tower, hopf_primal, module_structure, scaffold
+from hopfscaffold import base_arith, cli, field_tower, module_structure, scaffold
 from hopfscaffold.scaffold import ScaffoldReport
 
 
@@ -511,7 +511,7 @@ class TestDegreeCap:
         def refuse(m):
             raise AssertionError(f"is_prime({m}) called")
 
-        for module in (base_arith, field_tower, hopf_primal):
+        for module in (base_arith, field_tower):  # field_tower also holds HopfParams
             monkeypatch.setattr(module, "is_prime", refuse)
         name, rest = DEGREE_CAP_COMMANDS[command]
         start = time.perf_counter()

@@ -397,6 +397,15 @@ class TestHighPlaceShift:
                 assert kept.terms(i) == DigitKernel(params, beta, t_read).terms(i), (t_read, i)
 
 
+class TestTwistWeights:
+    def test_closed_form_matches_the_factorial_definition_below_100(self):
+        # the kernel takes w_l = (-1)^l / l mod p (Wilson); the twist defines w_l = 1/(l!(p-l)!)
+        for p in (q for q in range(2, 100) if all(q % d for d in range(2, q))):
+            kernel = DigitKernel(hp(p, 2, 1), LaurentPoly.zero(p), range(p**2))  # W reaches p - 1
+            want = sorted((p - ell, pow(math.factorial(ell) * math.factorial(p - ell), -1, p)) for ell in range(1, p))
+            assert kernel._twist_power(1) == want, p
+
+
 class TestExpansionOracle:
     @pytest.mark.parametrize("p,r,top", [(2, 1, 64), (2, 3, 64), (3, 2, 81), (5, 2, 27)])
     def test_digit_wise_expansion_matches_binomial_enumeration(self, p, r, top):

@@ -218,14 +218,10 @@ class TestIsFree:
 
     def test_json_header_refuses_hopf_parameters_of_another_extension(self):
         # the header printed p = 3 with r = 2 over a report for p = 3, n = 2, and a p = 2 header over a p = 3 basis
-        ext = ExtensionParams.monogenic(3, 2, 2)
-        hopf = HopfParams(3, 2, 1, LaurentPoly.monomial(3, 9))
-        listing = assoc_order_basis(1, ext, hopf)
-        assert listing.ext == ext and listing.to_json_dict(hopf)["p"] == 3
-        for report in (is_free(1, ext), listing):
-            for other in (HopfParams(2, 3, 2, LaurentPoly.monomial(2, 4)), HopfParams(3, 3, 2, LaurentPoly.monomial(3, 9))):
-                with pytest.raises(ValueError, match="must share p and n"):
-                    report.to_json_dict(other)
+        report = is_free(1, ExtensionParams.monogenic(3, 2, 2))
+        for other in (HopfParams(2, 3, 2, LaurentPoly.monomial(2, 4)), HopfParams(3, 3, 2, LaurentPoly.monomial(3, 9))):
+            with pytest.raises(ValueError, match="must share p and n"):
+                report.to_json_dict(other)
 
 
 class TestFreenessB1:
@@ -384,6 +380,20 @@ class TestAssocOrder:
         hopf = HopfParams(2, 2, 1, LaurentPoly.monomial(2, 2))
         basis = assoc_order_basis(0, ext, hopf, force=True)
         assert not basis.trusted
+
+    @pytest.mark.parametrize("f_val, tol, trusted", [(9, 65, True), (2, 2, False)])
+    def test_json_reads_tolerance_and_trust_from_the_listings_own_hopf(self, f_val, tol, trusted):
+        # the header once took a second hopf, and printed f_val 5 beside the tolerance 65 of f = T^9
+        hopf = HopfParams(3, 2, 1, LaurentPoly.monomial(3, f_val))
+        listing = assoc_order_basis(1, ExtensionParams.monogenic(3, 2, 2), hopf, force=not trusted)
+        full = listing.to_json_dict()
+        assert (full["f_val"], full["tolerance"], full["trusted"]) == (f_val, tol, trusted)
+        assert (listing.hopf, listing.tolerance, listing.trusted) == (hopf, tol, trusted)
+
+    def test_json_refuses_a_hand_built_listing_whose_parameters_disagree(self):
+        listing = assoc_order_basis(1, ExtensionParams.monogenic(3, 2, 2), HopfParams(3, 2, 1, LaurentPoly.monomial(3, 9)))
+        with pytest.raises(ValueError, match="must share p and n"):
+            listing._replace(hopf=HopfParams(3, 3, 2, LaurentPoly.monomial(3, 9))).to_json_dict()
 
     def test_periodic_in_h(self):
         ext, hopf = standard_pair(2, 2, 1, 1)

@@ -121,6 +121,9 @@ def test_cli_import_loads_no_dataclasses_inspect_or_logging():
     added = _modules_loaded_by("import hopfscaffold.cli")
     assert "hopfscaffold.cli" in added
     assert added.isdisjoint({"dataclasses", "inspect", "logging"})
+    # the parameter checks need no Hopf algebra: HopfParams lives in field_tower
+    own = {name for name in added if name.split(".")[0] == "hopfscaffold"}
+    assert own == {"hopfscaffold", "hopfscaffold.cli", "hopfscaffold.base_arith", "hopfscaffold.field_tower"}
 
 
 def test_package_import_loads_no_submodule():
@@ -132,11 +135,11 @@ def test_package_import_loads_no_submodule():
 @pytest.mark.parametrize(
     "command, runs, skips",
     [
-        (["atlas"], "module_structure", ("scaffold", "action", "hopf_dual")),
+        (["atlas"], "module_structure", ("scaffold", "action", "hopf_dual", "hopf_primal")),
         (["scaffold-verify"], "scaffold", ("module_structure", "action", "hopf_dual")),
         # assoc-order reads the tolerance from field_tower, so it too loads no scaffold
-        (["assoc-order", "--h", "1"], "module_structure", ("scaffold", "action", "hopf_dual")),
-        (["freeness", "--h", "1"], "module_structure", ("scaffold", "action", "hopf_dual")),
+        (["assoc-order", "--h", "1"], "module_structure", ("scaffold", "action", "hopf_dual", "hopf_primal")),
+        (["freeness", "--h", "1"], "module_structure", ("scaffold", "action", "hopf_dual", "hopf_primal")),
     ],
 )
 def test_a_cli_job_loads_only_the_modules_its_command_runs(command, runs, skips):
