@@ -126,17 +126,16 @@ def cmd_scaffold_verify(ext: ExtensionParams, hopf: HopfParams, args: argparse.N
     if args.output == "json":
         _emit_json(report.to_json_dict())
     elif args.output == "tsv":
-        _emit_tsv(("s", "j", "digit", "unit", "passed"), ((c.s, c.j, c.digit, c.unit, c.passed) for c in report.checks))
+        _emit_tsv(("s", "j", "digit", "unit", "passed"), ((c.s, c.j, c.digit, c.digit or None, c.passed) for c in report.checks))
     else:
         head = (
             f"p={ext.p} n={ext.n} r={hopf.r} b={ext.b} "
-            f"f={hopf.f} tolerance={report.tolerance} status={report.status}"
+            f"f={hopf.f} tolerance={report.ctx.tolerance} status={report.status}"
         )
         print(head)
         for c in report.checks:
-            unit = "-" if c.unit is None else c.unit.to_text()
             verdict = "ok" if c.passed else "FAIL"
-            print(f"  s={c.s} j={c.j} digit={c.digit} unit={unit} {verdict}")
+            print(f"  s={c.s} j={c.j} digit={c.digit} unit={c.digit or '-'} {verdict}")
         print("all passed" if report.all_passed else "FAILURES PRESENT" if report.checks else "no check ran")
     if report.status != STATUS_OK:
         return EXIT_HYPOTHESIS

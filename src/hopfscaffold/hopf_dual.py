@@ -9,7 +9,7 @@ factor on the second leg: one kernel serves every product by a fixed
 right factor, and for a generator z_{p^s} it forms the images of the
 i mod p^{s+1} once and reads every i off them.
 Each term u (x) t^v of Delta(t^i) has u + v = i + (p^{r+1} - 1) m with
-m p^r <= v, so a product reads the integer terms of only those i.
+m p^r <= v, so a product reads one key (v, m) of the kept image of i.
 The p^n monomials z_1^{j_0} z_p^{j_1} ... z_{p^{n-1}}^{j_{n-1}} (digit
 exponents of j) form a K-basis.  z_monomials builds them along the digit
 trie (trie_walk): the digit-j monomial is the digit-(j - p^s) one times
@@ -79,13 +79,13 @@ def _times(b: DualElement, hopf: HopfParams) -> Callable[[DualElement], DualElem
     """a |-> a*b for dual elements a, with one digit kernel for every a.
 
     The z_i coefficient of a*b pairs a and b with the legs of the kernel's
-    integer terms (u, v, m) of Delta(t^i), read at v in the support of b.
-    As u + v = i + (p^{r+1} - 1) m with m p^r <= v, only i = u + v -
-    (p^{r+1} - 1) m with 0 <= m <= v // p^r is read (m = 0 alone for
-    z_{p^s}, s < r).  A term with u outside the support of a is skipped; the
-    rest scale a's coefficient of z_u by b's of z_v times the kernel scalar
-    (c for a plain term, m = 0, and c * f^m for a twist), a factor formed
-    once per (v, m, c) for every a, so each term costs one product.
+    integer terms u (x) t^v of Delta(t^i), read at v in the support of b.
+    At beta = 0 each has k = 0, so u + v = i + (p^{r+1} - 1) m, m p^r <= v:
+    for u in the support of a, v in that of b and 0 <= m <= v // p^r (m = 0
+    alone for z_{p^s}, s < r), the one term is the key (v, m) of the
+    kernel's kept(i), i = u + v - (p^{r+1} - 1) m.  It adds a's z_u
+    coefficient times the factor b's z_v coefficient times c (c * f^m for
+    a twist, m >= 1), formed once per (v, m, c) for every a: one product.
     """
     bc, pn, zero = dict(b.nonzero_items()), hopf.degree, LaurentPoly._from_reduced(hopf.p, {})
     step, q = hopf.p ** (hopf.r + 1) - 1, hopf.p**hopf.r
@@ -94,16 +94,15 @@ def _times(b: DualElement, hopf: HopfParams) -> Callable[[DualElement], DualElem
     factors: dict[tuple[int, int, int], LaurentPoly] = {}  # (v, m, c) -> bc[v] * the kernel scalar
 
     def apply(a: DualElement) -> DualElement:
-        ac = dict(a.nonzero_items())
-        reach = {i for v in bc for x in range(0, step * (v // q) + 1, step) for u in ac if 0 <= (i := u + v - x) < pn}
         out: dict[int, LaurentPoly] = {}
-        for i in reach:
-            for (u, v, m, _), c in kernel.terms(i).items():
-                if u in ac:
-                    if (v, m, c) not in factors:
-                        factors[v, m, c] = bc[v] * (coefficient(m, 0, c) if m else c)
-                    term = ac[u] * factors[v, m, c]
-                    out[i] = out[i] + term if i in out else term
+        for u, x in a.nonzero_items():
+            for v in bc:
+                for m in range(v // q + 1):
+                    if 0 <= (i := u + v - step * m) < pn and (c := kernel.kept(i).get((v, m))):
+                        if (v, m, c) not in factors:
+                            factors[v, m, c] = bc[v] * (coefficient(m, 0, c) if m else c)
+                        term = x * factors[v, m, c]
+                        out[i] = out[i] + term if i in out else term
         return DualElement._from_terms(hopf.p, pn, out)
 
     return apply

@@ -95,12 +95,12 @@ class DigitKernel:
     s adds p^{r+s+1} to the unfolded A-exponent plus t and p^s to m, where
     a plain factor adds p^s, so every term of the image of u^i has
     unfolded A-exponent i - t + (p^{r+1} - 1) m.  Kept images are
-    therefore Terms keyed by (t, m), and terms(i) alone derives the rest:
-    (k, u) = divmod(i - t + (p^{r+1} - 1) m, p^n) folds u^{p^n} = beta
-    k times, and a term with k >= 1 vanishes at beta = 0.  Walks that
-    meet on one (t, m) add mod p, and a zero sum is dropped.  No two kept
-    terms share (u, t): two terms on one t differ in m by less than
-    p^{n-r} (m p^r <= t < p^n), and p^{r+1} - 1 is a unit mod p^n.
+    therefore Terms keyed by (t, m), as kept(i) returns them; terms(i)
+    derives the rest: (k, u) = divmod(i - t + (p^{r+1} - 1) m, p^n) folds
+    u^{p^n} = beta k times, and a term with k >= 1 vanishes at beta = 0.
+    Walks that meet on one (t, m) add mod p, and a zero sum is dropped.
+    No two kept terms share (u, t): two terms on one t differ in m by less
+    than p^{n-r} (m p^r <= t < p^n), and p^{r+1} - 1 is a unit mod p^n.
     coefficient(m, k, c) forms each c * f^m * beta^k once per instance,
     for image(i) and for the loops of the action and the dual product
     over terms(i).
@@ -140,14 +140,17 @@ class DigitKernel:
         self.twists: list[list[tuple[int, int]]] = [[(0, 1)]]
         self.images: dict[int, Terms] = {}  # i < p^S -> the image of u^i
 
+    def kept(self, i: int) -> Terms:
+        """The kept image of u^i, {(t, m): c} with u and k implied (read-only), walked once per i mod p^S."""
+        low = i % self.low
+        if low not in self.images:
+            self.images[low] = self._walk(low)
+        return self.images[low]
+
     def terms(self, i: int) -> dict[tuple[int, int, int, int], int]:
         """The read terms c * f^m * beta^k * u^u (x) t^t of the image of u^i as a fresh {(u, t, m, k): c}."""
-        low = i % self.low
-        terms = self.images.get(low)
-        if terms is None:
-            terms = self.images[low] = self._walk(low)
         pn, step, nil, out = self.pn, self.p ** (self.r + 1) - 1, self.nil, {}
-        for (t, m), c in terms.items():
+        for (t, m), c in self.kept(i).items():
             k, u = divmod(i - t + step * m, pn)
             if not (k and nil):
                 out[(u, t, m, k)] = c

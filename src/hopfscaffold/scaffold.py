@@ -7,14 +7,14 @@ lambda_j to the digit res(a*j)_s times lambda_{j + p^s b} modulo the deep
 ideal lambda_{j + p^s b} * {v_L >= F}, where a*b = -1 mod p^n.
 
 The concrete elements used are lambda_j = T^{(j + b*res(aj))/p^n} *
-x^{res(aj)} (the T-exponent is forced to be integral by the choice of a,
-which ScaffoldContext solves from b and p^n when read), with expected
-units u_{s,j} equal to the digit res(aj)_s itself, which may be 0: then
-the image z_{p^s} lambda_j itself lies in the ideal.  The tolerance
-achieved by the action is F = p^n*v_K(f) - b*(p^{r+1} - 1), defined
-whenever p^n*v_K(f) >= b*p^{r+1} (field_tower.tolerance); below that
-bound no scaffold is guaranteed and verification reports that status
-instead of a number.
+x^{res(aj)}, with a solved from b and p^n so that the T-exponent is
+integral, and expected units u_{s,j} equal to the digit res(aj)_s itself,
+which may be 0: then the image z_{p^s} lambda_j itself lies in the ideal.
+The tolerance achieved by the action is F = p^n*v_K(f) - b*(p^{r+1} - 1),
+defined whenever p^n*v_K(f) >= b*p^{r+1} (field_tower.tolerance); below
+that bound no scaffold is guaranteed and verification reports that status
+instead of a number.  A ScaffoldContext is (ext, hopf) and reads a and F
+off them, so no record holds a copy of either, nor of a check's unit.
 
 Congruences are decided by exact valuations, y in lambda * {v_L >= F}
 iff v_L(y) >= v_L(lambda) + F, read off the digit kernel's integer terms
@@ -46,20 +46,25 @@ def solve_a(b: int, pn: int) -> int:
 
 
 class ScaffoldContext(NamedTuple):
-    """Extension and Hopf parameters with their tolerance; a is solved from them when read."""
+    """Extension and Hopf parameters; a and the tolerance are read off them."""
 
     ext: ExtensionParams
     hopf: HopfParams
-    tolerance: Optional[int]
 
     @property
     def a(self) -> int:
         """The least nonnegative a with a*b = -1 mod p^n, which makes every lambda_j's T-exponent integral."""
         return solve_a(self.ext.b, self.ext.degree)
 
+    @property
+    def tolerance(self) -> Optional[int]:
+        """F = field_tower.tolerance(ext, hopf), None below the hypothesis; ValueError if p or n differ."""
+        return tolerance(self.ext, self.hopf)
+
 
 def scaffold_context(ext: ExtensionParams, hopf: HopfParams) -> ScaffoldContext:
-    return ScaffoldContext(ext, hopf, tolerance(ext, hopf))
+    check_compat(ext, hopf)
+    return ScaffoldContext(ext, hopf)
 
 
 def lambda_element(j: int, ctx: ScaffoldContext) -> LElement:
@@ -70,42 +75,39 @@ def lambda_element(j: int, ctx: ScaffoldContext) -> LElement:
 
 
 class ScaffoldCheck(NamedTuple):
-    """Outcome of one congruence check at indices (s, j)."""
+    """Outcome of one congruence check at indices (s, j); its expected unit is the digit, none when 0."""
 
     s: int
     j: int
     digit: int
-    unit: Optional[LaurentPoly]
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {**self._asdict(), "unit": None if self.unit is None else self.unit.to_text()}
+        return {**self._asdict(), "unit": str(self.digit) if self.digit else None}
 
 
 class ScaffoldReport(NamedTuple):
-    """Verification outcome over a full residue system of j and all s."""
+    """Verification outcome over a full residue system of j and all s, under its context's parameters."""
 
-    ext: ExtensionParams
-    hopf: HopfParams
-    a: int
-    tolerance: Optional[int]
+    ctx: ScaffoldContext
     status: str
     checks: tuple[ScaffoldCheck, ...]
     all_passed: bool
 
     def to_json_dict(self) -> dict:
+        ext, hopf = self.ctx.ext, self.ctx.hopf
         return {
             "params": {
-                "p": self.ext.p,
-                "n": self.ext.n,
-                "r": self.hopf.r,
-                "b": self.ext.b,
-                "beta": self.ext.beta.to_text(),
-                "f": self.hopf.f.to_text(),
-                "f_val": self.hopf.f.valuation(),
-                "a": self.a,
+                "p": ext.p,
+                "n": ext.n,
+                "r": hopf.r,
+                "b": ext.b,
+                "beta": ext.beta.to_text(),
+                "f": hopf.f.to_text(),
+                "f_val": hopf.f.valuation(),
+                "a": self.ctx.a,
             },
-            "tolerance": self.tolerance,
+            "tolerance": self.ctx.tolerance,
             "status": self.status,
             "checks": [c.to_json_dict() for c in self.checks],
             "all_passed": self.all_passed,
@@ -123,17 +125,14 @@ def verify_scaffold(ctx: ScaffoldContext) -> ScaffoldReport:
     e + k p^n = res - p^s + (p^{r+1} - 1) m puts it at v_L = j + p^s b + m F:
     each such term sits m F deeper than lambda_{j + p^s b}, so at F > 1
     every check passes, by F times the least twist count it reads.
-    A check records u as a constant, or None when it is 0; failures are
-    recorded, never raised.  A context whose ext and hopf differ raises
-    ValueError at any tolerance.
+    A check records the digit, which is its unit; failures are recorded,
+    never raised.  F is read once, off ctx, so a context whose ext and
+    hopf differ raises ValueError at any tolerance.
     """
-    ext, hopf = ctx.ext, ctx.hopf
-    check_compat(ext, hopf)
-    a = ctx.a
-    if ctx.tolerance is None or ctx.tolerance <= 1:
-        return ScaffoldReport(ext, hopf, a, ctx.tolerance, STATUS_NO_SCAFFOLD, (), False)
-    p, pn, b, tol, vf = ext.p, ext.degree, ext.b, ctx.tolerance, ext.degree * hopf.f.valuation()
-    units = [None] + [LaurentPoly._from_reduced(p, {0: d}) for d in range(1, p)]
+    ext, hopf, tol = ctx.ext, ctx.hopf, ctx.tolerance
+    if tol is None or tol <= 1:
+        return ScaffoldReport(ctx, STATUS_NO_SCAFFOLD, (), False)
+    p, pn, b, a, vf = ext.p, ext.degree, ext.b, ctx.a, ext.degree * hopf.f.valuation()
     checks = []
     for s in range(ext.n):
         kernel = DigitKernel(hopf, ext.beta, (p**s,))
@@ -141,8 +140,8 @@ def verify_scaffold(ctx: ScaffoldContext) -> ScaffoldReport:
             res = res_mod(a * j, pn)
             v = min((m * vf - b * (e + k * pn) for (e, _, m, k) in kernel.terms(res) if m or k), default=INF)
             digit = res // p**s % p
-            checks.append(ScaffoldCheck(s, j, digit, units[digit], j + b * res + v >= j + p**s * b + tol))
-    return ScaffoldReport(ext, hopf, a, tol, STATUS_OK, tuple(checks), all(c.passed for c in checks))
+            checks.append(ScaffoldCheck(s, j, digit, j + b * res + v >= j + p**s * b + tol))
+    return ScaffoldReport(ctx, STATUS_OK, tuple(checks), all(c.passed for c in checks))
 
 
 class CertificateRecord(NamedTuple):

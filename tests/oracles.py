@@ -216,15 +216,11 @@ def scaffold_margins(ctx) -> list[tuple]:
 
 
 def verify_by_elements(ctx) -> list[tuple]:
-    """verify_scaffold's checks as (s, j, digit, unit, passed): each scaffold_margins margin against F.
+    """verify_scaffold's checks as (s, j, digit, passed): each scaffold_margins margin against F.
 
     ctx.tolerance must be an integer.
     """
-    p = ctx.ext.p
-    return [
-        (s, j, digit, LaurentPoly.constant(p, digit) if digit else None, margin >= ctx.tolerance)
-        for s, j, digit, margin in scaffold_margins(ctx)
-    ]
+    return [(s, j, digit, margin >= ctx.tolerance) for s, j, digit, margin in scaffold_margins(ctx)]
 
 
 def schoolbook_l_mul(a: LElement, b: LElement, ext: ExtensionParams) -> LElement:

@@ -64,8 +64,8 @@ def test_criterion_1_scaffold_verification():
         hopf = HopfParams(p, n, r, LaurentPoly.monomial(p, v))
         result = verify_scaffold(scaffold_context(ext, hopf))
         expected_tol = p**n * v - b * (p ** (r + 1) - 1)
-        if result.tolerance != expected_tol:
-            failures.append((p, n, r, b, "tolerance", result.tolerance, expected_tol))
+        if result.ctx.tolerance != expected_tol:
+            failures.append((p, n, r, b, "tolerance", result.ctx.tolerance, expected_tol))
         if len(result.checks) != n * p**n:
             failures.append((p, n, r, b, "check count", len(result.checks)))
         if not result.all_passed:

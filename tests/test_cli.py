@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfscaffold import base_arith, cli, field_tower, module_structure, scaffold
-from hopfscaffold.scaffold import ScaffoldReport
 
 
 def run(capsys, *argv):
@@ -55,16 +54,27 @@ class TestScaffoldVerify:
 
         def sabotaged(ctx):
             report = real(ctx)
-            checks = tuple(
-                type(c)(c.s, c.j, c.digit, c.unit, False) for c in report.checks
-            )
-            return ScaffoldReport(
-                report.ext, report.hopf, report.a, report.tolerance, report.status, checks, False
-            )
+            return report._replace(checks=tuple(c._replace(passed=False) for c in report.checks), all_passed=False)
 
         monkeypatch.setattr(scaffold, "verify_scaffold", sabotaged)  # the handler imports it when run
         code, _, _ = run(capsys, "scaffold-verify", *BASE)
         assert code == 1
+
+    def test_tolerance_one_at_real_parameters_is_no_scaffold(self, capsys):
+        # p^n v_K(f) = 4 = b p^{r+1}: F = 1 is defined, yet a scaffold needs F > 1
+        code, out, _ = run(capsys, "scaffold-verify", "--p", "2", "--n", "2", "--r", "1", "--b", "1", "--f-val", "1")
+        payload = json.loads(out)
+        assert code == 3
+        assert (payload["status"], payload["tolerance"], payload["checks"]) == ("no scaffold guaranteed", 1, [])
+
+    def test_tolerance_two_at_real_parameters_runs_every_check(self, capsys):
+        # 9*2 - 2*(9 - 1) = 2, the least tolerance at which a scaffold exists
+        code, out, _ = run(capsys, "scaffold-verify", "--p", "3", "--n", "2", "--r", "1", "--b", "2", "--f-val", "2")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["status"], payload["tolerance"]) == ("ok", 2)
+        assert len(payload["checks"]) == 18 and all(c["passed"] for c in payload["checks"])
+        assert payload["all_passed"] is True
 
     def test_pretty_output(self, capsys):
         code, out, _ = run(capsys, "scaffold-verify", *BASE, "--output", "pretty")

@@ -186,21 +186,23 @@ class TestDualMult:
 
     def test_forms_kernel_images_only_for_reachable_indices(self, monkeypatch):
         # at (3,5,3,T^3) the z-monomial rows once formed 29,645 kernel images, 29,338 of them empty;
-        # reading i for every m < p^{n-r} took 491 kernel reads there and 135,695 at (2,13,7,T^3)
-        formed = []
-        real_terms = DigitKernel.terms
+        # reading i for every m < p^{n-r} took 491 kernel reads there and 135,695 at (2,13,7,T^3).
+        # A product reads one key (v, m) of each reachable kept image, so it forms no term map
+        walked, read = [], []
+        real_walk = DigitKernel._walk
 
         def spy(self, i):
-            formed.append(i)
-            return real_terms(self, i)
+            walked.append(i)
+            return real_walk(self, i)
 
-        monkeypatch.setattr(DigitKernel, "terms", spy)
+        monkeypatch.setattr(DigitKernel, "_walk", spy)
+        monkeypatch.setattr(DigitKernel, "terms", lambda self, i: read.append(i))
         assert dual_basis_rank(hp(3, 5, 3, "T^3")) == 243
-        # each of the 242 products reads at least one image, so the spy sees every product
-        assert 242 <= len(formed) <= 354
-        formed.clear()
+        assert len(walked) == 26
+        walked.clear()
         assert dual_basis_rank(hp(2, 13, 7, "T^3")) == 8192
-        assert 8191 <= len(formed) <= 30072
+        assert len(walked) == 254
+        assert read == []
 
     def test_builds_one_kernel_per_generator(self, monkeypatch):
         # one kernel per generator z_{3^s}, reading t = 3^s, for all 242 products

@@ -30,8 +30,9 @@ from hopfscaffold import (
     verify_scaffold,
     z_monomial,
 )
+from hopfscaffold import scaffold
 from hopfscaffold.hopf_primal import DigitKernel
-from hopfscaffold.scaffold import STATUS_NO_SCAFFOLD, STATUS_OK
+from hopfscaffold.scaffold import STATUS_NO_SCAFFOLD, STATUS_OK, ScaffoldCheck, ScaffoldReport
 
 from oracles import acceptance_tuples, scaffold_margins, standard_pair, verify_by_elements
 
@@ -160,8 +161,8 @@ class TestTolerance:
         ext = ExtensionParams.monogenic(2, 2, 1)
         hopf = HopfParams(2, 3, 2, LaurentPoly.monomial(2, 4))
         # hand-built contexts skip scaffold_context's check; the second differs in p only
-        hand_built = ScaffoldContext(ext, hopf, 5)
-        other_p = ScaffoldContext(ExtensionParams.monogenic(3, 3, 1), hopf, 5)
+        hand_built = ScaffoldContext(ext, hopf)
+        other_p = ScaffoldContext(ExtensionParams.monogenic(3, 3, 1), hopf)
         calls = [
             lambda: scaffold_context(ext, hopf),
             lambda: tolerance(ext, hopf),
@@ -176,14 +177,17 @@ class TestTolerance:
                 call()
 
     def test_refusals_fire_at_every_tolerance(self):
-        # the refusal comes before the tolerance is read, so it fires where no scaffold is guaranteed
+        # the refusal comes with the tolerance read, so it fires where no scaffold is guaranteed;
+        # (2,2,1), b = 1 has F = 1 at f = T and no F at f = T^0
         ext = ExtensionParams.monogenic(2, 2, 1)
-        hopf = HopfParams(2, 2, 1, LaurentPoly.monomial(2, 4))
-        mismatched = ScaffoldContext(ext, HopfParams(2, 3, 2, LaurentPoly.monomial(2, 4)), None)
+        mismatched = ScaffoldContext(ext, HopfParams(2, 3, 2, LaurentPoly.monomial(2, 4)))
         with pytest.raises(ValueError, match="must share p and n"):
             verify_scaffold(mismatched)
-        report = verify_scaffold(ScaffoldContext(ext, hopf, 1))
-        assert (report.status, report.a) == (STATUS_NO_SCAFFOLD, solve_a(1, 4))
+        for f_val, tol in ((1, 1), (0, None)):
+            ctx = ScaffoldContext(ext, HopfParams(2, 2, 1, LaurentPoly.monomial(2, f_val)))
+            report = verify_scaffold(ctx)
+            assert ctx.tolerance == tol
+            assert (report.status, report.ctx.a) == (STATUS_NO_SCAFFOLD, solve_a(1, 4))
 
 
 class TestMinFValuation:
@@ -224,14 +228,36 @@ class TestVerify:
         ctx = ctx_for(2, 2, 1, 1, 4)
         report = verify_scaffold(ctx)
         assert report.status == STATUS_OK
-        assert report.tolerance == 13
+        assert report.ctx.tolerance == 13
         assert len(report.checks) == 8
         assert report.all_passed
         for check in report.checks:
+            unit = check.to_json_dict()["unit"]
             if check.digit > 0:
-                assert check.unit == LaurentPoly.constant(2, check.digit)
+                assert unit == LaurentPoly.constant(2, check.digit).to_text()
             else:
-                assert check.unit is None
+                assert unit is None
+
+    @pytest.mark.parametrize("f_val,tol", [(3, 41), (5, 73)])
+    def test_two_field_context_reports_the_tolerance_its_own_f_gives(self, f_val, tol):
+        # F = 16 v_K(f) - 7 at (2,4,2,1); a context is (ext, hopf), so no hand-built F can sit beside f
+        ctx = ScaffoldContext(ExtensionParams.monogenic(2, 4, 1), HopfParams(2, 4, 2, LaurentPoly.monomial(2, f_val)))
+        assert ctx.tolerance == tol
+        payload = verify_scaffold(ctx).to_json_dict()
+        assert (payload["tolerance"], payload["params"]["f_val"], payload["status"]) == (tol, f_val, STATUS_OK)
+        assert len(payload["checks"]) == 64 and all(c["passed"] for c in payload["checks"])
+        assert payload["all_passed"] is True
+
+    def test_records_hold_only_their_inputs_and_what_verify_computed(self):
+        assert ScaffoldContext._fields == ("ext", "hopf")
+        assert ScaffoldReport._fields == ("ctx", "status", "checks", "all_passed")
+        assert ScaffoldCheck._fields == ("s", "j", "digit", "passed")
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 97])
+    def test_unit_printed_from_the_digit_is_the_text_of_the_constant_unit(self, p):
+        for digit in range(p):
+            unit = ScaffoldCheck(0, 0, digit, True).to_json_dict()["unit"]
+            assert unit == (LaurentPoly.constant(p, digit).to_text() if digit else None)
 
     def test_zero_branch_present(self):
         # z_2(lambda_0) = z_2(1) = 0 exercises the digit-0 branch
@@ -264,15 +290,17 @@ class TestVerify:
             (3, 3, 2, 2, "T^3 + 2*T^5", "T^-2 + T"),
         ],
     )
-    def test_matches_the_element_oracle_at_raised_tolerances(self, p, n, r, b, f, beta):
-        # verify reads each v_L off the kernel's integer terms; the oracle forms each difference in L
+    def test_matches_the_element_oracle_at_raised_tolerances(self, p, n, r, b, f, beta, monkeypatch):
+        # verify reads each v_L off the kernel's integer terms; the oracle forms each difference in L.
+        # F is raised where ScaffoldContext.tolerance reads it, so verify and the oracle see the same F
         ext = ExtensionParams(p, n, b, LaurentPoly.from_text(beta, p))
         ctx = scaffold_context(ext, HopfParams(p, n, r, LaurentPoly.from_text(f, p)))
-        failed = []
+        real_tol, failed = ctx.tolerance, []
         for d in (0, 1, 2, 5):
-            raised = ctx._replace(tolerance=ctx.tolerance + d)
-            got = [(c.s, c.j, c.digit, c.unit, c.passed) for c in verify_scaffold(raised).checks]
-            assert got == verify_by_elements(raised)
+            monkeypatch.setattr(scaffold, "tolerance", lambda ext, hopf, d=d: tolerance(ext, hopf) + d)
+            assert ctx.tolerance == real_tol + d
+            got = [tuple(c) for c in verify_scaffold(ctx).checks]
+            assert got == verify_by_elements(ctx)
             failed.append(sum(not passed for *_, passed in got))
         assert failed[0] == 0 and failed[1] > 0
         if (p, n, r, b) == (2, 4, 2, 1):
