@@ -21,11 +21,10 @@ A digit of x^i at a place p^q above every read t contributes x^{d p^q}(x)1
 alone, so the image of x^i has the (t, m) keys of the image of
 x^{i mod p^S} (p^S the least power of p above the read t), which the
 kernel forms once; terms(i) derives each x-exponent and fold count k
-from i, t and m.  act reads the kernel's integer terms (terms(i), the
-x-leg whole, each c * f^m * beta^k) in the loop that scales them: y's
-coefficient of x^i times z's of t^k is formed once per k, a plain term
-(m = k = 0) scales it by the integer c, and a twist or fold term by
-c * f^m * beta^k from the kernel's memo (DigitKernel.coefficient).
+from i, t and m.  The kernel takes z's coefficients as the weights of
+the t it reads, so a term c * f^m * beta^k of the image of x^i on t^t
+adds y's coefficient of x^i times the kernel's scalar
+z_t * c * f^m * beta^k (DigitKernel.scalar): one product.
 monomial_images walks hopf_dual.trie_walk with one action, so one kernel,
 per generator z_{p^s}; z_{p^s} reads t^{p^s} only, so its kernel forms at
 most p^{s+1} images for any number of elements, each x^i read off one.
@@ -58,18 +57,14 @@ def act(z: DualElement, y: LElement, ext: ExtensionParams, hopf: HopfParams) -> 
 
 def _action_of(z: DualElement, ext: ExtensionParams, hopf: HopfParams) -> Callable[[LElement], LElement]:
     """y |-> act(z, y) for elements y of ext, with one digit kernel for every y."""
-    zc = dict(z.nonzero_items())
-    kernel = DigitKernel(hopf, ext.beta, zc)
-    coefficient = kernel.coefficient
+    kernel = DigitKernel(hopf, ext.beta, dict(z.nonzero_items()))
+    scalar = kernel.scalar
 
     def apply(y: LElement) -> LElement:
         out: dict[int, LaurentPoly] = {}
         for i, c in y.nonzero_items():
-            scaled: dict[int, LaurentPoly] = {}  # t -> c * z_t, formed for the t read
             for (x, t, m, k), e in kernel.terms(i).items():
-                if t not in scaled:
-                    scaled[t] = c * zc[t]
-                term = scaled[t] * (coefficient(m, k, e) if m or k else e)
+                term = c * scalar(t, m, k, e)
                 out[x] = out[x] + term if x in out else term
         return LElement._from_terms(ext.p, ext.degree, out)
 

@@ -161,9 +161,6 @@ class LaurentPoly:
         """Copy of the exponent -> coefficient map (no zero coefficients)."""
         return dict(self._terms)
 
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self._terms.items())
-
     def is_zero(self) -> bool:
         return not self._terms
 

@@ -83,15 +83,15 @@ def _times(b: DualElement, hopf: HopfParams) -> Callable[[DualElement], DualElem
     At beta = 0 each has k = 0, so u + v = i + (p^{r+1} - 1) m, m p^r <= v:
     for u in the support of a, v in that of b and 0 <= m <= v // p^r (m = 0
     alone for z_{p^s}, s < r), the one term is the key (v, m) of the
-    kernel's kept(i), i = u + v - (p^{r+1} - 1) m.  It adds a's z_u
-    coefficient times the factor b's z_v coefficient times c (c * f^m for
-    a twist, m >= 1), formed once per (v, m, c) for every a: one product.
+    kernel's kept(i), i = u + v - (p^{r+1} - 1) m.  The kernel takes b's
+    coefficients as the weights of the v it reads, so the term adds a's z_u
+    coefficient times the scalar b_v * c * f^m (DigitKernel.scalar): one
+    product.
     """
     bc, pn, zero = dict(b.nonzero_items()), hopf.degree, LaurentPoly._from_reduced(hopf.p, {})
     step, q = hopf.p ** (hopf.r + 1) - 1, hopf.p**hopf.r
     kernel = DigitKernel(hopf, zero, bc)
-    coefficient = kernel.coefficient
-    factors: dict[tuple[int, int, int], LaurentPoly] = {}  # (v, m, c) -> bc[v] * the kernel scalar
+    scalar = kernel.scalar
 
     def apply(a: DualElement) -> DualElement:
         out: dict[int, LaurentPoly] = {}
@@ -99,9 +99,7 @@ def _times(b: DualElement, hopf: HopfParams) -> Callable[[DualElement], DualElem
             for v in bc:
                 for m in range(v // q + 1):
                     if 0 <= (i := u + v - step * m) < pn and (c := kernel.kept(i).get((v, m))):
-                        if (v, m, c) not in factors:
-                            factors[v, m, c] = bc[v] * (coefficient(m, 0, c) if m else c)
-                        term = x * factors[v, m, c]
+                        term = x * scalar(v, m, 0, c)
                         out[i] = out[i] + term if i in out else term
         return DualElement._from_terms(hopf.p, pn, out)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Collection
+from collections.abc import Collection, Mapping
 
 from .base_arith import CoeffVector, LaurentPoly, _fold_mul
 from .field_tower import HopfParams
@@ -101,9 +101,10 @@ class DigitKernel:
     Walks that meet on one (t, m) add mod p, and a zero sum is dropped.
     No two kept terms share (u, t): two terms on one t differ in m by less
     than p^{n-r} (m p^r <= t < p^n), and p^{r+1} - 1 is a unit mod p^n.
-    coefficient(m, k, c) forms each c * f^m * beta^k once per instance,
-    for image(i) and for the loops of the action and the dual product
-    over terms(i).
+    scalar(t, m, k, c) forms w_t * c * f^m * beta^k once per instance, for
+    image(i), the action and the dual product alike: w_t is the value of t
+    when t_read is a map (the coefficients of z in the action, of the right
+    factor in the dual product) and 1 when it is a plain collection.
 
     terms(i) holds exactly the terms of the image of u^i whose t-exponent
     the caller reads (t_read), the A-leg whole.  Each read t is walked
@@ -125,7 +126,7 @@ class DigitKernel:
     largest read t.
     """
 
-    __slots__ = ("p", "r", "pn", "f", "beta", "nil", "t_read", "tmax", "low", "twists", "images", "scalars")
+    __slots__ = ("p", "r", "pn", "f", "beta", "nil", "t_read", "tmax", "low", "twists", "images", "weighted", "scalars")
 
     def __init__(self, hopf: HopfParams, beta: LaurentPoly, t_read: Collection[int]):
         p = hopf.p
@@ -135,7 +136,8 @@ class DigitKernel:
         self.low = 1  # p^S, the least power of p above tmax, at most p^n
         while self.low <= self.tmax and self.low < self.pn:
             self.low *= p
-        self.scalars: dict[tuple[int, int, int], LaurentPoly] = {}  # (m, k, c) -> c * f^m * beta^k
+        self.weighted = isinstance(t_read, Mapping)
+        self.scalars: dict[tuple[int, int, int, int], LaurentPoly] = {}  # (t, m, k, c) -> w_t * c * f^m * beta^k
         # twists[C] = (sum_l w_l y^{p-l})^C as [(W, coefficient)] in ascending W <= tmax // p^r
         self.twists: list[list[tuple[int, int]]] = [[(0, 1)]]
         self.images: dict[int, Terms] = {}  # i < p^S -> the image of u^i
@@ -156,17 +158,18 @@ class DigitKernel:
                 out[(u, t, m, k)] = c
         return out
 
-    def coefficient(self, m: int, k: int, c: int) -> LaurentPoly:
-        """The Laurent coefficient c * f^m * beta^k of a term, formed once per instance."""
-        key = (m, k, c)
+    def scalar(self, t: int, m: int, k: int, c: int) -> LaurentPoly:
+        """The Laurent scalar w_t * c * f^m * beta^k of a term on t^t, formed once per instance."""
+        key = (t, m, k, c)
         if key not in self.scalars:
-            self.scalars[key] = self.f**m * self.beta**k * c
+            w = self.t_read[t] * c if self.weighted else LaurentPoly._from_reduced(self.p, {0: c})
+            self.scalars[key] = w * (self.f**m * self.beta**k) if m or k else w
         return self.scalars[key]
 
     def image(self, i: int) -> Sparse:
         """The read terms of the image of u^i, as a fresh {(u, t): nonzero coefficient} map."""
-        coefficient = self.coefficient
-        return {(u, t): coefficient(m, k, c) for (u, t, m, k), c in self.terms(i).items()}
+        scalar = self.scalar
+        return {(u, t): scalar(t, m, k, c) for (u, t, m, k), c in self.terms(i).items()}
 
     def _walk(self, i: int) -> Terms:
         """The kept image of u^i for i < p^S: every split of each read t over the digits of i."""

@@ -135,7 +135,7 @@ def _submask_min(values: list[int], ext: ExtensionParams) -> list[int]:
     return out
 
 
-def _generator_witnesses(idx: IdealIndex, ext: ExtensionParams, w_tab: tuple[int, ...]) -> list[int]:
+def _generator_witnesses(alpha: list[int], ext: ExtensionParams, w_tab: tuple[int, ...]) -> list[int]:
     """The i with d_h(i) > d_h(i-j) + w_h(j) for every nonzero digit-submask j of i.
 
     A non-free ideal's generator count is their number; a free one needs
@@ -147,14 +147,14 @@ def _generator_witnesses(idx: IdealIndex, ext: ExtensionParams, w_tab: tuple[int
     (i, j) passes iff w_h(j) = Q_j and beta_j > alpha(i) (see the module
     docstring).  So i is a witness iff the minimum over its nonzero
     submasks j of [beta_j if w_h(j) = Q_j else -1] exceeds alpha(i); the
-    empty minimum is p^n, so i = 0 always is one.
+    empty minimum is p^n, so i = 0 always is one.  alpha is the table
+    [alpha(0), ..., alpha(p^n - 1)] that is_free builds.
     """
     pn, b = ext.degree, ext.b
-    c = b - idx.h_norm
     low = _submask_min(
         [pn] + [b * j % pn if w == b * j // pn else -1 for j, w in enumerate(w_tab) if j], ext
     )
-    return [i for i in range(pn) if low[i] > (b * i + c) % pn]
+    return [i for i in range(pn) if low[i] > alpha[i]]
 
 
 def _json_header(idx: IdealIndex, ext: ExtensionParams, hopf: HopfParams) -> dict:
@@ -218,11 +218,12 @@ def is_free(h: int, ext: ExtensionParams) -> FreenessReport:
     c = b - idx.h_norm
     numer = range(c, b * pn + c, b)  # b*k + c = A_k*p^n + alpha(k)
     d_tab = tuple([v // pn for v in numer])
-    m = _submask_min([v % pn for v in numer], ext)
+    alpha = [v % pn for v in numer]
+    m = _submask_min(alpha, ext)
     w_tab = tuple([(b * j + m[pn - 1 - j]) // pn for j in range(pn)])
-    free = d_tab == w_tab
     witness = next((j for j in range(pn) if d_tab[j] != w_tab[j]), None)
-    count = 1 if free else len(_generator_witnesses(idx, ext, w_tab))
+    free = witness is None
+    count = 1 if free else len(_generator_witnesses(alpha, ext, w_tab))
     return FreenessReport(idx, d_tab, w_tab, free, witness, count, ext)
 
 

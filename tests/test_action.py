@@ -282,6 +282,22 @@ class TestAct:
             for j, image in enumerate(images):
                 assert image == act(z_monomial(padic_digits(j, ext.p, ext.n), hopf), y, ext, hopf)
 
+    def test_each_kernel_term_costs_one_laurent_product(self, monkeypatch):
+        # at R81 = (3, 4, 2, 1, 3) the walk reads 174 kernel terms, each one product of y's coefficient
+        # with a scalar w_t * c formed once per (t, m, k, c) of its generator step: 17 scalars, 9 of
+        # them twist or fold terms at two more products each (a t-table per x-monomial made 345)
+        ext, hopf = _certificate_rung(3, 4, 2, 1, 3)
+        rho = lambda_element(ext.b, scaffold_context(ext, hopf))
+        real, calls = LaurentPoly.__mul__, []
+
+        def counting(self, other):
+            calls.append(None)
+            return real(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        monomial_images(rho, ext, hopf)
+        assert len(calls) == 174 + 17 + 2 * 9
+
     def test_measuring_property(self):
         # z_j(y y') = sum_{i <= j} z_{j-i}(y) z_i(y')
         rng = random.Random(67)

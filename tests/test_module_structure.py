@@ -143,7 +143,8 @@ class TestAgainstOracles:
         assert report.free == (d_tab == w_tab)
         assert report.witness_j == next((j for j in range(ext.degree) if d_tab[j] != w_tab[j]), None)
         witnesses = brute_generator_witnesses(h, w_tab, ext)
-        assert _generator_witnesses(report.h, ext, report.w_table) == witnesses
+        alpha = [(ext.b * k + ext.b - report.h.h_norm) % ext.degree for k in range(ext.degree)]
+        assert _generator_witnesses(alpha, ext, report.w_table) == witnesses
         assert report.generator_count == (1 if report.free else len(witnesses))
 
     @pytest.mark.parametrize("p,n,b", [(3, 3, 1), (3, 3, 2), (2, 4, 3), (2, 5, 3)])

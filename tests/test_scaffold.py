@@ -421,6 +421,18 @@ class TestIntegerCertificate:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "06af1c9b604c5919b3a7181640c43568e7307008a35ab8f3118caba3a80d73c7"
 
+    def test_large_p_pinned(self):
+        # the same digest at (p, n, r, b, v_K(f)) = (53, 2, 1, 1, 3), where every scalar of the act and
+        # dual-product loops is read from the digit kernel: recorded before act and the dual product
+        # dropped their own scalar tables
+        ctx = ctx_for(53, 2, 1, 1, 3)
+        report = integer_certificate_check(lambda_element(1, ctx), ctx)
+        rank = dual_basis_rank(ctx.hopf)
+        assert rank == 53**2
+        out = json.dumps({"certificate": report.to_json_dict(), "rank": rank}, sort_keys=True) + "\n"
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "104270dc9fe74571bea59e3376db93c3357035b1f08ba5e17e83d100f4d77aec"
+
     def test_monomial_image_valuations_pairwise_incongruent(self):
         ctx = ctx_for(3, 2, 1, 1, 3)
         report = integer_certificate_check(lambda_element(1, ctx), ctx)
