@@ -15,8 +15,9 @@ The text format of every element lives here: one splitter into top-level
 term texts (_read_terms) serves both.  CoeffVector parses and renders the
 terms of all three element types; each subclass supplies only the
 spelling of its monomials and the pattern of one term.  _accumulate adds
-(exponent, residue) pairs into Laurent terms for construction and
-addition; _fold_mul is the product of K[u]/(u^{p^n} - beta).
+(exponent, residue) pairs into Laurent terms for construction, addition
+and the pairs _read_terms yields; _fold_mul is the product of
+K[u]/(u^{p^n} - beta).
 
 All values are immutable, every slot set once at construction, and all
 operations are pure; instances may be shared freely between threads.
@@ -81,8 +82,8 @@ def _accumulate(acc: dict[int, int], terms: Iterable[tuple[int, int]], p: int) -
     return acc
 
 
-def _read_terms(acc: dict[int, int], terms: Iterable[str], p: int) -> dict[int, int]:
-    """Add each Laurent term text of terms (c*T^e, c or T^e) into acc mod p, as _accumulate does; returns acc."""
+def _read_terms(terms: Iterable[str]) -> Iterator[tuple[int, int]]:
+    """The (e, c) pair of each Laurent term text of terms (c*T^e, c or T^e), unreduced, for _accumulate."""
     for term in terms:
         m = _TERM_RE.fullmatch(term)
         try:
@@ -92,12 +93,7 @@ def _read_terms(acc: dict[int, int], terms: Iterable[str], p: int) -> dict[int, 
             e, c = (0, int(const)) if const else (int(exp or 1), int(coeff or 1))
         except ValueError:  # no match, or more digits than int() converts
             raise ValueError(f"malformed Laurent polynomial term: {term!r}") from None
-        c = (acc.get(e, 0) + c) % p
-        if c:
-            acc[e] = c
-        else:
-            acc.pop(e, None)
-    return acc
+        yield e, c
 
 
 class LaurentPoly:
@@ -261,7 +257,7 @@ class LaurentPoly:
     @classmethod
     def from_text(cls, text: str, p: int) -> "LaurentPoly":
         _require_prime(p)
-        return cls._from_reduced(p, _read_terms({}, _split_terms(text), p))
+        return cls._from_reduced(p, _accumulate({}, _read_terms(_split_terms(text)), p))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -404,7 +400,7 @@ class CoeffVector:
                 k = -1
             if not 0 <= k < params.degree:
                 raise ValueError(f"{cls._index_name} {idx if k < 0 else k} out of range [0, {params.degree})")
-            _read_terms(acc.setdefault(k, {}), coef.strip("()").split("+") if coef else ("1",), p)
+            _accumulate(acc.setdefault(k, {}), _read_terms(coef.strip("()").split("+") if coef else ("1",)), p)
         return cls._from_terms(p, params.degree, {k: LaurentPoly._from_reduced(p, c) for k, c in acc.items()})
 
     def __str__(self) -> str:

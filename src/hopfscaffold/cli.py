@@ -175,8 +175,7 @@ def cmd_act(ext: ExtensionParams, hopf: HopfParams, args: argparse.Namespace) ->
     z = dual_from_text(args.z, hopf)
     y = lelement_from_text(args.y, ext)
     result = act(z, y, ext, hopf)
-    val = l_valuation(result, ext)
-    val_out: Optional[int] = None if result.is_zero() else int(val)
+    val_out: Optional[int] = None if result.is_zero() else l_valuation(result, ext)
     text = lelement_to_text(result)
     if args.output == "json":
         _emit_json({"result": text, "v_L": val_out})

@@ -8,9 +8,10 @@ format is base_arith's CoeffVector format with monomials x and x^i; this
 module adds only that spelling and the x^0 shorthands.  l_mul is
 base_arith's product of K[u]/(u^{p^n} - beta) at the beta of L.
 HopfParams live here too, beside the rules that read both parameter
-sets: check_compat, the tolerance F = p^n*v_K(f) - b*(p^{r+1} - 1) and
-the bound 2*p^n - 1 it must reach to license a freeness listing
-(Byott-Childs-Elder 2018), so no job loads H to check its parameters.
+sets: check_compat, the report header params_header, the tolerance
+F = p^n*v_K(f) - b*(p^{r+1} - 1) and the bound 2*p^n - 1 it must reach
+to license a freeness listing (Byott-Childs-Elder 2018), so no job
+loads H to check its parameters.
 
 Exactness of l_valuation rests on the p^n candidate values
 p^n*v_K(c_i) - b*i being pairwise incongruent mod p^n (as p does not
@@ -108,6 +109,12 @@ def check_compat(ext: ExtensionParams, hopf: HopfParams, y: LElement | None = No
         raise ValueError("extension and Hopf parameters must share p and n")
     if y is not None:
         LElement._check(y, ext, "field element does not belong to the extension")
+
+
+def params_header(ext: ExtensionParams, hopf: HopfParams) -> dict:
+    """The JSON fields p, n, b, r and f_val of the verify, freeness and assoc-order reports; ValueError as check_compat."""
+    check_compat(ext, hopf)
+    return {"p": ext.p, "n": ext.n, "b": ext.b, "r": hopf.r, "f_val": hopf.f.valuation()}
 
 
 def tolerance(ext: ExtensionParams, hopf: HopfParams) -> Optional[int]:

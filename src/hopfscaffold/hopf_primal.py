@@ -97,14 +97,16 @@ class DigitKernel:
     unfolded A-exponent i - t + (p^{r+1} - 1) m.  Kept images are
     therefore Terms keyed by (t, m), as kept(i) returns them; terms(i)
     derives the rest: (k, u) = divmod(i - t + (p^{r+1} - 1) m, p^n) folds
-    u^{p^n} = beta k times, and a term with k >= 1 vanishes at beta = 0.
-    Walks that meet on one (t, m) add mod p, and a zero sum is dropped.
-    No two kept terms share (u, t): two terms on one t differ in m by less
-    than p^{n-r} (m p^r <= t < p^n), and p^{r+1} - 1 is a unit mod p^n.
-    scalar(t, m, k, c) forms w_t * c * f^m * beta^k once per instance, for
-    image(i), the action and the dual product alike: w_t is the value of t
-    when t_read is a map (the coefficients of z in the action, of the right
-    factor in the dual product) and 1 when it is a plain collection.
+    u^{p^n} = beta k times.  Walks that meet on one (t, m) add mod p, and
+    a zero sum is dropped.  No two kept terms share (u, t): two terms on
+    one t differ in m by less than p^{n-r} (m p^r <= t < p^n), and
+    p^{r+1} - 1 is a unit mod p^n.  t_read weighs each read t by w_t: a
+    map gives its values (the coefficients of z in the action, of the
+    right factor in the dual product), and a plain collection is weighted
+    by 1 at construction.  scalar(t, m, k, c) forms w_t * c * f^m * beta^k
+    once per instance, for image(i), the action and the dual product
+    alike; at beta = 0, beta^k = 0 makes a folded term's scalar 0, which
+    image(i) drops.
 
     terms(i) holds exactly the terms of the image of u^i whose t-exponent
     the caller reads (t_read), the A-leg whole.  Each read t is walked
@@ -126,17 +128,17 @@ class DigitKernel:
     largest read t.
     """
 
-    __slots__ = ("p", "r", "pn", "f", "beta", "nil", "t_read", "tmax", "low", "twists", "images", "weighted", "scalars")
+    __slots__ = ("p", "r", "pn", "f", "beta", "t_read", "tmax", "low", "twists", "images", "scalars")
 
-    def __init__(self, hopf: HopfParams, beta: LaurentPoly, t_read: Collection[int]):
+    def __init__(self, hopf: HopfParams, beta: LaurentPoly, t_read: Collection[int] | Mapping[int, LaurentPoly]):
         p = hopf.p
         self.p, self.r, self.pn, self.f, self.beta = p, hopf.r, hopf.degree, hopf.f, beta
-        self.nil = beta.is_zero()  # a term folded through beta = 0 vanishes
+        if not isinstance(t_read, Mapping):  # a plain read set weighs every t by 1
+            t_read = dict.fromkeys(t_read, LaurentPoly._from_reduced(p, {0: 1}))
         self.t_read, self.tmax = t_read, max(t_read, default=-1)
         self.low = 1  # p^S, the least power of p above tmax, at most p^n
         while self.low <= self.tmax and self.low < self.pn:
             self.low *= p
-        self.weighted = isinstance(t_read, Mapping)
         self.scalars: dict[tuple[int, int, int, int], LaurentPoly] = {}  # (t, m, k, c) -> w_t * c * f^m * beta^k
         # twists[C] = (sum_l w_l y^{p-l})^C as [(W, coefficient)] in ascending W <= tmax // p^r
         self.twists: list[list[tuple[int, int]]] = [[(0, 1)]]
@@ -151,25 +153,23 @@ class DigitKernel:
 
     def terms(self, i: int) -> dict[tuple[int, int, int, int], int]:
         """The read terms c * f^m * beta^k * u^u (x) t^t of the image of u^i as a fresh {(u, t, m, k): c}."""
-        pn, step, nil, out = self.pn, self.p ** (self.r + 1) - 1, self.nil, {}
+        pn, step, out = self.pn, self.p ** (self.r + 1) - 1, {}
         for (t, m), c in self.kept(i).items():
             k, u = divmod(i - t + step * m, pn)
-            if not (k and nil):
-                out[(u, t, m, k)] = c
+            out[(u, t, m, k)] = c
         return out
 
     def scalar(self, t: int, m: int, k: int, c: int) -> LaurentPoly:
         """The Laurent scalar w_t * c * f^m * beta^k of a term on t^t, formed once per instance."""
         key = (t, m, k, c)
         if key not in self.scalars:
-            w = self.t_read[t] * c if self.weighted else LaurentPoly._from_reduced(self.p, {0: c})
+            w = self.t_read[t] * c
             self.scalars[key] = w * (self.f**m * self.beta**k) if m or k else w
         return self.scalars[key]
 
     def image(self, i: int) -> Sparse:
         """The read terms of the image of u^i, as a fresh {(u, t): nonzero coefficient} map."""
-        scalar = self.scalar
-        return {(u, t): scalar(t, m, k, c) for (u, t, m, k), c in self.terms(i).items()}
+        return {(u, t): w for (u, t, m, k), c in self.terms(i).items() if not (w := self.scalar(t, m, k, c)).is_zero()}
 
     def _walk(self, i: int) -> Terms:
         """The kept image of u^i for i < p^S: every split of each read t over the digits of i."""
@@ -225,8 +225,9 @@ class DigitKernel:
 def delta_power(i: int, hopf: HopfParams) -> Sparse:
     """Comultiplication of t^i as {(a, b): coefficient of t^a (x) t^b}, nonzero terms only.
 
-    The digit kernel's image of u^i with beta = 0: exponents at or above
-    p^n on either leg vanish in H.  The map is built afresh on each call.
+    The digit kernel's image of u^i with beta = 0: a term folded past
+    t^{p^n} has scalar 0 there, which image drops, as t^{p^n} = 0 in H.
+    The map is built afresh on each call.
     """
     if not 0 <= i < hopf.degree:
         raise ValueError(f"power {i} out of range [0, {hopf.degree})")

@@ -52,7 +52,7 @@ from itertools import product
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .base_arith import LaurentPoly, res_mod
-from .field_tower import ExtensionParams, HopfParams, check_compat, licensing_bound, tolerance
+from .field_tower import ExtensionParams, HopfParams, licensing_bound, params_header, tolerance
 
 if TYPE_CHECKING:
     from .hopf_dual import DualElement
@@ -157,15 +157,6 @@ def _generator_witnesses(alpha: list[int], ext: ExtensionParams, w_tab: tuple[in
     return [i for i in range(pn) if low[i] > alpha[i]]
 
 
-def _json_header(idx: IdealIndex, ext: ExtensionParams, hopf: HopfParams) -> dict:
-    """The fields p, n, b, h_raw, h_norm, m, r and f_val of an ideal report; ValueError unless ext and hopf share p and n."""
-    check_compat(ext, hopf)
-    return {
-        "p": ext.p, "n": ext.n, "b": ext.b, "h_raw": idx.h_raw, "h_norm": idx.h_norm, "m": idx.m,
-        "r": hopf.r, "f_val": hopf.f.valuation(),
-    }
-
-
 class BasisEntry(NamedTuple):
     """One associated-order basis record: generator digits and T-shift."""
 
@@ -197,7 +188,8 @@ class FreenessReport(NamedTuple):
 
     def to_json_dict(self, hopf: HopfParams) -> dict:
         return {
-            **_json_header(self.h, self.ext, hopf),
+            **params_header(self.ext, hopf),
+            **self.h._asdict(),
             "d": list(self.d_table),
             "w": list(self.w_table),
             "free": self.free,
@@ -245,7 +237,8 @@ class AssocOrderBasis(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            **_json_header(self.h, self.ext, self.hopf),
+            **params_header(self.ext, self.hopf),
+            **self.h._asdict(),
             "tolerance": self.tolerance,
             "trusted": self.trusted,
             "basis": [entry.to_json_dict() for entry in self.entries],

@@ -31,7 +31,7 @@ import math
 from typing import NamedTuple, Optional, Union
 
 from .base_arith import INF, LaurentPoly, padic_digits, res_mod
-from .field_tower import ExtensionParams, HopfParams, LElement, check_compat, l_valuation, tolerance
+from .field_tower import ExtensionParams, HopfParams, LElement, check_compat, l_valuation, params_header, tolerance
 from .hopf_primal import DigitKernel
 
 STATUS_OK = "ok"
@@ -95,18 +95,9 @@ class ScaffoldReport(NamedTuple):
     all_passed: bool
 
     def to_json_dict(self) -> dict:
-        ext, hopf = self.ctx.ext, self.ctx.hopf
+        ext, hopf = self.ctx
         return {
-            "params": {
-                "p": ext.p,
-                "n": ext.n,
-                "r": hopf.r,
-                "b": ext.b,
-                "beta": ext.beta.to_text(),
-                "f": hopf.f.to_text(),
-                "f_val": hopf.f.valuation(),
-                "a": self.ctx.a,
-            },
+            "params": {**params_header(ext, hopf), "beta": ext.beta.to_text(), "f": hopf.f.to_text(), "a": self.ctx.a},
             "tolerance": self.ctx.tolerance,
             "status": self.status,
             "checks": [c.to_json_dict() for c in self.checks],
@@ -187,8 +178,8 @@ def integer_certificate_check(rho: LElement, ctx: ScaffoldContext) -> Certificat
 
     ext, hopf = ctx.ext, ctx.hopf
     check_compat(ext, hopf, rho)
-    if l_valuation(rho, ext) != ext.b:
-        raise ValueError(f"v_L(rho) = {l_valuation(rho, ext)} but the certificate needs {ext.b}")
+    if (v := l_valuation(rho, ext)) != ext.b:
+        raise ValueError(f"v_L(rho) = {v} but the certificate needs {ext.b}")
     pn = ext.degree
     records = []
     for j, image in enumerate(monomial_images(rho, ext, hopf)):

@@ -135,17 +135,19 @@ class TestTensorMul:
 
     def test_kernel_product_drops_exponents_at_or_above_degree(self):
         # no read t reaches p^n, so no kept term does; an A-exponent at or above p^n folds through
-        # beta = 0, so terms(i) drops it from the kept image
+        # beta, and at beta = 0 its scalar c * f^m * beta^k is 0, so image(i) and delta_power drop it
         params = hp(2, 2, 1)
         kernel = self.kernel(params)
         assert tensor_product(delta_power(2, params), delta_power(2, params), params.degree) == {}  # t^4 = 0
         for i in range(params.degree):
             assert all(0 <= t < params.degree for t, _ in self.kept(kernel, i))
             assert all(u < params.degree and t < params.degree for u, t, _, _ in kernel.terms(i))
-        # Delta(t^3) = Delta(t^2) Delta(t) holds f t^4 (x) t^2, which folds once at beta != 0
-        folded = DigitKernel(params, LaurentPoly.from_text("T^-1", 2), range(params.degree)).terms(3)
-        assert (0, 2, 1, 1) in folded
-        assert kernel.terms(3) == {key: c for key, c in folded.items() if not key[3]}
+        # Delta(t^3) = Delta(t^2) Delta(t) holds f t^4 (x) t^2, which folds once: its integer term is read
+        # whatever beta is, and its scalar is f * beta, kept at beta = T^-1 and 0 in H
+        folded = DigitKernel(params, LaurentPoly.from_text("T^-1", 2), range(params.degree))
+        assert kernel.terms(3) == folded.terms(3) and kernel.terms(3)[(0, 2, 1, 1)] == 1
+        assert folded.image(3)[(0, 2)] == params.f * folded.beta
+        assert kernel.scalar(2, 1, 1, 1).is_zero() and (0, 2) not in kernel.image(3)
         assert self.laurent(kernel.images[3], 3, params) == kernel.image(3) == delta_power(3, params)
 
     @pytest.mark.parametrize("p,n,r", AXIOM_RANGE)
@@ -362,16 +364,18 @@ SHIFT_BETAS = ["0", "T^-1", "T^-3 + 2 + T"]
 class TestHighPlaceShift:
     # a digit of i at a place p^q above every read t keeps only u^{d p^q} (x) 1 of its factor, so
     # terms(i) is terms(i mod p^S) with the A-leg shifted, p^S the least power of p above the
-    # largest read t; a shifted exponent at or above p^n folds once, or vanishes at beta = 0
+    # largest read t; a shifted exponent at or above p^n folds once, and at beta = 0 its scalar
+    # c * f^m * beta^k is 0, which image(i) drops
     @staticmethod
     def laurent(terms, params, beta):
-        """The {(u, t): coefficient} map of integer kernel terms, each c * f^m * beta^k formed here."""
+        """The {(u, t): nonzero coefficient} map of integer kernel terms, each c * f^m * beta^k formed here."""
         assert len({(u, t) for u, t, _, _ in terms}) == len(terms)
-        return {(u, t): params.f**m * beta**k * c for (u, t, m, k), c in terms.items()}
+        scalars = {(u, t): params.f**m * beta**k * c for (u, t, m, k), c in terms.items()}
+        return {key: c for key, c in scalars.items() if not c.is_zero()}
 
     @pytest.mark.parametrize("beta_text", SHIFT_BETAS)
     def test_terms_match_the_expansion_on_the_read_set(self, beta_text):
-        over_pn = 0  # shifted low-image terms reaching p^n: they fold, or vanish at beta = 0
+        over_pn = 0  # shifted low-image terms reaching p^n: they fold, to 0 at beta = 0
         for p, n, r, f in SHIFT_CASES:
             params, beta = hp(p, n, r, f), LaurentPoly.from_text(beta_text, p)
             full = [image_by_expansion(i, params, beta) for i in range(params.degree)]
@@ -380,7 +384,8 @@ class TestHighPlaceShift:
                 low = next((p**s for s in range(n) if p**s > max(t_read)), p**n)
                 for i in range(params.degree):
                     expected = {(u, t): c for (u, t), c in full[i].items() if t in t_read}
-                    assert self.laurent(kernel.terms(i), params, beta) == expected, (p, n, t_read, i)
+                    image = kernel.image(i)
+                    assert self.laurent(kernel.terms(i), params, beta) == image == expected, (p, n, t_read, i)
                     over_pn += sum(u + i - i % low >= p**n for u, t in full[i % low] if t in t_read)
         # only (2,4,2) shifts a twist term, which alone can pass p^n: n = r + 1 at the other two
         assert over_pn > 0
@@ -395,6 +400,24 @@ class TestHighPlaceShift:
             kept = DigitKernel(params, beta, t_read)
             for i in order:
                 assert kept.terms(i) == DigitKernel(params, beta, t_read).terms(i), (t_read, i)
+
+
+class TestReadWeights:
+    @pytest.mark.parametrize("p,n,r,f", SHIFT_CASES, ids=["p2", "p3", "p5"])
+    @pytest.mark.parametrize("beta", ["0", "T^-1 + T^2"])
+    def test_a_plain_read_set_reads_as_the_map_weighing_it_by_one(self, p, n, r, f, beta):
+        # the kernel weighs a plain read set by 1 at construction, so it holds one kind of read set;
+        # a weight w_t scales every scalar on t^t, so weighing each t by T^-1 scales the image
+        params, beta = hp(p, n, r, f), LaurentPoly.from_text(beta, p)
+        one, w = LaurentPoly.one(p), LaurentPoly.monomial(p, -1)
+        for t_read in (range(params.degree), (1, p, params.degree - 1)):
+            plain, weighted = DigitKernel(params, beta, t_read), DigitKernel(params, beta, dict.fromkeys(t_read, one))
+            scaled = DigitKernel(params, beta, dict.fromkeys(t_read, w))
+            for i in range(params.degree):
+                assert plain.terms(i) == weighted.terms(i) == scaled.terms(i), (t_read, i)
+                image = plain.image(i)
+                assert image == weighted.image(i), (t_read, i)
+                assert scaled.image(i) == {key: w * c for key, c in image.items()}, (t_read, i)
 
 
 class TestTwistWeights:

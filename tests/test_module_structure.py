@@ -15,6 +15,8 @@ from hopfscaffold import (
     materialize_basis_entry,
     noether_criterion,
     padic_digits,
+    scaffold_context,
+    verify_scaffold,
 )
 from hopfscaffold import module_structure
 from hopfscaffold.module_structure import _generator_witnesses
@@ -223,6 +225,26 @@ class TestIsFree:
         for other in (HopfParams(2, 3, 2, LaurentPoly.monomial(2, 4)), HopfParams(3, 3, 2, LaurentPoly.monomial(3, 9))):
             with pytest.raises(ValueError, match="must share p and n"):
                 report.to_json_dict(other)
+
+    def test_every_report_heads_with_the_same_parameters(self):
+        # verify's params, the freeness header and the assoc-order header are one field_tower header,
+        # here over a two-term beta and f; each refuses Hopf parameters of another n
+        ext = ExtensionParams(3, 2, 2, LaurentPoly.from_text("T^-2 + T", 3))
+        hopf = HopfParams(3, 2, 1, LaurentPoly.from_text("T^5 + 2*T^7", 3))
+        verify, basis = verify_scaffold(scaffold_context(ext, hopf)), assoc_order_basis(1, ext, hopf)
+        dicts = (verify.to_json_dict()["params"], is_free(1, ext).to_json_dict(hopf), basis.to_json_dict())
+        assert [{k: d[k] for k in ("p", "n", "b", "r", "f_val")} for d in dicts] == [
+            {"p": 3, "n": 2, "b": 2, "r": 1, "f_val": 5}
+        ] * 3
+        other = HopfParams(3, 3, 2, hopf.f)
+        refused = (
+            lambda: verify._replace(ctx=verify.ctx._replace(hopf=other)).to_json_dict(),
+            lambda: is_free(1, ext).to_json_dict(other),
+            lambda: basis._replace(hopf=other).to_json_dict(),
+        )
+        for emit in refused:
+            with pytest.raises(ValueError, match="must share p and n"):
+                emit()
 
 
 class TestFreenessB1:
