@@ -227,7 +227,8 @@ def delta_power(i: int, hopf: HopfParams) -> Sparse:
 
     The digit kernel's image of u^i with beta = 0: a term folded past
     t^{p^n} has scalar 0 there, which image drops, as t^{p^n} = 0 in H.
-    The map is built afresh on each call.
+    Each call builds a kernel over all p^n t-exponents: to read every
+    Delta(t^i), read image(i) of one DigitKernel(hopf, zero, range(p^n)).
     """
     if not 0 <= i < hopf.degree:
         raise ValueError(f"power {i} out of range [0, {hopf.degree})")

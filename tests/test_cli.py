@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -149,16 +151,16 @@ class TestFreeness:
         code, out, err = run(capsys, "freeness", *BASE, "--h", "0..1000000000000")
         assert code == 2
         assert out == ""
-        assert f"more than {cli.MAX_H_VALUES} values" in err
+        assert "1000000000001 h values times p^n = 4 exceed 1000000" in err
         assert time.perf_counter() - start < 1.0
 
     def test_range_times_degree_over_cap_exits_2(self, capsys):
-        # at 2^13, MAX_H_VALUES values would run for minutes and print gigabytes
+        # at 2^13, 100000 values would run for minutes and print gigabytes
         big = ["--p", "2", "--n", "13", "--r", "7", "--b", "1", "--f-val", "3"]
         start = time.perf_counter()
-        code, out, err = run(capsys, "freeness", *big, "--h", f"1..{cli.MAX_H_VALUES}")
+        code, out, err = run(capsys, "freeness", *big, "--h", "1..100000")
         assert (code, out) == (2, "")
-        assert f"{cli.MAX_H_VALUES} h values times p^n = 8192 exceed {cli.MAX_FREENESS_ENTRIES}" in err
+        assert f"100000 h values times p^n = 8192 exceed {cli.MAX_FREENESS_ENTRIES}" in err
         assert time.perf_counter() - start < 1.0
 
     def test_range_times_degree_cap_boundary(self, capsys, monkeypatch):
@@ -168,10 +170,19 @@ class TestFreeness:
         code, out, _ = run(capsys, "freeness", *BASE, "--h", "1..15", "--output", "tsv")
         assert code == 0 and len(out.splitlines()) == 16
 
-    def test_range_cap_boundary(self):
-        assert cli._parse_h_range(f"1..{cli.MAX_H_VALUES}") == range(1, cli.MAX_H_VALUES + 1)
-        with pytest.raises(ValueError):
-            cli._parse_h_range(f"0..{cli.MAX_H_VALUES}")
+    def test_h_range_of_any_width_parses_without_being_built(self):
+        hs = cli._parse_h_range("0..1" + "0" * 40)
+        assert isinstance(hs, range) and hs == range(0, 10**40 + 1)
+
+    def test_range_past_maxsize_exits_2_in_each_handler(self, capsys):
+        # len() of this range raises OverflowError, which main does not catch
+        wide = "0..1" + "0" * 40
+        start = time.perf_counter()
+        code, out, err = run(capsys, "freeness", *BASE, "--h", wide)
+        assert (code, out, err) == (2, "", f"error: {10**40 + 1} h values times p^n = 4 exceed 1000000\n")
+        code, out, err = run(capsys, "assoc-order", *BASE, "--h", wide)
+        assert (code, out, err) == (2, "", "error: assoc-order takes a single --h value\n")
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("h, bad", [("1_0", "1_0"), ("١..٢", "١"), ("3..٥", "٥"), ("+3", "+3"), ("1..+2", "+2"), (" 4", " 4")])
     def test_h_takes_ascii_digits_only(self, capsys, h, bad):
@@ -350,6 +361,17 @@ class TestAssocOrder:
         code, out, _ = run(capsys, "assoc-order", *args, "--h", "0", "--force")
         assert code == 0
         assert json.loads(out)["trusted"] is False
+
+    def test_licensing_bound_2pn_minus_1_is_reached_not_passed(self, capsys):
+        # at (3, 2, 1) the bound is 17: b = 8 with f = T^9 has F = 17, b = 7 with f = T^8 has F = 16
+        at = ["--p", "3", "--n", "2", "--r", "1", "--h", "1"]
+        code, out, _ = run(capsys, "assoc-order", *at, "--b", "8", "--f-val", "9")
+        assert code == 0 and json.loads(out)["trusted"] is True
+        code, out, err = run(capsys, "assoc-order", *at, "--b", "7", "--f-val", "8")
+        assert (code, out) == (3, "")
+        assert err == "error: tolerance 16 below 2*p^n - 1 = 17; pass --force to emit an untrusted listing\n"
+        code, out, _ = run(capsys, "assoc-order", *at, "--b", "7", "--f-val", "8", "--force")
+        assert code == 0 and '"trusted": false' in out
 
     def test_periodicity(self, capsys):
         _, out1, _ = run(capsys, "assoc-order", *BASE, "--h", "0")
@@ -720,6 +742,20 @@ def test_tolerance_beyond_the_digit_limit_exits_2_before_any_check(capsys, monke
     assert (code, out) == (2, "")
     limit = sys.get_int_max_str_digits()
     assert err == f"error: tolerance p^n*v_K(f) - b*(p^(r+1) - 1) exceeds the int-to-text limit of {limit} digits\n"
+
+
+def test_the_shared_path_names_no_subcommand():
+    # each per-command rule sits in the handler bound on its subparser
+    commands = {"scaffold-verify", "freeness", "act", "assoc-order", "atlas"}
+    per_command = {"h", "force", "output", "z", "y"}
+    for fn in (cli.main, cli._build_config):
+        tree = ast.parse(inspect.getsource(fn))
+        strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args"}
+        assert not strings & (commands | per_command), fn.__name__
+        assert not {name for name in names if name.startswith("cmd_")}, fn.__name__
+        assert not reads & per_command, fn.__name__
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digest recorded on Python 3.11; argparse's help layout is not fixed across versions")

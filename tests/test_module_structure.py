@@ -16,9 +16,11 @@ from hopfscaffold import (
     noether_criterion,
     padic_digits,
     scaffold_context,
+    tolerance,
     verify_scaffold,
 )
 from hopfscaffold import module_structure
+from hopfscaffold.field_tower import licensing_bound
 from hopfscaffold.module_structure import _generator_witnesses
 
 from oracles import brute_generator_witnesses, brute_w, standard_pair
@@ -397,6 +399,19 @@ class TestAssocOrder:
             assoc_order_basis(0, ext, hopf)
         assert info.value.reason == reason
         assert str(info.value) == f"{reason}; pass force=True to emit an untrusted listing"
+
+    def test_a_tolerance_of_exactly_2pn_minus_1_is_trusted(self):
+        ext, hopf = ExtensionParams.monogenic(3, 2, 8), HopfParams(3, 2, 1, LaurentPoly.monomial(3, 9))
+        assert (tolerance(ext, hopf), licensing_bound(ext)) == (17, 17)
+        basis = assoc_order_basis(1, ext, hopf)
+        assert basis.trusted and len(basis.entries) == 9
+
+    def test_a_tolerance_one_below_2pn_minus_1_is_refused(self):
+        ext, hopf = ExtensionParams.monogenic(3, 2, 7), HopfParams(3, 2, 1, LaurentPoly.monomial(3, 8))
+        with pytest.raises(InsufficientToleranceError) as info:
+            assoc_order_basis(1, ext, hopf)
+        assert info.value.reason == "tolerance 16 below 2*p^n - 1 = 17"
+        assert not assoc_order_basis(1, ext, hopf, force=True).trusted
 
     def test_force_yields_untrusted(self):
         ext = ExtensionParams.monogenic(2, 2, 1)
