@@ -27,7 +27,7 @@ import sys
 from typing import Iterable, Optional, Sequence
 
 from .base_arith import LaurentPoly, is_prime
-from .field_tower import ExtensionParams, HopfParams, l_valuation, lelement_from_text, lelement_to_text, tolerance
+from .field_tower import ExtensionParams, HopfParams, l_valuation, lelement_from_text, lelement_to_text, licensing_shortfall, tolerance
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -196,8 +196,8 @@ def cmd_assoc_order(ext: ExtensionParams, hopf: HopfParams, args: argparse.Names
         raise ValueError("assoc-order takes a single --h value")
     try:
         basis = assoc_order_basis(hs.start, ext, hopf, force=args.force)
-    except InsufficientToleranceError as exc:
-        print(f"error: {exc.reason}; pass --force to emit an untrusted listing", file=sys.stderr)
+    except InsufficientToleranceError:
+        print(f"error: {licensing_shortfall(ext, hopf)}; pass --force to emit an untrusted listing", file=sys.stderr)
         return EXIT_HYPOTHESIS
     if args.output == "json":
         _emit_json(basis.to_json_dict())

@@ -9,9 +9,9 @@ module adds only that spelling and the x^0 shorthands.  l_mul is
 base_arith's product of K[u]/(u^{p^n} - beta) at the beta of L.
 HopfParams live here too, beside the rules that read both parameter
 sets: check_compat, the report header params_header, the tolerance
-F = p^n*v_K(f) - b*(p^{r+1} - 1) and the bound 2*p^n - 1 it must reach
-to license a freeness listing (Byott-Childs-Elder 2018), so no job
-loads H to check its parameters.
+F = p^n*v_K(f) - b*(p^{r+1} - 1) and licensing_shortfall, the one test
+of F against the 2*p^n - 1 that licenses a freeness listing
+(Byott-Childs-Elder 2018), so no job loads H to check its parameters.
 
 Exactness of l_valuation rests on the p^n candidate values
 p^n*v_K(c_i) - b*i being pairwise incongruent mod p^n (as p does not
@@ -128,9 +128,12 @@ def tolerance(ext: ExtensionParams, hopf: HopfParams) -> Optional[int]:
     return pn * vf - ext.b * (pr1 - 1)
 
 
-def licensing_bound(ext: ExtensionParams) -> int:
-    """2*p^n - 1, the least tolerance at which a scaffold licenses a freeness listing over ext."""
-    return 2 * ext.degree - 1
+def licensing_shortfall(ext: ExtensionParams, hopf: HopfParams) -> Optional[str]:
+    """None when the tolerance reaches 2*p^n - 1 and so licenses a freeness listing, else why not; ValueError as check_compat."""
+    tol, bound = tolerance(ext, hopf), 2 * ext.degree - 1
+    if tol is None:
+        return f"scaffold hypothesis unmet, so no tolerance reaches 2*p^n - 1 = {bound}"
+    return f"tolerance {tol} below 2*p^n - 1 = {bound}" if tol < bound else None
 
 
 def min_f_valuation_for(target: int, ext: ExtensionParams, r: int) -> int:

@@ -34,8 +34,8 @@ The ideal of exponent h is free over its associated order iff w_h = d_h
 pointwise, and the order itself has the basis T^{-w_h(j)} times the
 digit-j generator monomial of the dual algebra.  Those basis statements
 are licensed only when the action has a scaffold of tolerance at least
-licensing_bound(ext) = 2*p^n - 1, so assoc_order_basis refuses below
-that unless forced, and a listing reads trusted from its own (ext, hopf).
+2*p^n - 1: assoc_order_basis refuses with field_tower.licensing_shortfall's
+reason unless forced, and a listing's trusted reads it at (ext, hopf).
 
 All results are invariant under h -> h + p^n (the ideals differ by the
 unit T).
@@ -52,21 +52,14 @@ from itertools import product
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .base_arith import LaurentPoly, res_mod
-from .field_tower import ExtensionParams, HopfParams, licensing_bound, params_header, tolerance
+from .field_tower import ExtensionParams, HopfParams, licensing_shortfall, params_header, tolerance
 
 if TYPE_CHECKING:
     from .hopf_dual import DualElement
 
 
 class InsufficientToleranceError(ValueError):
-    """Raised when a basis claim is requested below the licensing tolerance.
-
-    reason says why without the remedy, which the message names as force=True.
-    """
-
-    def __init__(self, reason: str):
-        super().__init__(f"{reason}; pass force=True to emit an untrusted listing")
-        self.reason = reason
+    """A basis claim below the licensing tolerance: field_tower.licensing_shortfall's reason, then force=True."""
 
 
 class IdealIndex(NamedTuple):
@@ -233,7 +226,7 @@ class AssocOrderBasis(NamedTuple):
 
     @property
     def trusted(self) -> bool:
-        return self.tolerance is not None and self.tolerance >= licensing_bound(self.ext)
+        return licensing_shortfall(self.ext, self.hopf) is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -252,10 +245,9 @@ def assoc_order_basis(h: int, ext: ExtensionParams, hopf: HopfParams, *, force: 
     is not a theorem and the call refuses unless force=True, in which
     case the result is marked untrusted.
     """
-    tol, bound = tolerance(ext, hopf), licensing_bound(ext)
-    if (tol is None or tol < bound) and not force:
-        shortfall = "scaffold hypothesis unmet, so no tolerance reaches" if tol is None else f"tolerance {tol} below"
-        raise InsufficientToleranceError(f"{shortfall} 2*p^n - 1 = {bound}")
+    reason = licensing_shortfall(ext, hopf)
+    if reason is not None and not force:
+        raise InsufficientToleranceError(f"{reason}; pass force=True to emit an untrusted listing")
     report = is_free(h, ext)
     return AssocOrderBasis(report.h, report.basis, ext, hopf)
 

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +23,7 @@ from hopfscaffold import (
     verify_scaffold,
 )
 from hopfscaffold import module_structure
-from hopfscaffold.field_tower import licensing_bound
+from hopfscaffold.field_tower import licensing_shortfall
 from hopfscaffold.module_structure import _generator_witnesses
 
 from oracles import brute_generator_witnesses, brute_w, standard_pair
@@ -369,6 +372,55 @@ class TestNoether:
         assert 0 < free_count < checked
 
 
+class TestLicensingShortfall:
+    @pytest.mark.parametrize("p, n, r, b, f_val, reason", [
+        (3, 2, 1, 8, 9, None),  # F = 17 = 2*3^2 - 1
+        (3, 2, 1, 7, 8, "tolerance 16 below 2*p^n - 1 = 17"),
+        (2, 2, 1, 1, 0, "scaffold hypothesis unmet, so no tolerance reaches 2*p^n - 1 = 7"),
+    ])
+    def test_reason(self, p, n, r, b, f_val, reason):
+        ext, hopf = ExtensionParams.monogenic(p, n, b), HopfParams(p, n, r, LaurentPoly.monomial(p, f_val))
+        assert licensing_shortfall(ext, hopf) == reason
+
+    def test_refuses_parameters_of_another_degree(self):
+        with pytest.raises(ValueError, match="must share p and n"):
+            licensing_shortfall(ExtensionParams.monogenic(3, 2, 8), HopfParams(3, 3, 2, LaurentPoly.monomial(3, 9)))
+
+
+# keep p^n <= 625 so each is_free stays cheap
+_LICENSING_PN = [(p, n) for p in (2, 3, 5, 7, 11, 23) for n in range(2, 10) if p**n <= 625]
+
+
+@st.composite
+def _licensing_case(draw):
+    p, n = draw(st.sampled_from(_LICENSING_PN))
+    r = draw(st.integers(-(-n // 2), n - 1))
+    b = draw(st.integers(1, 2 * p**n).filter(lambda v: v % p))
+    # v_K(f) from below the scaffold hypothesis to past the least value licensing a listing
+    least_met = math.ceil(b * Fraction(p) ** (r + 1 - n))
+    least_licensed = math.ceil(Fraction(2 * p**n - 1 + b * (p ** (r + 1) - 1), p**n))
+    v = draw(st.integers(least_met - 2, least_licensed + 2))  # least_met <= least_licensed, as b < 2*p^n
+    h = draw(st.integers(-p**n, p**n))
+    return ExtensionParams.monogenic(p, n, b), HopfParams(p, n, r, LaurentPoly.monomial(p, v)), h
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_licensing_case())
+def test_one_licensing_rule_for_shortfall_refusal_and_trust(case):
+    # F = p^n*v_K(f) - b*(p^{r+1} - 1), defined once v_K(f) >= b*p^{r+1-n}; a listing needs F >= 2*p^n - 1
+    ext, hopf, h = case
+    p, n, r, b, v = ext.p, ext.n, hopf.r, ext.b, hopf.f.valuation()
+    met = v >= b * Fraction(p) ** (r + 1 - n)
+    licensed = met and p**n * v - b * (p ** (r + 1) - 1) >= 2 * p**n - 1
+    assert assoc_order_basis(h, ext, hopf, force=True).trusted == licensed
+    if licensed:
+        assoc_order_basis(h, ext, hopf)
+    else:
+        with pytest.raises(InsufficientToleranceError):
+            assoc_order_basis(h, ext, hopf)
+    assert (licensing_shortfall(ext, hopf) is None) == licensed
+
+
 class TestAssocOrder:
     def test_small_case_shifts(self):
         ext, hopf = standard_pair(2, 2, 1, 1)
@@ -397,12 +449,12 @@ class TestAssocOrder:
         hopf = HopfParams(2, 2, 1, LaurentPoly.monomial(2, f_val))
         with pytest.raises(InsufficientToleranceError) as info:
             assoc_order_basis(0, ext, hopf)
-        assert info.value.reason == reason
+        assert licensing_shortfall(ext, hopf) == reason
         assert str(info.value) == f"{reason}; pass force=True to emit an untrusted listing"
 
     def test_a_tolerance_of_exactly_2pn_minus_1_is_trusted(self):
         ext, hopf = ExtensionParams.monogenic(3, 2, 8), HopfParams(3, 2, 1, LaurentPoly.monomial(3, 9))
-        assert (tolerance(ext, hopf), licensing_bound(ext)) == (17, 17)
+        assert (tolerance(ext, hopf), licensing_shortfall(ext, hopf)) == (17, None)
         basis = assoc_order_basis(1, ext, hopf)
         assert basis.trusted and len(basis.entries) == 9
 
@@ -410,7 +462,7 @@ class TestAssocOrder:
         ext, hopf = ExtensionParams.monogenic(3, 2, 7), HopfParams(3, 2, 1, LaurentPoly.monomial(3, 8))
         with pytest.raises(InsufficientToleranceError) as info:
             assoc_order_basis(1, ext, hopf)
-        assert info.value.reason == "tolerance 16 below 2*p^n - 1 = 17"
+        assert licensing_shortfall(ext, hopf) == "tolerance 16 below 2*p^n - 1 = 17"
         assert not assoc_order_basis(1, ext, hopf, force=True).trusted
 
     def test_force_yields_untrusted(self):

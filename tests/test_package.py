@@ -61,6 +61,30 @@ def test_no_module_validates_with_assert():
     assert asserts == []
 
 
+def test_the_licensing_rule_has_one_spelling():
+    # field_tower.licensing_shortfall alone compares F with 2*p^n - 1 and words the refusal
+    def strings(tree):
+        docs = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None
+        }
+        # the literal parts of an f-string are Constant nodes beneath its JoinedStr
+        return [
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs
+        ]
+
+    sources = sorted(Path(hopfscaffold.__file__).parent.glob("*.py"))
+    holders = [
+        path.stem
+        for path in sources
+        if any("2*p^n - 1" in text for text in strings(ast.parse(path.read_text(encoding="utf-8"), str(path))))
+    ]
+    assert holders == ["field_tower"]
+
+
 def test_coeff_vector_subclasses_are_the_three_element_types():
     # H (x) H and L (x) H are sparse maps, not coefficient vectors
     assert set(CoeffVector.__subclasses__()) == {LElement, HElement, DualElement}
